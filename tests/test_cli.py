@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from fpc.cli import main
-from fpc.core import Code
+from fpc.core import Code, is_cover_free
 from fpc.fileio import (
     SWEEP_COLUMNS,
     CodeFileError,
@@ -126,6 +127,24 @@ class TestConstructVerifyAudit:
         assert run("verify", "--in", str(bad), "--c", "2") == 2
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "word      = 1 2" in out
+
+    def test_verify_symbols_beyond_fixed_width(self, tmp_path, capsys):
+        # Symbols up to 2^70 fit no numpy integer type; the checker must
+        # still find the planted framed word instead of overflowing.
+        rng = random.Random(70)
+        q, l = 2**70, 6
+        words = [tuple(rng.randint(1, q) for _ in range(l)) for _ in range(40)]
+        words.append(words[0][:3] + words[1][3:])
+        code = Code(q, l, words)
+        path = tmp_path / "big.fpc"
+        write_code_file(path, code)
+        assert run("verify", "--in", str(path), "--c", "3") == 2
+        witness = is_cover_free(code, 3).witness
+        expected = [f"word      = {' '.join(map(str, witness.word))}"]
+        expected += [f"coalition = {' '.join(map(str, m))}" for m in witness.coalition]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "frameproof: VIOLATION (c=3)"
+        assert lines[1:] == expected
 
     def test_verify_missing_file_exit_1(self, capsys):
         assert run("verify", "--in", "/nonexistent.fpc", "--c", "2") == 1

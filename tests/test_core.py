@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fpc.core import (
     BudgetExceededError,
     Code,
+    _COALITION_BLOCK,
     Witness,
     desc_contains,
     desc_size,
@@ -16,28 +18,26 @@ from fpc.core import (
     own_subset_counts,
     pi,
     pi_inverse,
-    _frameproof_scan_bulk,
-    _frameproof_scan_desc,
-    _frameproof_scan_pairs,
 )
 
 BAD_CODE = Code(3, 2, [(1, 1), (2, 2), (1, 2)])
 
 
 def naive_frameproof(code: Code, c: int):
-    """Definition-level oracle: try every coalition of size <= c and every
-    outside codeword. Returns the least violation or None."""
+    """Definition-level oracle: try every coalition of size s = min(c, n-1)
+    and every outside codeword. Returns the least violation or None."""
     words = code.words
+    if len(words) < 2:
+        return None
     best = None
-    for size in range(1, min(c, len(words) - 1) + 1):
-        for coal in itertools.combinations(words, size):
-            for x0 in words:
-                if x0 in coal:
-                    continue
-                if all(any(x[i] == s for x in coal) for i, s in enumerate(x0)):
-                    cand = (x0, coal)
-                    if best is None or cand < best:
-                        best = cand
+    for coal in itertools.combinations(words, min(c, len(words) - 1)):
+        for x0 in words:
+            if x0 in coal:
+                continue
+            if all(any(x[i] == s for x in coal) for i, s in enumerate(x0)):
+                cand = (x0, coal)
+                if best is None or cand < best:
+                    best = cand
     return best
 
 
@@ -151,25 +151,42 @@ class TestFrameproof:
         with pytest.raises(BudgetExceededError):
             is_cover_free(code, 2, budget=10)
 
-    def test_all_scan_strategies_agree(self):
-        rng = random.Random(20240)
-        for _ in range(120):
-            code = random_code(rng)
-            if len(code.words) < 2:
-                continue
-            s = min(2, len(code.words) - 1)
-            a = _frameproof_scan_pairs(code.words, s)
-            b = _frameproof_scan_desc(code.words, s)
-            c = _frameproof_scan_bulk(code.words, s)
-            assert a == b == c
-
     def test_matches_naive_oracle(self):
         rng = random.Random(555)
+        violations = 0
         for _ in range(150):
             code = random_code(rng)
-            expected = naive_frameproof(code, 2)
-            verdict = is_frameproof(code, 2)
-            assert verdict.ok == (expected is None)
+            for c in (2, 3, 4):
+                expected = naive_frameproof(code, c)
+                verdict = is_frameproof(code, c)
+                assert verdict.ok == (expected is None)
+                if expected is not None:
+                    violations += 1
+                    assert verdict.witness == Witness(*expected)
+        assert violations > 0
+
+    @pytest.mark.parametrize(
+        "extra,least",
+        [
+            ((1, 50, 60), ((1, 50, 60), ((1, 500, 60), (3, 50, 70)))),
+            ((3, 50, 60), ((2, 1, 2), ((1, 1, 1), (2, 2, 2)))),
+        ],
+    )
+    def test_least_witness_across_coalition_blocks(self, extra, least):
+        # 50 words give C(50, 2) = 1225 coalitions, more than one block.
+        # (a, b) frames z in the first block; (y1, y2) frames `extra` only in
+        # the last block, and `extra` is the least framed word in one case
+        # and not in the other. Every other word has a symbol no other word
+        # carries at its position, so it cannot be framed.
+        a, b, z = (1, 1, 1), (2, 2, 2), (2, 1, 2)
+        y1, y2 = (1, 500, 60), (3, 50, 70)
+        fillers = [(1, 100 + k, 200 + k) for k in range(44)]
+        code = Code(600, 3, [a, b, z, y1, y2, extra, *fillers])
+        assert math.comb(len(code), 2) > _COALITION_BLOCK
+        ranks = {coal: r for r, coal in enumerate(itertools.combinations(code.words, 2))}
+        assert ranks[(a, b)] < _COALITION_BLOCK <= ranks[(y1, y2)]
+        assert naive_frameproof(code, 2) == least
+        assert is_frameproof(code, 2).witness == Witness(*least)
 
 
 class TestCoverFree:
