@@ -32,7 +32,7 @@ def validate_word(word: Sequence[int], l: int, q: int) -> Word:
     if len(w) != l:
         raise ValueError(f"word {w} has length {len(w)}, expected {l}")
     for s in w:
-        if not (isinstance(s, int) and 1 <= s <= q):
+        if not (isinstance(s, int) and not isinstance(s, bool) and 1 <= s <= q):
             raise ValueError(f"word {w} has symbol {s!r} outside 1..{q}")
     return w
 
@@ -135,17 +135,6 @@ def desc_size(coalition: Sequence[Word]) -> int:
 _COALITION_BLOCK = 1024
 
 
-def _frameproof_estimates(n: int, s: int, l: int) -> tuple[int, int]:
-    n_coal = _comb(n, s)
-    est_pairs = n_coal * (n - s) * l
-    est_desc = n_coal * (s**l) * l
-    return est_pairs, est_desc
-
-
-def _comb(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
 def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact c-frameproof check.
 
@@ -163,7 +152,10 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n <= 1:
         return Verdict(True)
     s = min(c, n - 1)
-    estimate = min(_frameproof_estimates(n, s, code.l))
+    # Level k keeps at most min(s^k, distinct length-k prefixes) <= min(s^l, n)
+    # partial descendants per coalition, so the work is about this; n - s in
+    # place of n keeps the refusal thresholds where they have always been.
+    estimate = math.comb(n, s) * code.l * min(n - s, s**code.l)
     if estimate > budget:
         raise BudgetExceededError(
             f"frameproof check needs ~{estimate:.2e} comparisons, "

@@ -65,7 +65,7 @@ def parse_code_file(text: str) -> Code:
     if len(header) != 2:
         raise CodeFileError(f"header line must be 'q l', got {lines[1]!r}")
     try:
-        q, l = int(header[0]), int(header[1])
+        q, l = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise CodeFileError(f"header line must be two integers, got {lines[1]!r}") from None
     words = []
@@ -78,7 +78,7 @@ def parse_code_file(text: str) -> Code:
         if len(parts) != l:
             raise CodeFileError(f"line {lineno}: expected {l} symbols, got {len(parts)}")
         try:
-            word = tuple(int(p) for p in parts)
+            word = tuple(_decimal(p) for p in parts)
         except ValueError:
             raise CodeFileError(f"line {lineno}: non-integer symbol") from None
         for s in word:
@@ -88,6 +88,15 @@ def parse_code_file(text: str) -> Code:
     if len(set(words)) != len(words):
         raise CodeFileError("duplicate codewords")
     return Code(q, l, words)
+
+
+def _decimal(token: str) -> int:
+    """int(token), but only for the plain decimal form `format_code_file`
+    writes: "1_0", "+3" or "03" would not write back to the same bytes."""
+    value = int(token)
+    if str(value) != token:
+        raise ValueError(token)
+    return value
 
 
 def read_code_file(path: Union[str, os.PathLike]) -> Code:

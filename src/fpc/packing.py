@@ -27,6 +27,9 @@ from .extremal import PositionFamily, matching_number
 LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
 
 _GF_TABLE_CAP = 512  # prime-power fields are table-backed; primes have no cap
+# Share of the pool sampled per nibble round. No measurement chose 0.05; a
+# small bite keeps collisions inside a batch rare, the point of a nibble.
+_NIBBLE_BATCH_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +224,16 @@ def greedy_packing(
     claimed: set[LabeledSubset] = set()
     kept = []
     for w in words:
-        shadows = [
-            tuple((p + 1, w[p]) for p in combo)
-            for combo in itertools.combinations(range(l), t + 1)
-        ]
+        shadows = _labeled_subsets(w, t + 1)
         if all(s not in claimed for s in shadows):
             kept.append(w)
             claimed.update(shadows)
     return TransversalPacking(l=l, q=q, t=t, transversals=tuple(sorted(kept)))
+
+
+def _labeled_subsets(w: Word, k: int) -> list[LabeledSubset]:
+    """The labeled k-subsets of w, in combination order."""
+    return list(itertools.combinations([(p + 1, s) for p, s in enumerate(w)], k))
 
 
 def _agreement(u: Word, v: Word) -> int:
@@ -253,15 +258,8 @@ def validate_packing(packing, t: Optional[int] = None) -> bool:
 
 def shadows_disjoint(words: Iterable[Word], t: int) -> bool:
     """Equivalent packing criterion: labeled (t+1)-subsets never repeat."""
-    seen: set[LabeledSubset] = set()
-    for w in words:
-        l = len(w)
-        for combo in itertools.combinations(range(l), t + 1):
-            key = tuple((p + 1, w[p]) for p in combo)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
+    keys = [a for w in words for a in _labeled_subsets(w, t + 1)]
+    return len(keys) == len(set(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +413,6 @@ def greedy_matching(
     candidates: Sequence[Candidate],
     seed: int,
     strategy: Literal["greedy", "nibble"] = "greedy",
-    batch_fraction: float = 0.05,
 ) -> list[Candidate]:
     """Select candidates with pairwise disjoint survived sets.
 
@@ -437,7 +434,7 @@ def greedy_matching(
     used: set[LabeledSubset] = set()
     stalls = 0
     while pool and stalls < 32:
-        k = min(len(pool), max(1, math.ceil(batch_fraction * len(pool))))
+        k = min(len(pool), max(1, math.ceil(_NIBBLE_BATCH_FRACTION * len(pool))))
         picked = sorted(rng.sample(range(len(pool)), k))
         picked_set = set(picked)
         batch = [pool[i] for i in picked]
@@ -473,19 +470,23 @@ def _sweep(
 def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
     """Re-check the induced-packing conditions without trusting the matcher:
     pairwise agreement <= t, shared t-agreements in neither survived set, and
-    edge-disjoint survived sets."""
-    for i, a in enumerate(selected):
-        for b in selected[i + 1 :]:
-            agree = [p for p, (x, y) in enumerate(zip(a.transversal, b.transversal)) if x == y]
-            if len(agree) > t:
-                return False
-            if len(agree) == t and t > 0:
-                common = tuple((p + 1, a.transversal[p]) for p in agree)
-                if common in a.survived or common in b.survived:
-                    return False
-            if not a.survived.isdisjoint(b.survived):
-                return False
-    return True
+    edge-disjoint survived sets. For t >= 1 each is a count over labeled
+    subsets. Words agree on more than t coordinates iff they share a labeled
+    (t+1)-subset. Granted that, two t-shadows meet only in the one t-subset
+    where their words agree, so the middle condition says no subset a
+    candidate keeps from its own transversal lies in another t-shadow. The
+    last says no labeled t-subset is kept twice. (At t = 0, which `lambda_of`
+    never yields, the counts are stricter than the pairwise conditions.)"""
+    words = [c.transversal for c in selected]
+    shadows = [_labeled_subsets(w, t) for w in words]
+    degree = Counter(itertools.chain.from_iterable(shadows))
+    survived = [a for c in selected for a in c.survived]
+    kept_own = [a for c, own in zip(selected, shadows) for a in own if a in c.survived]
+    return (
+        shadows_disjoint(words, t)
+        and len(survived) == len(set(survived))
+        and all(degree[a] == 1 for a in kept_own)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +548,7 @@ def degree_diagnostics(
     if (family.l, family.t) != (l, t):
         raise ValueError("family must be t-uniform on the packing's positions")
 
-    dP: Counter = Counter()
-    for U in packing.transversals:
-        for combo in itertools.combinations(range(l), t):
-            dP[tuple((p + 1, U[p]) for p in combo)] += 1
+    dP = Counter(a for U in packing.transversals for a in _labeled_subsets(U, t))
 
     space = math.comb(l, t) * q**t
     if space <= element_cap:

@@ -43,6 +43,9 @@ class TestCodeFile:
             ("fpc 1\n3 2\n1 4\n", "outside"),
             ("fpc 1\n3 2\n1 x\n", "non-integer"),
             ("fpc 1\n3 2\n\n1 1\n", "blank"),
+            ("fpc 1\n1_0 2\n1 1\n", "header"),
+            ("fpc 1\n3 2\n+3 1\n", "non-integer"),
+            ("fpc 1\n3 2\n03 1\n", "non-integer"),
         ],
     )
     def test_parser_rejections(self, text, err):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from fpc.construct import (
 )
 from fpc.core import Code, Witness, is_cover_free, is_frameproof
 from fpc.extremal import blackburn_upper, improved_upper, lambda_of, matching_number
+from fpc.fileio import format_code_file
 from fpc.packing import Candidate, SparsifierConfig, survived_set
 
 
@@ -52,6 +54,16 @@ class TestConstruct:
         again_code, again_report = construct(cfg)
         assert again_code.words == code.words
         assert again_report.code_size == report.code_size
+
+    def test_code_files_byte_stable(self, built_2_4_13):
+        # Seed-7 code files, rs packing at (2,4,13) and greedy at (2,4,5): a
+        # change that moves any output bit must say so and update these.
+        greedy_cfg = ConstructionConfig(c=2, l=4, q=5, seed=7, packing="greedy", verify=False)
+        codes = [built_2_4_13[1], construct(greedy_cfg)[0]]
+        assert [hashlib.sha256(format_code_file(c).encode()).hexdigest() for c in codes] == [
+            "f9bc38f1baa4afc7e141f8f573e75ec888bc09c0d5d97f46ac21a0047f9d11eb",
+            "2d395adb772068f4646188a60befc1d4b05ad11e9abeb545a0f6b105164b8bd7",
+        ]
 
     def test_verified_and_bounded(self, built_all):
         for cfg, code, report in built_all:

@@ -115,6 +115,8 @@ class TestCode:
             Code(3, 2, [(1, 4)])
         with pytest.raises(ValueError):
             Code(3, 2, [(0, 1)])
+        with pytest.raises(ValueError):
+            Code(2, 2, [(True, 2), (2, 1)])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

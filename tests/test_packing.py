@@ -1,8 +1,10 @@
+import functools
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fpc.extremal import complete_family
 from fpc.construct import build_extremal_complement
@@ -301,7 +303,80 @@ class TestMatching:
         assert [c.transversal for c in one] == [c.transversal for c in two]
 
 
+def _pairwise_violations(selected, t):
+    """Reference for `validate_induced`: every pair of candidates, naming each
+    induced-packing condition the pair breaks."""
+    for i, a in enumerate(selected):
+        for b in selected[i + 1 :]:
+            agree = [p for p, (x, y) in enumerate(zip(a.transversal, b.transversal)) if x == y]
+            if len(agree) > t:
+                yield "agreement"
+            if len(agree) == t and t > 0:
+                common = tuple((p + 1, a.transversal[p]) for p in agree)
+                if common in a.survived or common in b.survived:
+                    yield "surviving agreement"
+            if not a.survived.isdisjoint(b.survived):
+                yield "shared survivor"
+
+
+_INDUCED_Q = {"rs": 5, "greedy": 4}
+
+
+@functools.lru_cache(maxsize=None)
+def _induced_pool(packing_kind, t):
+    l, q = t + 2, _INDUCED_Q[packing_kind]
+    if packing_kind == "rs":
+        packing = rs_packing(l, t, q)
+    else:
+        packing = greedy_packing(l, t, q, seed=t)
+    return tuple(_candidates_for(packing, 0.3, 11))
+
+
+def _rigged_pair(a, rig, q):
+    """`a` plus a made-up candidate that breaks one induced condition with it."""
+    u = a.transversal
+    other = tuple(x % q + 1 for x in u)  # differs from u at every position
+    kept = min(a.survived)
+    t = len(kept)
+    if rig == "agreement":
+        # Agrees with u on t + 1 positions.
+        b = Candidate(u[: t + 1] + other[t + 1 :], frozenset(), frozenset())
+    elif rig == "surviving agreement":
+        # Agrees with u exactly on a t-subset that u kept.
+        on = {pos - 1 for pos, _sym in kept}
+        w = tuple(u[p] if p in on else other[p] for p in range(len(u)))
+        b = Candidate(w, frozenset(), frozenset())
+    else:
+        # Agrees with u nowhere, yet claims a subset that u kept.
+        b = Candidate(other, frozenset({kept}), frozenset())
+    return [a, b]
+
+
 class TestValidateInduced:
+    @given(
+        t=st.integers(1, 3),
+        packing_kind=st.sampled_from(["rs", "greedy"]),
+        rig=st.sampled_from([None, "agreement", "surviving agreement", "shared survivor"]),
+        size=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(t=1, packing_kind="rs", rig="agreement", size=0, seed=0)
+    @example(t=2, packing_kind="greedy", rig="surviving agreement", size=0, seed=0)
+    @example(t=3, packing_kind="rs", rig="shared survivor", size=0, seed=0)
+    @settings(max_examples=250, deadline=None)
+    def test_matches_pairwise_reference(self, t, packing_kind, rig, size, seed):
+        pool = _induced_pool(packing_kind, t)
+        rng = random.Random(seed)
+        selected = rng.sample(pool, min(size, len(pool)))
+        if rig is not None:
+            a = rng.choice([cand for cand in pool if cand.survived])
+            selected += _rigged_pair(a, rig, _INDUCED_Q[packing_kind])
+            rng.shuffle(selected)
+        violations = set(_pairwise_violations(selected, t))
+        assert validate_induced(selected, t) == (not violations)
+        if rig is not None:
+            assert rig in violations
+
     def test_matching_output_is_induced(self):
         packing = rs_packing(4, 2, 5)
         cands = _candidates_for(packing, 0.1, 8)
