@@ -33,6 +33,7 @@ from .extremal import (
     EmcValue,
     PositionFamily,
     blackburn_upper,
+    complete_family,
     emc_families,
     improved_upper,
     lambda_of,
@@ -131,10 +132,7 @@ def build_extremal_complement(c: int, l: int) -> tuple[PositionFamily, PositionF
     chosen = cover if len(cover) >= len(clique) else clique
     if matching_number(chosen) > lam:
         raise AssertionError("chosen extremal family is infeasible")
-    all_masks = frozenset(
-        sum(1 << p for p in combo) for combo in itertools.combinations(range(l), t)
-    )
-    complement = PositionFamily(l, t, all_masks - chosen.edges)
+    complement = PositionFamily(l, t, complete_family(l, t).edges - chosen.edges)
     return chosen, complement
 
 

@@ -10,6 +10,7 @@ arithmetic floored at the end, never floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -61,7 +62,9 @@ class PositionFamily:
         ]
 
 
+@functools.cache
 def complete_family(l: int, t: int) -> PositionFamily:
+    """All t-subsets of [l]; cached, since the family is immutable."""
     edges = frozenset(_mask(s) for s in itertools.combinations(range(l), t))
     return PositionFamily(l, t, edges)
 
@@ -224,14 +227,14 @@ def m_exact(l: int, t: int, lam: int, cap: int = EXHAUSTIVE_CAP) -> EmcValue:
     return EmcValue(n_edges - best, True, "exhaustive")
 
 
-def resolve_m(l: int, t: int, lam: int, cap: int = EXHAUSTIVE_CAP) -> EmcValue:
+def resolve_m(l: int, t: int, lam: int) -> EmcValue:
     """Best available m: formula when proven, exhaustive when feasible,
     otherwise the conjectured formula value (flagged, never refused)."""
     formula = emc_value(l, t, lam)
     if formula.proven:
         return formula
-    if math.comb(l, t) <= cap:
-        return m_exact(l, t, lam, cap)
+    if math.comb(l, t) <= EXHAUSTIVE_CAP:
+        return m_exact(l, t, lam)
     return formula
 
 

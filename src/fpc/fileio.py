@@ -68,6 +68,8 @@ def parse_code_file(text: str) -> Code:
         q, l = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise CodeFileError(f"header line must be two integers, got {lines[1]!r}") from None
+    if q < 1 or l < 1:
+        raise CodeFileError(f"header line needs q >= 1 and l >= 1, got {lines[1]!r}")
     words = []
     for lineno, line in enumerate(lines[2:], start=3):
         if line.startswith("#"):

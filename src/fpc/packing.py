@@ -3,7 +3,8 @@
 A packing here is a set of words any two of which agree in at most t
 coordinates; equivalently their labeled (t+1)-subsets are pairwise distinct.
 `rs_packing` realizes the perfect case (q^(t+1) words) by evaluating all
-polynomials of degree <= t over a finite field; `greedy_packing` is the
+polynomials of degree <= t over GF(q), whose add and mul are q x q lookup
+tables for every prime power q; `greedy_packing` is the
 maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
 sparsifier thins the labeled t-subsets, candidates are scored against the
 target pattern family, and a seeded matching extracts candidates with
@@ -21,12 +22,17 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional, Sequence
 
+import numpy as np
+
 from .core import Word
-from .extremal import PositionFamily, matching_number
+from .extremal import PositionFamily, complete_family, matching_number
 
 LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
 
-_GF_TABLE_CAP = 512  # prime-power fields are table-backed; primes have no cap
+# GF refuses prime powers of order above this; primes pass at any order. No
+# measurement chose 512. A prime power's mul table is reduced from a
+# q x q x (2k - 1) array, 34 MB at q = 512.
+_GF_TABLE_CAP = 512
 # Share of the pool sampled per nibble round. No measurement chose 0.05; a
 # small bite keeps collisions inside a batch rare, the point of a nibble.
 _NIBBLE_BATCH_FRACTION = 0.05
@@ -83,48 +89,32 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 
 class GF:
-    """GF(q) with elements as indices 0..q-1.
+    """GF(q) as two q x q tables, `add` and `mul`, over the elements 0..q-1.
 
-    Prime q uses plain modular arithmetic. Prime powers build full add/mul
-    tables over an irreducible polynomial; element i encodes the coefficient
-    vector of i written base p.
+    Element i is the polynomial over GF(p) whose coefficients are the base-p
+    digits of i, lowest digit first. Products are reduced modulo the first
+    monic irreducible of degree k in `itertools.product` order. A prime q is
+    the case k = 1, whose modulus is x, so its tables are arithmetic mod p.
     """
 
     def __init__(self, q: int):
         self.q = q
-        self.p, self.k = _prime_power(q)
-        if self.k == 1:
-            self._add_table = None
-            self._mul_table = None
-            return
-        if q > _GF_TABLE_CAP:
+        self.p, self.k = p, k = _prime_power(q)
+        if k > 1 and q > _GF_TABLE_CAP:
             raise ValueError(
                 f"table-backed GF({q}) capped at order {_GF_TABLE_CAP}; use a prime q"
             )
         modulus = self._find_irreducible()
-        digits = [self._digits(i) for i in range(q)]
-        self._add_table = [
-            [self._undigits([(a + b) % self.p for a, b in zip(digits[i], digits[j])])
-             for j in range(q)]
-            for i in range(q)
-        ]
-        self._mul_table = [
-            [self._mul_poly(digits[i], digits[j], modulus) for j in range(q)]
-            for i in range(q)
-        ]
-
-    def _digits(self, i: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(i % self.p)
-            i //= self.p
-        return out
-
-    def _undigits(self, digits: Sequence[int]) -> int:
-        out = 0
-        for d in reversed(digits):
-            out = out * self.p + d
-        return out
+        place = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // place % p
+        self.add = (digits[:, None] + digits[None, :]) % p @ place
+        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
+        for i in range(k):
+            prod[:, :, i : i + k] += digits[:, None, i, None] * digits[None, :, :]
+        # x^d = x^(d-k) * (x^k - modulus) mod modulus, highest degree first.
+        for d in range(2 * k - 2, k - 1, -1):
+            prod[:, :, d - k : d] -= prod[:, :, d, None] % p * modulus[:k]
+        self.mul = prod[:, :, :k] % p @ place
 
     def _find_irreducible(self) -> list[int]:
         for low in itertools.product(range(self.p), repeat=self.k):
@@ -132,32 +122,6 @@ class GF:
             if _is_irreducible(f, self.p):
                 return f
         raise AssertionError("no irreducible polynomial found")
-
-    def _mul_poly(self, a: list[int], b: list[int], modulus: list[int]) -> int:
-        prod = [0] * (2 * self.k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        _, rem = _poly_divmod(prod, modulus, self.p)
-        rem += [0] * (self.k - len(rem))
-        return self._undigits(rem)
-
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        return self._add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
-        return self._mul_table[a][b]
-
-    def poly_eval(self, coeffs: Sequence[int], x: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +160,18 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
         raise ValueError(
             f"q={q} < l={l}: not enough evaluation points; greedy_packing works for any q"
         )
-    words = []
-    for coeffs in itertools.product(range(q), repeat=t + 1):
-        words.append(tuple(field.poly_eval(coeffs, x) + 1 for x in range(l)))
-    return TransversalPacking(l=l, q=q, t=t, transversals=tuple(words))
+    # In `itertools.product` order, coefficient vector i lists the base-q
+    # digits of i, most significant first; coeffs[0] is the constant term.
+    # Horner's rule evaluates all vectors at once, one column per point.
+    index = np.arange(q ** (t + 1))
+    coeffs = [index // q ** (t - j) % q for j in range(t + 1)]
+    columns = []
+    for x in range(l):
+        acc = coeffs[t]
+        for c in reversed(coeffs[:t]):
+            acc = field.add[field.mul[acc, x], c]
+        columns.append((acc + 1).tolist())
+    return TransversalPacking(l=l, q=q, t=t, transversals=tuple(zip(*columns)))
 
 
 def greedy_packing(
@@ -321,14 +293,7 @@ def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
 
 
 def _complement_pattern(pattern: frozenset[int], l: int, t: int) -> PositionFamily:
-    missing = frozenset(_all_position_masks(l, t)) - pattern
-    return PositionFamily(l, t, missing)
-
-
-def _all_position_masks(l: int, t: int) -> tuple[int, ...]:
-    return tuple(
-        sum(1 << p for p in combo) for combo in itertools.combinations(range(l), t)
-    )
+    return PositionFamily(l, t, complete_family(l, t).edges - pattern)
 
 
 def accept_candidate(

@@ -46,6 +46,8 @@ class TestCodeFile:
             ("fpc 1\n1_0 2\n1 1\n", "header"),
             ("fpc 1\n3 2\n+3 1\n", "non-integer"),
             ("fpc 1\n3 2\n03 1\n", "non-integer"),
+            ("fpc 1\n-3 2\n1 1\n", "header"),
+            ("fpc 1\n0 2\n", "header"),
         ],
     )
     def test_parser_rejections(self, text, err):

@@ -56,13 +56,16 @@ class TestConstruct:
         assert again_report.code_size == report.code_size
 
     def test_code_files_byte_stable(self, built_2_4_13):
-        # Seed-7 code files, rs packing at (2,4,13) and greedy at (2,4,5): a
-        # change that moves any output bit must say so and update these.
+        # Seed-7 code files, rs packing at (2,4,13) and over the prime-power
+        # field GF(9), greedy at (2,4,5): a change that moves any output bit
+        # must say so and update these.
         greedy_cfg = ConstructionConfig(c=2, l=4, q=5, seed=7, packing="greedy", verify=False)
-        codes = [built_2_4_13[1], construct(greedy_cfg)[0]]
+        gf9_cfg = ConstructionConfig(c=2, l=4, q=9, seed=7, verify=False)
+        codes = [built_2_4_13[1], construct(greedy_cfg)[0], construct(gf9_cfg)[0]]
         assert [hashlib.sha256(format_code_file(c).encode()).hexdigest() for c in codes] == [
             "f9bc38f1baa4afc7e141f8f573e75ec888bc09c0d5d97f46ac21a0047f9d11eb",
             "2d395adb772068f4646188a60befc1d4b05ad11e9abeb545a0f6b105164b8bd7",
+            "6011bd4ba6bd45b9d6a9e9f4dea71e789eaff66ed9ff1a749c1d31f5071dc1f5",
         ]
 
     def test_verified_and_bounded(self, built_all):

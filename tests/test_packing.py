@@ -30,24 +30,24 @@ from fpc.packing import (
 
 
 class TestGF:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 128])
     def test_field_axioms(self, q):
         f = GF(q)
         elems = range(q)
         for a in elems:
-            assert f.add(a, 0) == a and f.mul(a, 1) == a and f.mul(a, 0) == 0
+            assert f.add[a, 0] == a and f.mul[a, 1] == a and f.mul[a, 0] == 0
         if q <= 9:
             for a in elems:
                 for b in elems:
-                    assert f.add(a, b) == f.add(b, a)
-                    assert f.mul(a, b) == f.mul(b, a)
+                    assert f.add[a, b] == f.add[b, a]
+                    assert f.mul[a, b] == f.mul[b, a]
                     for c in elems:
-                        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-                        assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+                        assert f.mul[a, f.add[b, c]] == f.add[f.mul[a, b], f.mul[a, c]]
+                        assert f.mul[a, f.mul[b, c]] == f.mul[f.mul[a, b], c]
         for a in range(1, q):
-            assert any(f.mul(a, b) == 1 for b in elems)
+            assert any(f.mul[a, b] == 1 for b in elems)
         for a in elems:
-            assert any(f.add(a, b) == 0 for b in elems)
+            assert any(f.add[a, b] == 0 for b in elems)
 
     @pytest.mark.parametrize("q", [6, 10, 12, 15])
     def test_non_prime_powers_rejected(self, q):
@@ -77,6 +77,26 @@ class TestRsPacking:
     def test_degenerate_t_plus_1_equals_l(self):
         p = rs_packing(3, 2, 3)
         assert sorted(p.transversals) == sorted(itertools.product([1, 2, 3], repeat=3))
+
+    @pytest.mark.parametrize("q", [p for p in range(2, 32) if all(p % d for d in range(2, p))])
+    def test_matches_mod_p_horner_for_primes(self, q):
+        # Plain-Python reference: Horner's rule mod p over coefficient vectors
+        # in itertools.product order, constant term first.
+        def reference(l, t):
+            words = []
+            for coeffs in itertools.product(range(q), repeat=t + 1):
+                word = []
+                for x in range(l):
+                    acc = 0
+                    for c in reversed(coeffs):
+                        acc = (acc * x + c) % q
+                    word.append(acc + 1)
+                words.append(tuple(word))
+            return tuple(words)
+
+        for l, t in [(3, 0), (2, 1), (5, 1), (4, 2), (5, 3)]:
+            if q >= l and q ** (t + 1) <= 30_000:
+                assert rs_packing(l, t, q).transversals == reference(l, t)
 
     def test_prime_power_field(self):
         p = rs_packing(4, 1, 9)
