@@ -10,6 +10,7 @@ reproduced. FPC_BUDGET overrides the exact-checker comparison budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import secrets
@@ -36,6 +37,7 @@ from .extremal import (
 )
 from .packing import (
     SparsifierConfig,
+    check_image_cap,
     degree_diagnostics,
     greedy_packing,
     rs_packing,
@@ -94,7 +96,8 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("construct", help="build a frameproof code and write it out")
-    _add_construction_flags(p)
+    _add_point_flags(p)
+    _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="code file destination")
     p.add_argument("--json", action="store_true")
 
@@ -113,34 +116,36 @@ def build_parser() -> _Parser:
     p.add_argument("--q-list", required=True, help="comma-separated q values")
     p.add_argument("--eta-list", default="0.05", help="comma-separated eta values")
     p.add_argument("--seeds", default=None, help="comma-separated seeds")
-    p.add_argument("--mode", choices=["strict", "relaxed"], default="relaxed")
-    p.add_argument("--packing", choices=["rs", "greedy"], default="rs")
-    p.add_argument("--matching", choices=["greedy", "nibble"], default="greedy")
-    p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
+    _add_pipeline_flags(p)
     p.add_argument("--out", required=True, help="CSV destination")
 
     p = sub.add_parser("diagnose", help="degree diagnostics of a packing")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    _add_point_flags(p)
     p.add_argument("--packing", choices=["rs", "greedy"], default="rs")
     p.add_argument("--json", action="store_true")
 
     return parser
 
 
-def _add_construction_flags(p: argparse.ArgumentParser):
+def _add_point_flags(p: argparse.ArgumentParser):
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--eta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
+
+
+def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--mode", choices=["strict", "relaxed"], default="relaxed")
     p.add_argument("--packing", choices=["rs", "greedy"], default="rs")
     p.add_argument("--matching", choices=["greedy", "nibble"], default="greedy")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
+
+
+def _config(args, **given) -> ConstructionConfig:
+    """The config the flags name; `given` fields override or fill in theirs."""
+    flags = {f.name for f in dataclasses.fields(ConstructionConfig)} - given.keys()
+    return ConstructionConfig(**{name: getattr(args, name) for name in flags}, **given)
 
 
 def cmd_bounds(args) -> int:
@@ -187,17 +192,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_construct(args) -> int:
     seed, generated = _resolve_seed(args.seed)
-    cfg = ConstructionConfig(
-        c=args.c,
-        l=args.l,
-        q=args.q,
-        eta=args.eta,
-        seed=seed,
-        mode=args.mode,
-        packing=args.packing,
-        matching=args.matching,
-        verify=args.verify,
-    )
+    cfg = _config(args, seed=seed)
     code, report = construct(cfg, budget=_env_budget())
     comments = [
         f"c={cfg.c} l={cfg.l} q={cfg.q} eta={cfg.eta} seed={cfg.seed}",
@@ -265,17 +260,7 @@ def cmd_sweep(args) -> int:
     for q in qs:
         for eta in etas:
             for seed in seeds:
-                cfg = ConstructionConfig(
-                    c=args.c,
-                    l=args.l,
-                    q=q,
-                    eta=eta,
-                    seed=seed,
-                    mode=args.mode,
-                    packing=args.packing,
-                    matching=args.matching,
-                    verify=args.verify,
-                )
+                cfg = _config(args, q=q, eta=eta, seed=seed)
                 started = time.perf_counter()
                 _code, report = construct(cfg, budget=budget)
                 elapsed_ms = int((time.perf_counter() - started) * 1000)
@@ -285,21 +270,9 @@ def cmd_sweep(args) -> int:
                     verified = "true" if report.verified.ok else "false"
                 rows.append(
                     {
-                        "c": cfg.c,
-                        "l": cfg.l,
-                        "q": q,
-                        "eta": eta,
-                        "seed": seed,
-                        "mode": cfg.mode,
-                        "packing": cfg.packing,
-                        "matching": cfg.matching,
-                        "packing_size": report.packing_size,
+                        **report.as_dict(),
                         "accepted": report.accepted_count,
-                        "code_size": report.code_size,
                         "rate": report.rate,
-                        "rate_limit": report.rate_limit,
-                        "blackburn": report.blackburn,
-                        "improved": report.improved,
                         "verified": verified,
                         "elapsed_ms": elapsed_ms,
                     }
@@ -310,6 +283,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    check_image_cap(args.l)  # before the packing, which can be huge at large l
     seed, generated = _resolve_seed(args.seed)
     t, _lam = lambda_of(args.c, args.l)
     _chosen, complement = build_extremal_complement(args.c, args.l)

@@ -63,10 +63,15 @@ class PositionFamily:
 
 
 @functools.cache
+def position_masks(l: int, t: int) -> tuple[int, ...]:
+    """The bitmasks of all t-subsets of [l], in combination order; cached."""
+    return tuple(_mask(s) for s in itertools.combinations(range(l), t))
+
+
+@functools.cache
 def complete_family(l: int, t: int) -> PositionFamily:
     """All t-subsets of [l]; cached, since the family is immutable."""
-    edges = frozenset(_mask(s) for s in itertools.combinations(range(l), t))
-    return PositionFamily(l, t, edges)
+    return PositionFamily(l, t, frozenset(position_masks(l, t)))
 
 
 def _mask(positions) -> int:

@@ -8,7 +8,9 @@ tables for every prime power q; `greedy_packing` is the
 maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
 sparsifier thins the labeled t-subsets, candidates are scored against the
 target pattern family, and a seeded matching extracts candidates with
-pairwise disjoint surviving subsets.
+pairwise disjoint surviving subsets. A candidate carries only its transversal
+and the position pattern of its surviving subsets; matching and validation
+derive the labeled subsets from the two where they need them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from .core import Word
-from .extremal import PositionFamily, complete_family, matching_number
+from .extremal import PositionFamily, complete_family, matching_number, position_masks
 
 LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
 
@@ -36,6 +38,8 @@ _GF_TABLE_CAP = 512
 # Share of the pool sampled per nibble round. No measurement chose 0.05; a
 # small bite keeps collisions inside a batch rare, the point of a nibble.
 _NIBBLE_BATCH_FRACTION = 0.05
+# Largest l whose l! position relabelings `pattern_image_count` enumerates.
+_IMAGE_L_CAP = 9
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +212,11 @@ def _labeled_subsets(w: Word, k: int) -> list[LabeledSubset]:
     return list(itertools.combinations([(p + 1, s) for p, s in enumerate(w)], k))
 
 
+def _shadow(w: Word, k: int) -> Iterable[tuple[LabeledSubset, int]]:
+    """Each labeled k-subset of w with its position bitmask."""
+    return zip(_labeled_subsets(w, k), position_masks(len(w), k))
+
+
 def _agreement(u: Word, v: Word) -> int:
     return sum(a == b for a, b in zip(u, v))
 
@@ -253,9 +262,19 @@ class SparsifierConfig:
 
 @dataclass(frozen=True)
 class Candidate:
+    """A transversal U and its kept pattern: the t-bit position masks of the
+    labeled t-subsets of U that the sparsifier keeps. `survived` derives those
+    subsets from U's t-shadow on each access; derive them once per use."""
+
     transversal: Word
-    survived: frozenset[LabeledSubset]
-    pattern: frozenset[int]  # survived projected to position bitmasks
+    pattern: frozenset[int]
+
+    @property
+    def survived(self) -> frozenset[LabeledSubset]:
+        t = next(iter(self.pattern), 0).bit_count()
+        return frozenset(
+            a for a, mask in _shadow(self.transversal, t) if mask in self.pattern
+        )
 
 
 def _encode_labeled(a: LabeledSubset) -> bytes:
@@ -267,12 +286,9 @@ def r_membership(a: LabeledSubset, cfg: SparsifierConfig) -> bool:
     """Deterministic membership in the sparsified subset.
 
     A keyed hash of the canonical encoding stands in for the random set, so
-    membership is O(1) memory and bit-reproducible for a given seed.
+    membership is O(1) memory and bit-reproducible for a given seed. The
+    threshold is 2^64 at eta = 0 and 0 at eta = 1, so both ends are exact.
     """
-    if cfg.eta <= 0.0:
-        return True
-    if cfg.eta >= 1.0:
-        return False
     key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
     digest = hashlib.blake2b(_encode_labeled(a), key=key, digest_size=8).digest()
     u = int.from_bytes(digest, "big")
@@ -280,16 +296,10 @@ def r_membership(a: LabeledSubset, cfg: SparsifierConfig) -> bool:
 
 
 def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
-    """All labeled t-subsets of U that the sparsifier keeps."""
-    l = len(U)
-    survived = []
-    pattern = []
-    for combo in itertools.combinations(range(l), t):
-        a = tuple((p + 1, U[p]) for p in combo)
-        if r_membership(a, cfg):
-            survived.append(a)
-            pattern.append(sum(1 << p for p in combo))
-    return Candidate(tuple(U), frozenset(survived), frozenset(pattern))
+    """U with the position bitmasks of its labeled t-subsets that the
+    sparsifier keeps."""
+    pattern = [mask for a, mask in _shadow(U, t) if r_membership(a, cfg)]
+    return Candidate(tuple(U), frozenset(pattern))
 
 
 def _complement_pattern(pattern: frozenset[int], l: int, t: int) -> PositionFamily:
@@ -404,15 +414,16 @@ def greedy_matching(
         picked_set = set(picked)
         batch = [pool[i] for i in picked]
         rest = [pool[i] for i in range(len(pool)) if i not in picked_set]
-        counts = Counter(a for cand in batch for a in cand.survived)
+        kept = [cand.survived for cand in batch]
+        counts = Counter(a for survived in kept for a in survived)
         progressed = False
-        for cand in batch:
-            if not used.isdisjoint(cand.survived):
+        for cand, survived in zip(batch, kept):
+            if not used.isdisjoint(survived):
                 progressed = True  # permanently dead, pool shrank
                 continue
-            if all(counts[a] == 1 for a in cand.survived):
+            if all(counts[a] == 1 for a in survived):
                 selected.append(cand)
-                used.update(cand.survived)
+                used.update(survived)
                 progressed = True
             else:
                 rest.append(cand)
@@ -426,31 +437,29 @@ def _sweep(
     order: Sequence[Candidate], selected: list[Candidate], used: set[LabeledSubset]
 ) -> list[Candidate]:
     for cand in order:
-        if used.isdisjoint(cand.survived):
+        survived = cand.survived
+        if used.isdisjoint(survived):
             selected.append(cand)
-            used.update(cand.survived)
+            used.update(survived)
     return selected
 
 
 def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
     """Re-check the induced-packing conditions without trusting the matcher:
     pairwise agreement <= t, shared t-agreements in neither survived set, and
-    edge-disjoint survived sets. For t >= 1 each is a count over labeled
-    subsets. Words agree on more than t coordinates iff they share a labeled
-    (t+1)-subset. Granted that, two t-shadows meet only in the one t-subset
-    where their words agree, so the middle condition says no subset a
-    candidate keeps from its own transversal lies in another t-shadow. The
-    last says no labeled t-subset is kept twice. (At t = 0, which `lambda_of`
-    never yields, the counts are stricter than the pairwise conditions.)"""
+    edge-disjoint survived sets. Each is a count over labeled subsets. Words
+    agree on more than t coordinates iff they share a labeled (t+1)-subset.
+    Granted that, two t-shadows meet only in the one t-subset where their
+    words agree, and a candidate's survived set lies in its own t-shadow, so
+    the middle condition says no survived subset lies in a second t-shadow.
+    The last says no labeled t-subset survives twice."""
     words = [c.transversal for c in selected]
-    shadows = [_labeled_subsets(w, t) for w in words]
-    degree = Counter(itertools.chain.from_iterable(shadows))
+    degree = Counter(a for w in words for a in _labeled_subsets(w, t))
     survived = [a for c in selected for a in c.survived]
-    kept_own = [a for c, own in zip(selected, shadows) for a in own if a in c.survived]
     return (
         shadows_disjoint(words, t)
         and len(survived) == len(set(survived))
-        and all(degree[a] == 1 for a in kept_own)
+        and all(degree[a] == 1 for a in survived)
     )
 
 
@@ -470,10 +479,17 @@ class DegreeDiagnostics:
     max_codegree: int
 
 
+def check_image_cap(l: int) -> None:
+    """Refuse, before any work, an l above `_IMAGE_L_CAP`."""
+    if l > _IMAGE_L_CAP:
+        raise ValueError(
+            f"image enumeration is factorial in l; capped at l = {_IMAGE_L_CAP}"
+        )
+
+
 def pattern_image_count(family: PositionFamily) -> int:
     """Number of distinct vertex-relabeled images of the family."""
-    if family.l > 9:
-        raise ValueError("image enumeration is factorial in l; capped at l = 9")
+    check_image_cap(family.l)
     images = set()
     for perm in itertools.permutations(range(family.l)):
         images.add(
@@ -512,6 +528,7 @@ def degree_diagnostics(
     l, q, t = packing.l, packing.q, packing.t
     if (family.l, family.t) != (l, t):
         raise ValueError("family must be t-uniform on the packing's positions")
+    lam_f = embeddings_per_edge(family)
 
     dP = Counter(a for U in packing.transversals for a in _labeled_subsets(U, t))
 
@@ -548,7 +565,6 @@ def degree_diagnostics(
         sum(dH.get(a, 0) for a in in_r) / len(in_r) if in_r else 0.0
     )
 
-    lam_f = embeddings_per_edge(family)
     n_edges = len(family.edges)
     p = (
         lam_f

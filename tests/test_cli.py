@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -241,3 +242,11 @@ class TestDiagnoseCommand:
         assert payload["dP_max"] == 5 and payload["dP_min"] == 5
         assert payload["max_codegree"] <= 1
         assert payload["lambda_F"] == 2
+
+    def test_refuses_large_l_before_packing(self, capsys):
+        # The (2,10,11) packing alone has 1.77M words; the l <= 9 cap of the
+        # image enumeration must refuse before it is built.
+        started = time.perf_counter()
+        assert run("diagnose", "--c", "2", "--l", "10", "--q", "11") == 1
+        assert time.perf_counter() - started < 5.0
+        assert "capped at l = 9" in capsys.readouterr().err

@@ -137,9 +137,8 @@ class TestPipelineChecks:
         # Two transversals that agree on two positions and both keep the
         # shared labeled pair: the matcher could never emit this.
         cfg = ConstructionConfig(c=2, l=4, q=5, eta=0.0, seed=0)
-        shared = ((1, 1), (2, 2))
-        a = Candidate((1, 2, 3, 4), frozenset({shared}), frozenset({0b0011}))
-        b = Candidate((1, 2, 4, 5), frozenset({shared}), frozenset({0b0011}))
+        a = Candidate((1, 2, 3, 4), frozenset({0b0011}))
+        b = Candidate((1, 2, 4, 5), frozenset({0b0011}))
         code = Code(5, 4, [a.transversal, b.transversal])
         with pytest.raises(ConstructionError, match="induced"):
             _verify_pipeline(code, [a, b], cfg, 2, 1, budget=10**8)

@@ -208,15 +208,16 @@ class TestSurvivedSet:
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     @settings(max_examples=100)
     def test_pattern_bijection(self, seed, eta):
-        cand = survived_set((2, 4, 1, 3, 5), 3, SparsifierConfig(eta=eta, seed=seed))
-        assert len(cand.pattern) == len(cand.survived)
-        masks = {
-            sum(1 << (pos - 1) for pos, _sym in a) for a in cand.survived
-        }
+        # A labeled t-subset of U survives iff the sparsifier keeps it.
+        U = (2, 4, 1, 3, 5)
+        cfg = SparsifierConfig(eta=eta, seed=seed)
+        cand = survived_set(U, 3, cfg)
+        labeled = itertools.combinations([(p + 1, s) for p, s in enumerate(U)], 3)
+        kept = {a for a in labeled if r_membership(a, cfg)}
+        assert cand.transversal == U
+        assert cand.survived == kept
+        masks = {sum(1 << (pos - 1) for pos, _sym in a) for a in kept}
         assert masks == set(cand.pattern)
-        for a in cand.survived:
-            for pos, sym in a:
-                assert cand.transversal[pos - 1] == sym
 
 
 class TestAcceptCandidate:
@@ -231,7 +232,7 @@ class TestAcceptCandidate:
         assert accept_candidate(full, "relaxed", complete, 0)
 
     def test_identity_copy_is_strict(self):
-        cand = Candidate((1, 1, 1, 1), frozenset(), frozenset(self.F24.edges))
+        cand = Candidate((1, 1, 1, 1), frozenset(self.F24.edges))
         assert accept_candidate(cand, "strict", self.F24, 1)
 
     def test_permuted_copy_is_strict(self):
@@ -240,7 +241,7 @@ class TestAcceptCandidate:
         image = frozenset(
             sum(1 << perm[p] for p in range(4) if e >> p & 1) for e in self.F24.edges
         )
-        cand = Candidate((1, 1, 1, 1), frozenset(), image)
+        cand = Candidate((1, 1, 1, 1), image)
         assert accept_candidate(cand, "strict", self.F24, 1)
 
     @given(st.data())
@@ -256,12 +257,12 @@ class TestAcceptCandidate:
         pattern = frozenset(
             data.draw(st.sets(st.sampled_from(all_masks), max_size=len(all_masks)))
         )
-        cand = Candidate(tuple([1] * l), frozenset(), pattern)
+        cand = Candidate(tuple([1] * l), pattern)
         if accept_candidate(cand, "strict", fam, lam):
             assert accept_candidate(cand, "relaxed", fam, lam)
 
     def test_relaxed_rejects_overfull_complement(self):
-        sparse = Candidate((1, 1, 1, 1), frozenset(), frozenset({0b0011}))
+        sparse = Candidate((1, 1, 1, 1), frozenset({0b0011}))
         assert not accept_candidate(sparse, "relaxed", self.F24, 1)
 
 
@@ -294,9 +295,10 @@ class TestMatching:
         assert greedy_matching([], seed=1) == []
 
     def test_shared_subset_selects_one(self):
-        shared = (((1, 1), (2, 1)),)
-        a = Candidate((1, 1, 2), frozenset(shared), frozenset({0b011}))
-        b = Candidate((1, 1, 3), frozenset(shared), frozenset({0b011}))
+        # Both keep positions 1,2, where both read (1, 1).
+        a = Candidate((1, 1, 2), frozenset({0b011}))
+        b = Candidate((1, 1, 3), frozenset({0b011}))
+        assert a.survived == b.survived == {((1, 1), (2, 1))}
         out = greedy_matching([a, b], seed=0)
         assert len(out) == 1
 
@@ -356,19 +358,16 @@ def _rigged_pair(a, rig, q):
     """`a` plus a made-up candidate that breaks one induced condition with it."""
     u = a.transversal
     other = tuple(x % q + 1 for x in u)  # differs from u at every position
-    kept = min(a.survived)
-    t = len(kept)
+    kept = min(a.pattern)
+    t = kept.bit_count()
     if rig == "agreement":
         # Agrees with u on t + 1 positions.
-        b = Candidate(u[: t + 1] + other[t + 1 :], frozenset(), frozenset())
-    elif rig == "surviving agreement":
-        # Agrees with u exactly on a t-subset that u kept.
-        on = {pos - 1 for pos, _sym in kept}
-        w = tuple(u[p] if p in on else other[p] for p in range(len(u)))
-        b = Candidate(w, frozenset(), frozenset())
+        b = Candidate(u[: t + 1] + other[t + 1 :], frozenset())
     else:
-        # Agrees with u nowhere, yet claims a subset that u kept.
-        b = Candidate(other, frozenset({kept}), frozenset())
+        # Agrees with u exactly on a t-subset that u kept; keeps nothing, or
+        # keeps that same subset.
+        w = tuple(u[p] if kept >> p & 1 else other[p] for p in range(len(u)))
+        b = Candidate(w, frozenset({kept} if rig == "shared survivor" else ()))
     return [a, b]
 
 
@@ -389,7 +388,7 @@ class TestValidateInduced:
         rng = random.Random(seed)
         selected = rng.sample(pool, min(size, len(pool)))
         if rig is not None:
-            a = rng.choice([cand for cand in pool if cand.survived])
+            a = rng.choice([cand for cand in pool if cand.pattern])
             selected += _rigged_pair(a, rig, _INDUCED_Q[packing_kind])
             rng.shuffle(selected)
         violations = set(_pairwise_violations(selected, t))
@@ -412,14 +411,13 @@ class TestValidateInduced:
         # pair survived in both: direct violation of the induced condition.
         u = (1, 1, 1, 1)
         v = (1, 1, 2, 2)
-        shared = ((1, 1), (2, 1))
-        a = Candidate(u, frozenset({shared}), frozenset({0b0011}))
-        b = Candidate(v, frozenset({shared}), frozenset({0b0011}))
+        a = Candidate(u, frozenset({0b0011}))
+        b = Candidate(v, frozenset({0b0011}))
         assert not validate_induced([a, b], 2)
 
     def test_detects_excess_agreement(self):
-        a = Candidate((1, 1, 1, 1), frozenset(), frozenset())
-        b = Candidate((1, 1, 1, 2), frozenset(), frozenset())
+        a = Candidate((1, 1, 1, 1), frozenset())
+        b = Candidate((1, 1, 1, 2), frozenset())
         assert not validate_induced([a, b], 2)
 
 
