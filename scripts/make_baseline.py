@@ -26,9 +26,7 @@ POLICY = {
     "l": 4,
     "eta": 0.05,
     "seed": 7,
-    "mode": "relaxed",
     "packing": "rs",
-    "matching": "greedy",
 }
 
 

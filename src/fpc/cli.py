@@ -136,9 +136,7 @@ def _add_point_flags(p: argparse.ArgumentParser):
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser):
-    p.add_argument("--mode", choices=["strict", "relaxed"], default="relaxed")
     p.add_argument("--packing", choices=["rs", "greedy"], default="rs")
-    p.add_argument("--matching", choices=["greedy", "nibble"], default="greedy")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
 
 

@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import ClassVar, Literal, Optional
 
 from .core import (
     BudgetExceededError,
@@ -64,16 +64,20 @@ class ConstructionConfig:
     q: int
     eta: float = 0.05
     seed: int = 0
-    mode: Literal["strict", "relaxed"] = "relaxed"
     packing: Literal["rs", "greedy"] = "rs"
-    matching: Literal["greedy", "nibble"] = "greedy"
     verify: bool = True
+    # The one acceptance rule and the one matching; constants, not fields,
+    # named for the reports and the code-file comment that print them.
+    mode: ClassVar[str] = "relaxed"
+    matching: ClassVar[str] = "greedy"
 
     def __post_init__(self):
         if self.c < 2 or self.l < 2 or self.q < 2:
             raise ValueError("need c, l, q all at least 2")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta={self.eta} outside [0, 1]")
+        if self.packing not in ("rs", "greedy"):
+            raise ValueError(f"unknown packing {self.packing!r}")
 
 
 @dataclass
@@ -155,10 +159,8 @@ def construct(
     start = time.perf_counter()
     if cfg.packing == "rs":
         pack = rs_packing(cfg.l, t, cfg.q)
-    elif cfg.packing == "greedy":
-        pack = greedy_packing(cfg.l, t, cfg.q, cfg.seed)
     else:
-        raise ValueError(f"unknown packing {cfg.packing!r}")
+        pack = greedy_packing(cfg.l, t, cfg.q, cfg.seed)
     timings["packing"] = _ms_since(start)
 
     start = time.perf_counter()

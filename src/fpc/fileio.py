@@ -56,12 +56,17 @@ def write_code_file(path: Union[str, os.PathLike], code: Code, comments: Sequenc
 
 
 def parse_code_file(text: str) -> Code:
-    lines = text.splitlines()
+    """Lines end at line feeds only and tokens are separated by single
+    spaces, as `format_code_file` writes them, so a tab, a form feed or a
+    doubled, leading or trailing space is an error."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != CODEFILE_MAGIC:
         raise CodeFileError(f"missing magic line {CODEFILE_MAGIC!r}")
     if len(lines) < 2:
         raise CodeFileError("missing 'q l' header line")
-    header = lines[1].split()
+    header = lines[1].split(" ")
     if len(header) != 2:
         raise CodeFileError(f"header line must be 'q l', got {lines[1]!r}")
     try:
@@ -76,7 +81,7 @@ def parse_code_file(text: str) -> Code:
             continue
         if not line.strip():
             raise CodeFileError(f"line {lineno}: blank lines are not allowed")
-        parts = line.split()
+        parts = line.split(" ")
         if len(parts) != l:
             raise CodeFileError(f"line {lineno}: expected {l} symbols, got {len(parts)}")
         try:

@@ -6,15 +6,19 @@ coordinates; equivalently their labeled (t+1)-subsets are pairwise distinct.
 polynomials of degree <= t over GF(q), whose add and mul are q x q lookup
 tables for every prime power q; `greedy_packing` is the
 maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
-sparsifier thins the labeled t-subsets, candidates are scored against the
-target pattern family, and a seeded matching extracts candidates with
-pairwise disjoint surviving subsets. A candidate carries only its transversal
-and the position pattern of its surviving subsets; matching and validation
-derive the labeled subsets from the two where they need them.
+sparsifier thins the labeled t-subsets, a candidate is accepted when its
+missing pattern has no lam+1 pairwise disjoint members, and one seed-shuffled
+greedy pass selects candidates with pairwise disjoint surviving subsets. A
+candidate carries only its transversal and the position pattern of its
+surviving subsets; matching and validation derive the labeled subsets from
+the two where they need them. `degree_diagnostics` counts the candidates whose
+pattern is a relabeled copy of the target family by membership in the cached
+image set, `pattern_images`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -35,10 +39,7 @@ LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-base
 # measurement chose 512. A prime power's mul table is reduced from a
 # q x q x (2k - 1) array, 34 MB at q = 512.
 _GF_TABLE_CAP = 512
-# Share of the pool sampled per nibble round. No measurement chose 0.05; a
-# small bite keeps collisions inside a batch rare, the point of a nibble.
-_NIBBLE_BATCH_FRACTION = 0.05
-# Largest l whose l! position relabelings `pattern_image_count` enumerates.
+# Largest l whose l! position relabelings `pattern_images` enumerates.
 _IMAGE_L_CAP = 9
 
 
@@ -302,81 +303,27 @@ def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
     return Candidate(tuple(U), frozenset(pattern))
 
 
-def _complement_pattern(pattern: frozenset[int], l: int, t: int) -> PositionFamily:
-    return PositionFamily(l, t, complete_family(l, t).edges - pattern)
-
-
 def accept_candidate(
     cand: Candidate,
-    mode: Literal["strict", "relaxed"],
+    mode: Literal["relaxed"],
     family: PositionFamily,
     lam: int,
 ) -> bool:
-    """strict: the surviving pattern is a permuted copy of the target family.
-    relaxed: the missing pattern has no lam+1 pairwise disjoint members, the
-    exact condition the cover-free argument consumes."""
+    """Accept iff the missing pattern has no lam+1 pairwise disjoint members,
+    the exact condition the cover-free argument consumes. `mode` takes one
+    value, "relaxed", and stays in the signature because callers that pass
+    it, `perfbench/replica.py` among them, pin it; any other value raises
+    ValueError."""
+    if mode != "relaxed":
+        raise ValueError(f"unknown mode {mode!r}")
+    # The missing pattern cannot be feasible once it outgrows the largest
+    # no-(lam+1)-matching family, whose complement is `family`. Rejecting
+    # early is always safe; accepting is decided exactly below.
+    if len(cand.pattern) < len(family.edges):
+        return False
     l, t = family.l, family.t
-    if mode == "strict":
-        return _isomorphic_families(cand.pattern, family.edges, l)
-    if mode == "relaxed":
-        # The missing pattern cannot be feasible once it outgrows the largest
-        # no-(lam+1)-matching family, whose complement is `family`. Rejecting
-        # early is always safe; accepting is decided exactly below.
-        if len(cand.pattern) < len(family.edges):
-            return False
-        complement = _complement_pattern(cand.pattern, l, t)
-        return matching_number(complement) <= lam
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _isomorphic_families(edges_a: frozenset[int], edges_b: frozenset[int], l: int) -> bool:
-    """Is edges_a a vertex-relabeled copy of edges_b? Backtracking with
-    degree pruning; fine up to l around 12."""
-    if len(edges_a) != len(edges_b):
-        return False
-    deg_a = [sum(1 for e in edges_a if e >> v & 1) for v in range(l)]
-    deg_b = [sum(1 for e in edges_b if e >> v & 1) for v in range(l)]
-    if sorted(deg_a) != sorted(deg_b):
-        return False
-    # Map high-degree vertices first; their images are most constrained.
-    order = sorted(range(l), key=lambda v: -deg_a[v])
-    incident = [[e for e in edges_a if e >> v & 1] for v in range(l)]
-    remaining = {e: e.bit_count() for e in edges_a}
-    image = [0] * l
-    used = [False] * l
-
-    def place(d: int) -> bool:
-        if d == l:
-            return True
-        v = order[d]
-        for w in range(l):
-            if used[w] or deg_b[w] != deg_a[v]:
-                continue
-            image[v] = w
-            used[w] = True
-            touched = []
-            ok = True
-            for e in incident[v]:
-                remaining[e] -= 1
-                touched.append(e)
-                if remaining[e] == 0:
-                    mapped = 0
-                    ee = e
-                    while ee:
-                        bit = ee & -ee
-                        mapped |= 1 << image[bit.bit_length() - 1]
-                        ee ^= bit
-                    if mapped not in edges_b:
-                        ok = False
-                        break
-            if ok and place(d + 1):
-                return True
-            for e in touched:
-                remaining[e] += 1
-            used[w] = False
-        return False
-
-    return place(0)
+    missing = PositionFamily(l, t, complete_family(l, t).edges - cand.pattern)
+    return matching_number(missing) <= lam
 
 
 # ---------------------------------------------------------------------------
@@ -387,55 +334,19 @@ def _isomorphic_families(edges_a: frozenset[int], edges_b: frozenset[int], l: in
 def greedy_matching(
     candidates: Sequence[Candidate],
     seed: int,
-    strategy: Literal["greedy", "nibble"] = "greedy",
+    strategy: Literal["greedy"] = "greedy",
 ) -> list[Candidate]:
-    """Select candidates with pairwise disjoint survived sets.
-
-    greedy walks a seed-shuffled order. nibble samples small batches per
-    round, keeps members that collide with nothing committed and nothing
-    else in the batch, and recycles intra-batch collisions. Both are maximal
-    and depend only on (candidates, seed).
-    """
-    rng = random.Random(seed)
-    if strategy == "greedy":
-        order = list(candidates)
-        rng.shuffle(order)
-        return _sweep(order, [], set())
-    if strategy != "nibble":
+    """Select candidates with pairwise disjoint survived sets by walking a
+    seed-shuffled order; the selection is maximal and depends only on
+    (candidates, seed). `strategy` takes one value, "greedy", and stays in the
+    signature because callers that pass it, `perfbench/replica.py` among
+    them, pin it; any other value raises ValueError."""
+    if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
-    pool = list(candidates)
-    rng.shuffle(pool)
+    order = list(candidates)
+    random.Random(seed).shuffle(order)
     selected: list[Candidate] = []
     used: set[LabeledSubset] = set()
-    stalls = 0
-    while pool and stalls < 32:
-        k = min(len(pool), max(1, math.ceil(_NIBBLE_BATCH_FRACTION * len(pool))))
-        picked = sorted(rng.sample(range(len(pool)), k))
-        picked_set = set(picked)
-        batch = [pool[i] for i in picked]
-        rest = [pool[i] for i in range(len(pool)) if i not in picked_set]
-        kept = [cand.survived for cand in batch]
-        counts = Counter(a for survived in kept for a in survived)
-        progressed = False
-        for cand, survived in zip(batch, kept):
-            if not used.isdisjoint(survived):
-                progressed = True  # permanently dead, pool shrank
-                continue
-            if all(counts[a] == 1 for a in survived):
-                selected.append(cand)
-                used.update(survived)
-                progressed = True
-            else:
-                rest.append(cand)
-        pool = rest
-        stalls = 0 if progressed else stalls + 1
-    # Finish greedily so the selection is maximal even if rounds stalled.
-    return _sweep(pool, selected, used)
-
-
-def _sweep(
-    order: Sequence[Candidate], selected: list[Candidate], used: set[LabeledSubset]
-) -> list[Candidate]:
     for cand in order:
         survived = cand.survived
         if used.isdisjoint(survived):
@@ -487,24 +398,25 @@ def check_image_cap(l: int) -> None:
         )
 
 
-def pattern_image_count(family: PositionFamily) -> int:
-    """Number of distinct vertex-relabeled images of the family."""
+@functools.cache
+def pattern_images(family: PositionFamily) -> frozenset[frozenset[int]]:
+    """The distinct vertex-relabeled images of the family's edge set, from
+    all l! relabelings; cached, since the family is immutable. A pattern is
+    a relabeled copy of the family iff it is a member."""
     check_image_cap(family.l)
-    images = set()
-    for perm in itertools.permutations(range(family.l)):
-        images.add(
-            frozenset(
-                sum(1 << perm[p] for p in range(family.l) if e >> p & 1)
-                for e in family.edges
-            )
+    return frozenset(
+        frozenset(
+            sum(1 << perm[p] for p in range(family.l) if e >> p & 1)
+            for e in family.edges
         )
-    return len(images)
+        for perm in itertools.permutations(range(family.l))
+    )
 
 
 def embeddings_per_edge(family: PositionFamily) -> int:
     """Images of the family through one fixed edge; constant over edges
     because relabelings act transitively on position t-subsets."""
-    n_img = pattern_image_count(family)
+    n_img = len(pattern_images(family))
     total = n_img * len(family.edges)
     slots = math.comb(family.l, family.t)
     lam_f, rem = divmod(total, slots)
@@ -556,7 +468,8 @@ def degree_diagnostics(
     frac_high = sum(1 for d in degrees if d >= threshold) / len(degrees)
 
     candidates = [survived_set(U, t, cfg) for U in packing.transversals]
-    copies = [c for c in candidates if _isomorphic_families(c.pattern, family.edges, l)]
+    images = pattern_images(family)
+    copies = [c for c in candidates if c.pattern in images]
     dH: Counter = Counter()
     for cand in copies:
         dH.update(cand.survived)

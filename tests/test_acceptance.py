@@ -131,9 +131,7 @@ def test_criterion_6_rate_trend(baseline):
             q=int(q_str),
             eta=policy["eta"],
             seed=policy["seed"],
-            mode=policy["mode"],
             packing=policy["packing"],
-            matching=policy["matching"],
             verify=False,
         )
         _code, report = construct(cfg)

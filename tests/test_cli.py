@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -49,6 +50,12 @@ class TestCodeFile:
             ("fpc 1\n3 2\n03 1\n", "non-integer"),
             ("fpc 1\n-3 2\n1 1\n", "header"),
             ("fpc 1\n0 2\n", "header"),
+            ("fpc 1\n3  2\n1  2 \n2\t3\n", "header"),
+            ("fpc 1\n3 2\n1  2\n", "expected 2 symbols"),
+            ("fpc 1\n3 2\n1 2 \n", "expected 2 symbols"),
+            ("fpc 1\n3 2\n2\t3\n", "expected 2 symbols"),
+            ("fpc 1\n3 2\n1\t2 3\n", "non-integer"),
+            ("fpc 1\n3 2\n1 1\x0c2 2\n", "expected 2 symbols"),
         ],
     )
     def test_parser_rejections(self, text, err):
@@ -120,6 +127,36 @@ class TestConstructVerifyAudit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
         assert payload["code_size"] == payload["selected_count"]
+
+    def test_construct_file_hash_pinned(self, tmp_path):
+        # The whole CLI-written file, comment lines included, hashed at the
+        # parent of the change that made mode and matching constants.
+        out = tmp_path / "code.fpc"
+        rc = run(
+            "construct", "--c", "2", "--l", "4", "--q", "13",
+            "--seed", "7", "--no-verify", "--out", str(out),
+        )
+        assert rc == 0
+        assert "# mode=relaxed packing=rs matching=greedy\n" in out.read_text()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "51fef3469a583a678fc4631d5988b69ba66713d7bd0143ec7c583bffdb4de561"
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["construct", "--mode", "strict"],
+            ["construct", "--matching", "nibble"],
+            ["sweep", "--q-list", "13", "--seeds", "7", "--matching", "nibble"],
+        ],
+    )
+    def test_mode_and_matching_flags_are_gone(self, tmp_path, capsys, flags):
+        command, *rest = flags
+        point = ["--c", "2", "--l", "4"] + (["--q", "13"] if command == "construct" else [])
+        out = tmp_path / "out"
+        assert run(command, *point, *rest, "--out", str(out)) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generated_seed_is_printed(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
@@ -242,6 +279,19 @@ class TestDiagnoseCommand:
         assert payload["dP_max"] == 5 and payload["dP_min"] == 5
         assert payload["max_codegree"] <= 1
         assert payload["lambda_F"] == 2
+
+    @pytest.mark.parametrize(
+        "point,dh_mean",
+        [
+            (["--l", "5", "--q", "5"], 2.8401360544217686),
+            (["--l", "4", "--q", "7", "--eta", "0.3"], 0.2562814070351759),
+        ],
+    )
+    def test_dh_mean_pinned(self, capsys, point, dh_mean):
+        # Seed-7 values taken before image-set membership replaced the
+        # isomorphism backtracker; at (2,4,7) the family has 4 images.
+        assert run("diagnose", "--c", "2", *point, "--seed", "7", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["dH_mean"] == dh_mean
 
     def test_refuses_large_l_before_packing(self, capsys):
         # The (2,10,11) packing alone has 1.77M words; the l <= 9 cap of the

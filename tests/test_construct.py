@@ -86,23 +86,6 @@ class TestConstruct:
         assert len(code) == 0
         assert report.verified.ok
 
-    def test_strict_mode_runs_verified(self):
-        # At eta=0.5 the survived pattern is a relabeled copy of the target
-        # family often enough for a nonempty strict selection.
-        code, report = construct(
-            ConstructionConfig(c=2, l=4, q=7, eta=0.5, seed=11, mode="strict")
-        )
-        assert report.verified.ok
-        assert 0 < report.accepted_count <= report.candidate_count
-        assert len(code) > 0
-
-    def test_nibble_matching(self):
-        code, report = construct(
-            ConstructionConfig(c=2, l=4, q=13, eta=0.05, seed=7, matching="nibble")
-        )
-        assert report.verified.ok
-        assert len(code) == report.code_size
-
     def test_greedy_packing_for_composite_q(self):
         code, report = construct(
             ConstructionConfig(c=2, l=4, q=6, eta=0.05, seed=2, packing="greedy")
@@ -130,6 +113,13 @@ class TestConstruct:
             ConstructionConfig(c=1, l=4, q=13)
         with pytest.raises(ValueError):
             ConstructionConfig(c=2, l=4, q=13, eta=2.0)
+        with pytest.raises(ValueError, match="unknown packing"):
+            ConstructionConfig(c=2, l=4, q=13, packing="bogus")
+        # Acceptance and matching each have one rule, so neither is a field.
+        for name, value in (("mode", "relaxed"), ("matching", "greedy")):
+            with pytest.raises(TypeError):
+                ConstructionConfig(c=2, l=4, q=13, **{name: value})
+        assert (ConstructionConfig.mode, ConstructionConfig.matching) == ("relaxed", "greedy")
 
 
 class TestPipelineChecks:
