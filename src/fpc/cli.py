@@ -188,7 +188,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse, before any work, an output path whose directory is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise CliError(f"--out directory {parent!r} does not exist")
+
+
 def cmd_construct(args) -> int:
+    _check_out_dir(args.out)
     seed, generated = _resolve_seed(args.seed)
     cfg = _config(args, seed=seed)
     code, report = construct(cfg, budget=_env_budget())
@@ -245,14 +253,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    qs = _parse_int_list(args.q_list, "--q-list")
-    etas = _parse_float_list(args.eta_list, "--eta-list")
+    _check_out_dir(args.out)
+    qs = _parse_list(args.q_list, "--q-list", int)
+    etas = _parse_list(args.eta_list, "--eta-list", float)
     if args.seeds is None:
         seed, _ = _resolve_seed(None)
         print(f"seed = {seed} (generated)")
         seeds = [seed]
     else:
-        seeds = _parse_int_list(args.seeds, "--seeds")
+        seeds = _parse_list(args.seeds, "--seeds", int)
     budget = _env_budget()
     rows = []
     for q in qs:
@@ -316,18 +325,16 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
+def _parse_list(raw: str, flag: str, kind: type) -> list:
+    """The comma-separated values of `kind` (int or float) a flag lists."""
     try:
-        return [int(part) for part in raw.split(",") if part != ""]
+        values = [kind(part) for part in raw.split(",") if part != ""]
     except ValueError:
-        raise CliError(f"{flag} must be comma-separated integers, got {raw!r}") from None
-
-
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in raw.split(",") if part != ""]
-    except ValueError:
-        raise CliError(f"{flag} must be comma-separated numbers, got {raw!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise CliError(f"{flag} must be comma-separated {noun}, got {raw!r}") from None
+    if not values:
+        raise CliError(f"{flag} lists no values, got {raw!r}")
+    return values
 
 
 _COMMANDS = {

@@ -4,8 +4,12 @@ The pipeline builds the complement family of a largest no-(lam+1)-matching
 family, lays a perfect transversal packing over the symbols, sparsifies each
 transversal's labeled t-subsets, keeps candidates whose missing pattern stays
 below the matching threshold, and extracts a conflict-free selection. The
-selected transversals are the code; verification re-checks the frameproof
-property exactly rather than trusting any pipeline stage.
+stages work on arrays of the packing: one kept-pattern int per transversal,
+one acceptance decision per distinct pattern, and int keys in the matching;
+only the selected transversals become `Candidate` objects, sharing one
+pattern frozenset per distinct pattern. The selected transversals are the
+code; verification re-checks the frameproof property exactly rather than
+trusting any pipeline stage.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Literal, Optional
+
+import numpy as np
 
 from .core import (
     BudgetExceededError,
@@ -44,11 +50,12 @@ from .extremal import (
 from .packing import (
     Candidate,
     SparsifierConfig,
-    accept_candidate,
-    greedy_matching,
+    accept_pattern,
     greedy_packing,
+    greedy_select,
     rs_packing,
-    survived_set,
+    shared_patterns,
+    sparsify,
     validate_induced,
 )
 
@@ -165,19 +172,21 @@ def construct(
 
     start = time.perf_counter()
     sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-    candidates = [survived_set(U, t, sparsifier) for U in pack.transversals]
+    patterns, pattern_ids = shared_patterns(
+        sparsify(pack.transversals, t, sparsifier), cfg.l, t
+    )
     timings["candidates"] = _ms_since(start)
 
     start = time.perf_counter()
-    accepted = [
-        cand
-        for cand in candidates
-        if accept_candidate(cand, cfg.mode, complement, lam)
-    ]
+    accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
+    accepted = np.flatnonzero(accepts[pattern_ids]).tolist()
     timings["accept"] = _ms_since(start)
 
     start = time.perf_counter()
-    selected = greedy_matching(accepted, cfg.seed, cfg.matching)
+    words = [pack.transversals[k] for k in accepted]
+    ids = pattern_ids[accepted].tolist()
+    chosen = greedy_select(words, ids, patterns, cfg.q + 1, cfg.seed)
+    selected = [Candidate(words[k], patterns[ids[k]]) for k in chosen]
     timings["matching"] = _ms_since(start)
 
     code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])
@@ -207,7 +216,7 @@ def construct(
         lam=lam,
         m=resolve_m(cfg.l, t, lam),
         packing_size=len(pack),
-        candidate_count=len(candidates),
+        candidate_count=len(pack),
         accepted_count=len(accepted),
         selected_count=len(selected),
         code_size=len(code),

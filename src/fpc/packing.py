@@ -8,12 +8,17 @@ tables for every prime power q; `greedy_packing` is the
 maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
 sparsifier thins the labeled t-subsets, a candidate is accepted when its
 missing pattern has no lam+1 pairwise disjoint members, and one seed-shuffled
-greedy pass selects candidates with pairwise disjoint surviving subsets. A
-candidate carries only its transversal and the position pattern of its
-surviving subsets; matching and validation derive the labeled subsets from
-the two where they need them. `degree_diagnostics` counts the candidates whose
-pattern is a relabeled copy of the target family by membership in the cached
-image set, `pattern_images`.
+greedy pass selects candidates with pairwise disjoint surviving subsets.
+`sparsify` hashes each distinct labeled t-subset once and gives every word
+its kept pattern as one int; acceptance is decided once per distinct pattern;
+the greedy pass keys each kept labeled subset as an int computed from the
+word and a per-pattern table of position masks. A candidate carries only its
+transversal and the position pattern of its surviving subsets, and candidates
+with equal patterns share one frozenset; validation derives the labeled
+subsets from the two where it needs them. `survived_set` is the per-word
+reference route to the same pattern. `degree_diagnostics` counts the
+candidates whose pattern is a relabeled copy of the target family by
+membership in the cached image set, `pattern_images`.
 """
 
 from __future__ import annotations
@@ -264,8 +269,10 @@ class SparsifierConfig:
 @dataclass(frozen=True)
 class Candidate:
     """A transversal U and its kept pattern: the t-bit position masks of the
-    labeled t-subsets of U that the sparsifier keeps. `survived` derives those
-    subsets from U's t-shadow on each access; derive them once per use."""
+    labeled t-subsets of U that the sparsifier keeps. Candidates with equal
+    patterns may share one frozenset, as those from `shared_patterns` do.
+    `survived` derives the subsets from U's t-shadow on each access; derive
+    them once per use."""
 
     transversal: Word
     pattern: frozenset[int]
@@ -303,27 +310,81 @@ def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
     return Candidate(tuple(U), frozenset(pattern))
 
 
+def sparsify(words: Sequence[Word], t: int, cfg: SparsifierConfig) -> np.ndarray:
+    """Each word's kept pattern as an int: bit i is set iff the sparsifier
+    keeps the word's labeled t-subset on combination i of
+    `position_masks(l, t)`. The patterns equal `survived_set`'s, but each
+    distinct labeled subset is hashed once: per position combination the
+    symbols become one mixed-radix key, and `r_membership` runs once per
+    distinct key. The dtype is int64, or object when C(l, t) >= 64."""
+    if len(words) == 0:
+        return np.zeros(0, dtype=np.int64)
+    symbols = np.array(words, dtype=np.int64)
+    n, l = symbols.shape
+    radix = int(symbols.max()) + 1
+    if radix**t >= 2**63:
+        raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
+    place = radix ** np.arange(t)
+    combos = itertools.combinations(range(l), t)
+    dtype = np.int64 if math.comb(l, t) < 64 else object
+    patterns = np.zeros(n, dtype=dtype)
+    for i, combo in enumerate(combos):
+        keys, inverse = np.unique(symbols[:, combo] @ place, return_inverse=True)
+        kept = np.array(
+            [
+                r_membership(
+                    tuple((p + 1, key // radix**j % radix) for j, p in enumerate(combo)),
+                    cfg,
+                )
+                for key in keys.tolist()
+            ],
+            dtype=bool,
+        )
+        patterns |= kept[inverse].astype(dtype) << i
+    return patterns
+
+
+def shared_patterns(
+    patterns: np.ndarray, l: int, t: int
+) -> tuple[list[frozenset[int]], np.ndarray]:
+    """The distinct patterns of `sparsify`, each as one frozenset of position
+    masks that every candidate with that pattern shares, and each word's
+    index into that list."""
+    distinct, ids = np.unique(patterns, return_inverse=True)
+    masks = position_masks(l, t)
+    sets = [
+        frozenset(m for i, m in enumerate(masks) if int(pattern) >> i & 1)
+        for pattern in distinct.tolist()
+    ]
+    return sets, ids
+
+
+def accept_pattern(pattern: frozenset[int], family: PositionFamily, lam: int) -> bool:
+    """Accept a kept pattern iff its missing pattern has no lam+1 pairwise
+    disjoint members, the exact condition the cover-free argument consumes."""
+    # The missing pattern cannot be feasible once it outgrows the largest
+    # no-(lam+1)-matching family, whose complement is `family`. Rejecting
+    # early is always safe; accepting is decided exactly below.
+    if len(pattern) < len(family.edges):
+        return False
+    l, t = family.l, family.t
+    missing = PositionFamily(l, t, complete_family(l, t).edges - pattern)
+    return matching_number(missing) <= lam
+
+
 def accept_candidate(
     cand: Candidate,
     mode: Literal["relaxed"],
     family: PositionFamily,
     lam: int,
 ) -> bool:
-    """Accept iff the missing pattern has no lam+1 pairwise disjoint members,
-    the exact condition the cover-free argument consumes. `mode` takes one
-    value, "relaxed", and stays in the signature because callers that pass
-    it, `perfbench/replica.py` among them, pin it; any other value raises
+    """`accept_pattern` on the candidate's pattern. `mode` takes one value,
+    "relaxed", and stays in the signature because callers that pass it,
+    `perfbench/replica.py` among them, pin it; any other value raises
     ValueError."""
     if mode != "relaxed":
         raise ValueError(f"unknown mode {mode!r}")
-    # The missing pattern cannot be feasible once it outgrows the largest
-    # no-(lam+1)-matching family, whose complement is `family`. Rejecting
-    # early is always safe; accepting is decided exactly below.
-    if len(cand.pattern) < len(family.edges):
-        return False
-    l, t = family.l, family.t
-    missing = PositionFamily(l, t, complete_family(l, t).edges - cand.pattern)
-    return matching_number(missing) <= lam
+    return accept_pattern(cand.pattern, family, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +397,55 @@ def greedy_matching(
     seed: int,
     strategy: Literal["greedy"] = "greedy",
 ) -> list[Candidate]:
-    """Select candidates with pairwise disjoint survived sets by walking a
-    seed-shuffled order; the selection is maximal and depends only on
-    (candidates, seed). `strategy` takes one value, "greedy", and stays in the
-    signature because callers that pass it, `perfbench/replica.py` among
-    them, pin it; any other value raises ValueError."""
+    """Select candidates with pairwise disjoint survived sets: `greedy_select`
+    over their transversals and patterns. `strategy` takes one value,
+    "greedy", and stays in the signature because callers that pass it,
+    `perfbench/replica.py` among them, pin it; any other value raises
+    ValueError."""
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
-    order = list(candidates)
+    ids: dict[frozenset[int], int] = {}
+    pattern_ids = [ids.setdefault(cand.pattern, len(ids)) for cand in candidates]
+    words = [cand.transversal for cand in candidates]
+    radix = max((max(w) for w in words), default=0) + 1
+    chosen = greedy_select(words, pattern_ids, list(ids), radix, seed)
+    return [candidates[k] for k in chosen]
+
+
+def greedy_select(
+    words: Sequence[Word],
+    pattern_ids: Sequence[int],
+    patterns: Sequence[frozenset[int]],
+    radix: int,
+    seed: int,
+) -> list[int]:
+    """Indices, in selection order, of the words whose kept labeled subsets
+    are pairwise disjoint, taken by walking a seed-shuffled order; word k
+    keeps the subsets on the masks of `patterns[pattern_ids[k]]`. The
+    selection is maximal and depends only on the inputs and the seed; the
+    shuffle depends only on len(words). A labeled subset is keyed by the int
+    mask * radix^t + its symbols in base `radix`, which must exceed every
+    symbol, and a word stops at its first key already in use."""
+    tables = [
+        [(mask, [p for p in range(mask.bit_length()) if mask >> p & 1]) for mask in pattern]
+        for pattern in patterns
+    ]
+    order = list(range(len(words)))
     random.Random(seed).shuffle(order)
-    selected: list[Candidate] = []
-    used: set[LabeledSubset] = set()
-    for cand in order:
-        survived = cand.survived
-        if used.isdisjoint(survived):
-            selected.append(cand)
-            used.update(survived)
+    used: set[int] = set()
+    selected = []
+    for k in order:
+        w = words[k]
+        keys = []
+        for key, positions in tables[pattern_ids[k]]:
+            for p in positions:
+                key = key * radix + w[p]
+            if key in used:
+                break
+            keys.append(key)
+        else:
+            used.update(keys)
+            selected.append(k)
     return selected
 
 
@@ -467,7 +561,11 @@ def degree_diagnostics(
     threshold = (1.0 - math.sqrt(delta)) * q
     frac_high = sum(1 for d in degrees if d >= threshold) / len(degrees)
 
-    candidates = [survived_set(U, t, cfg) for U in packing.transversals]
+    patterns, pattern_ids = shared_patterns(sparsify(packing.transversals, t, cfg), l, t)
+    candidates = [
+        Candidate(U, patterns[k])
+        for U, k in zip(packing.transversals, pattern_ids.tolist())
+    ]
     images = pattern_images(family)
     copies = [c for c in candidates if c.pattern in images]
     dH: Counter = Counter()

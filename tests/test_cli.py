@@ -158,6 +158,24 @@ class TestConstructVerifyAudit:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,point",
+        [
+            ("construct", ["--c", "2", "--l", "4", "--q", "47"]),
+            ("sweep", ["--c", "2", "--l", "4", "--q-list", "47", "--seeds", "7"]),
+        ],
+    )
+    def test_missing_out_directory_refused_before_construction(
+        self, tmp_path, monkeypatch, capsys, command, point
+    ):
+        def construct_called(*args, **kwargs):
+            raise AssertionError("construct ran before --out was checked")
+
+        monkeypatch.setattr("fpc.cli.construct", construct_called)
+        out = tmp_path / "missing" / "x.out"
+        assert run(command, *point, "--no-verify", "--out", str(out)) == 1
+        assert "does not exist" in capsys.readouterr().err
+
     def test_generated_seed_is_printed(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
         rc = run("construct", "--c", "2", "--l", "4", "--q", "5", "--out", str(out))
@@ -269,6 +287,21 @@ class TestSweepCommand:
 
     def test_bad_q_list(self, capsys):
         assert run("sweep", "--c", "2", "--l", "4", "--q-list", "13,x", "--out", "/tmp/x.csv") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--q-list", ",", "--seeds", "1"],
+            ["--q-list", "13", "--seeds", ","],
+            ["--q-list", "13", "--seeds", "1", "--eta-list", ","],
+        ],
+    )
+    def test_empty_list_refused(self, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--c", "2", "--l", "4", *flags, "--out", str(out)) == 1
+        empty = flags[flags.index(",") - 1]
+        assert f"{empty} lists no values" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnoseCommand:

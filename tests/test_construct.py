@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,14 @@ from fpc.construct import (
 from fpc.core import Code, Witness, is_cover_free, is_frameproof
 from fpc.extremal import blackburn_upper, improved_upper, lambda_of, matching_number
 from fpc.fileio import format_code_file
-from fpc.packing import Candidate, SparsifierConfig, survived_set
+from fpc.packing import (
+    Candidate,
+    SparsifierConfig,
+    accept_candidate,
+    accept_pattern,
+    rs_packing,
+    survived_set,
+)
 
 
 class TestExtremalComplement:
@@ -107,6 +115,25 @@ class TestConstruct:
         )
         assert report.verified is None
         assert "disabled" in report.verified_note
+
+    def test_accepts_once_per_distinct_pattern(self, monkeypatch):
+        calls = []
+
+        def counting(pattern, family, lam):
+            calls.append(pattern)
+            return accept_pattern(pattern, family, lam)
+
+        # `fpc.construct` names the function too; patch the module.
+        monkeypatch.setattr(sys.modules[construct.__module__], "accept_pattern", counting)
+        cfg = ConstructionConfig(c=2, l=4, q=13, eta=0.05, seed=7, verify=False)
+        _code, report = construct(cfg)
+        sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
+        _, complement = build_extremal_complement(cfg.c, cfg.l)
+        candidates = [survived_set(U, 2, sparsifier) for U in rs_packing(4, 2, 13).transversals]
+        assert sorted(calls, key=sorted) == sorted({c.pattern for c in candidates}, key=sorted)
+        assert report.accepted_count == sum(
+            accept_candidate(c, "relaxed", complement, 1) for c in candidates
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fpc.extremal import PositionFamily, complete_family
+from fpc.extremal import PositionFamily, complete_family, position_masks
 from fpc.construct import build_extremal_complement
 from fpc.packing import (
     GF,
@@ -22,6 +22,8 @@ from fpc.packing import (
     r_membership,
     rs_packing,
     shadows_disjoint,
+    shared_patterns,
+    sparsify,
     survived_set,
     validate_induced,
     validate_packing,
@@ -219,6 +221,58 @@ class TestSurvivedSet:
         assert masks == set(cand.pattern)
 
 
+def _pattern_int(cand):
+    """`survived_set`'s pattern in `sparsify`'s encoding."""
+    masks = position_masks(len(cand.transversal), next(iter(cand.pattern), 0).bit_count())
+    return sum(1 << i for i, m in enumerate(masks) if m in cand.pattern)
+
+
+class TestSparsify:
+    @pytest.mark.parametrize(
+        "packing",
+        [
+            functools.partial(rs_packing, 4, 2, 13),
+            functools.partial(rs_packing, 6, 2, 16),
+            functools.partial(greedy_packing, 4, 2, 5, seed=7),
+        ],
+        ids=["rs-4-2-13", "rs-6-2-16", "greedy-4-2-5"],
+    )
+    @pytest.mark.parametrize("eta", [0.0, 0.05, 0.5, 1.0])
+    def test_equals_survived_set(self, packing, eta):
+        pack = packing()
+        cfg = SparsifierConfig(eta=eta, seed=7)
+        patterns = sparsify(pack.transversals, pack.t, cfg)
+        expected = [_pattern_int(survived_set(U, pack.t, cfg)) for U in pack.transversals]
+        assert patterns.tolist() == expected
+        if eta == 0.0:
+            assert set(expected) == {2 ** math.comb(pack.l, pack.t) - 1}
+
+    def test_wide_patterns_are_python_ints(self):
+        # C(8, 4) = 70 combinations do not fit an int64 pattern.
+        rng = random.Random(3)
+        words = [tuple(rng.randint(1, 9) for _ in range(8)) for _ in range(20)]
+        cfg = SparsifierConfig(eta=0.3, seed=5)
+        patterns = sparsify(words, 4, cfg)
+        assert patterns.dtype == object
+        assert patterns.tolist() == [_pattern_int(survived_set(w, 4, cfg)) for w in words]
+
+    def test_empty(self):
+        assert sparsify([], 2, SparsifierConfig(eta=0.1, seed=0)).tolist() == []
+
+    def test_refuses_keys_beyond_int64(self):
+        # (2^16 + 1)^4 > 2^63: the int64 keys would wrap silently.
+        with pytest.raises(ValueError, match="below 2\\^63"):
+            sparsify([(2**16,) * 5], 4, SparsifierConfig(eta=0.1, seed=0))
+
+    def test_shared_patterns(self):
+        pack = rs_packing(4, 2, 7)
+        cfg = SparsifierConfig(eta=0.3, seed=2)
+        sets, ids = shared_patterns(sparsify(pack.transversals, 2, cfg), 4, 2)
+        assert len(set(sets)) == len(sets)
+        for U, k in zip(pack.transversals, ids.tolist()):
+            assert sets[k] == survived_set(U, 2, cfg).pattern
+
+
 class TestAcceptCandidate:
     def setup_method(self):
         _, self.F24 = build_extremal_complement(2, 4)
@@ -279,6 +333,25 @@ def _candidates_for(packing, eta, seed):
     return [survived_set(U, packing.t, cfg) for U in packing.transversals]
 
 
+def _reference_greedy(candidates, seed):
+    """The tuple-based greedy pass `greedy_matching` replaced: shuffle the
+    candidates, keep each whose labeled subsets are all unused."""
+    order = list(candidates)
+    random.Random(seed).shuffle(order)
+    selected, used = [], set()
+    for cand in order:
+        survived = cand.survived
+        if used.isdisjoint(survived):
+            selected.append(cand)
+            used.update(survived)
+    return selected
+
+
+@functools.lru_cache(maxsize=None)
+def _matching_pool(l, t, q, eta):
+    return tuple(_candidates_for(rs_packing(l, t, q), eta, 13))
+
+
 class TestMatching:
     def test_empty(self):
         assert greedy_matching([], seed=1) == []
@@ -312,6 +385,16 @@ class TestMatching:
         one = greedy_matching(cands, seed=5, strategy=strategy)
         two = greedy_matching(cands, seed=5, strategy=strategy)
         assert [c.transversal for c in one] == [c.transversal for c in two]
+
+    @given(
+        point=st.sampled_from([(4, 2, 7, 0.05), (4, 2, 5, 0.3), (5, 3, 5, 0.2)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_greedy(self, point, seed):
+        cands = list(_matching_pool(*point))
+        got = greedy_matching(cands, seed)
+        assert got == _reference_greedy(cands, seed)
 
     def test_only_greedy_strategy(self):
         cands = _candidates_for(rs_packing(4, 2, 5), 0.2, 4)
