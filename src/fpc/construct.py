@@ -104,6 +104,8 @@ class ConstructionReport:
     improved: Optional[int]
     verified: Optional[Verdict]
     verified_note: str = ""
+    # Stage -> ms. "verify" is the total of the layers that ran inside it:
+    # "validate_induced", "is_frameproof" and "is_cover_free".
     timings_ms: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -196,7 +198,7 @@ def construct(
     if cfg.verify:
         start = time.perf_counter()
         try:
-            verified = _verify_pipeline(code, selected, cfg, t, lam, budget)
+            verified = _verify_pipeline(code, selected, cfg, t, lam, budget, timings)
         except BudgetExceededError as exc:
             verified = None
             note = f"verification skipped: {exc}"
@@ -235,6 +237,14 @@ def _ms_since(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
+def _timed(timings: dict[str, float], name: str, fn, *args):
+    """fn(*args), with its wall time recorded as timings[name] in ms."""
+    start = time.perf_counter()
+    result = fn(*args)
+    timings[name] = _ms_since(start)
+    return result
+
+
 def _verify_pipeline(
     code: Code,
     selected: list[Candidate],
@@ -242,14 +252,16 @@ def _verify_pipeline(
     t: int,
     lam: int,
     budget: int,
+    timings: dict[str, float],
 ) -> Verdict:
-    if not validate_induced(selected, t):
+    """The three verify layers, each timed under its own key in `timings`."""
+    if not _timed(timings, "validate_induced", validate_induced, selected, t):
         raise ConstructionError(
             "selected family violates the induced-packing conditions "
             "(shared t-agreement inside a survived set, or agreement above t)"
         )
-    fp = is_frameproof(code, cfg.c, budget)
-    cf = is_cover_free(code, cfg.c, budget)
+    fp = _timed(timings, "is_frameproof", is_frameproof, code, cfg.c, budget)
+    cf = _timed(timings, "is_cover_free", is_cover_free, code, cfg.c, budget)
     if fp.ok != cf.ok:
         raise ConstructionError(
             f"checker disagreement: frameproof={fp.ok} cover-free={cf.ok}; "

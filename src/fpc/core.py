@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -124,14 +124,20 @@ def desc_size(coalition: Sequence[Word]) -> int:
 #
 # One route: each coalition's descendants grow one coordinate at a time from
 # the coalition's distinct symbols there, and a partial descendant is dropped
-# as soon as it is not a prefix of any codeword. Symbols are replaced by their
-# rank at their position before anything enters numpy, so arbitrarily large
-# symbols never meet a fixed-width integer.
+# as soon as it is not a prefix of any codeword. The members' own prefixes
+# always survive and can never end in a violation, so they are neither stored
+# nor probed: only mixed paths, those that are no member's prefix, are grown.
+# A mixed path starts where a member's prefix is extended by a symbol that no
+# member on that prefix carries, and only from prefixes with at least two
+# children in the code (a one-child prefix continues only into its members).
+# Every mixed path that survives all l coordinates is a non-member codeword.
+# Symbols are replaced by their rank at their position before anything enters
+# numpy, so arbitrarily large symbols never meet a fixed-width integer.
 
 # Coalitions handled per numpy pass. Larger blocks cut per-pass overhead but
-# hold more partial descendants at once. Checking an 85-word (3,6,16) code,
-# blocks of 32,768 added about 24 MB of peak RSS (half of what the whole
-# `fpc construct` run needs), while 1,024 adds under 1 MB and runs as fast.
+# hold more mixed paths at once. Checking an 85-word (3,6,16) code, blocks of
+# 2,048 and 4,096 ran the check about 15% faster than 1,024 but raised the
+# 36 MB peak RSS of `fpc construct` by 0.4 and 1.5 MB over 1,024.
 _COALITION_BLOCK = 1024
 
 
@@ -139,9 +145,10 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact c-frameproof check.
 
     Enumerates every coalition of s = min(c, n-1) codewords and grows its
-    descendants coordinate by coordinate, keeping only those that are still
-    prefixes of some codeword; what survives all l coordinates is a codeword.
-    The witness is the least (word, coalition) over all violations. Raises
+    mixed descendants (those that are no member's prefix) coordinate by
+    coordinate, keeping only those that are still prefixes of some codeword;
+    what survives all l coordinates is a codeword outside the coalition. The
+    witness is the least (word, coalition) over all violations. Raises
     BudgetExceededError rather than sampling when the instance exceeds
     `budget` comparisons.
     """
@@ -153,23 +160,20 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(True)
     s = min(c, n - 1)
     # Level k keeps at most min(s^k, distinct length-k prefixes) <= min(s^l, n)
-    # partial descendants per coalition, so the work is about this; n - s in
-    # place of n keeps the refusal thresholds where they have always been.
+    # mixed paths per coalition, so the work is bounded by about this. It is an
+    # upper bound: the members' own prefixes are never kept, and most levels
+    # hold far fewer. n - s in place of n keeps the refusal thresholds where
+    # they have always been.
     estimate = math.comb(n, s) * code.l * min(n - s, s**code.l)
     if estimate > budget:
         raise BudgetExceededError(
             f"frameproof check needs ~{estimate:.2e} comparisons, "
             f"budget is {budget:.2e}"
         )
-    ranks, level_keys = _prefix_index(words)
+    index = _prefix_index(words)
     best: Optional[tuple[int, tuple[int, ...]]] = None
-    combos = itertools.combinations(range(n), s)
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(combos, _COALITION_BLOCK))
-        block = np.fromiter(flat, dtype=np.int64).reshape(-1, s)
-        if not len(block):
-            break
-        hit = _least_framed(block, ranks, level_keys)
+    for block in _coalition_blocks(n, s):
+        hit = _least_framed(block, *index)
         if hit is not None and (best is None or hit < best):
             best = hit
     if best is None:
@@ -178,54 +182,115 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     return Verdict(False, Witness(words[j], tuple(words[i] for i in coal)))
 
 
-def _prefix_index(words: tuple[Word, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Rank matrix and the sorted prefix keys of every level.
+def _coalition_blocks(n: int, s: int) -> Iterator[np.ndarray]:
+    """Every s-subset of range(n) as an increasing row, in lexicographic
+    order, `_COALITION_BLOCK` rows at a time (the last block may be short).
 
-    ranks[j, k] is the rank of words[j][k] among the symbols at position k.
+    The (s-1)-subsets, the heads, are drawn lazily; each head is followed by
+    every last index above its own, and numpy expands a batch of heads into
+    their rows at once.
+    """
+    heads = itertools.combinations(range(n), s - 1)
+    per_batch = max(1, 8 * _COALITION_BLOCK // n)  # at most 8 blocks of rows
+    pending = np.zeros((0, s), dtype=np.int64)
+    while batch := list(itertools.islice(heads, per_batch)):
+        batch = np.array(batch, dtype=np.int64).reshape(len(batch), s - 1)
+        lowest = batch[:, -1] + 1 if s > 1 else np.zeros(len(batch), dtype=np.int64)
+        count = n - lowest
+        last = np.arange(count.sum()) + np.repeat(lowest - (np.cumsum(count) - count), count)
+        rows = np.column_stack((np.repeat(batch, count, axis=0), last))
+        pending = np.concatenate((pending, rows))
+        while len(pending) >= _COALITION_BLOCK:
+            yield pending[:_COALITION_BLOCK]
+            pending = pending[_COALITION_BLOCK:]
+    if len(pending):
+        yield pending
+
+
+def _prefix_index(
+    words: tuple[Word, ...],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """Rank matrix, the sorted prefix keys of every level, each word's
+    prefix ids, and which prefixes branch.
+
     The level-k key of a prefix is node * (n+1) + rank, where node is the id
     of its length-k prefix (0 for the empty prefix); ids are positions in the
     previous level's sorted keys, so they stay below n and the last level's
-    ids are word indices.
+    ids are word indices. nodes[j, k] is the id of words[j]'s length-(k+1)
+    prefix, and branches[k][id] says that prefix has at least two children.
     """
     n = len(words)
-    rank_rows = []
-    for col in zip(*words):
-        rank = {sym: r for r, sym in enumerate(sorted(set(col)))}
-        rank_rows.append([rank[sym] for sym in col])
-    ranks = np.array(rank_rows, dtype=np.int64).T
+    ranks = _column_ranks(words)
     level_keys = []
+    nodes = np.empty_like(ranks)
     node = np.zeros(n, dtype=np.int64)
     for k in range(ranks.shape[1]):
         keys, node = np.unique(node * (n + 1) + ranks[:, k], return_inverse=True)
         level_keys.append(keys)
-    return ranks, level_keys
+        nodes[:, k] = node
+    branches = [
+        np.bincount(keys // (n + 1), minlength=len(parents)) >= 2
+        for parents, keys in zip(level_keys, level_keys[1:])
+    ]
+    return ranks, level_keys, nodes, branches
+
+
+def _column_ranks(words: tuple[Word, ...]) -> np.ndarray:
+    """ranks[j, k] is the rank of words[j][k] among the symbols at position k."""
+    rank_rows = []
+    for col in zip(*words):
+        rank = {sym: r for r, sym in enumerate(sorted(set(col)))}
+        rank_rows.append([rank[sym] for sym in col])
+    return np.array(rank_rows, dtype=np.int64).T
 
 
 def _least_framed(
-    block: np.ndarray, ranks: np.ndarray, level_keys: list[np.ndarray]
+    block: np.ndarray,
+    ranks: np.ndarray,
+    level_keys: list[np.ndarray],
+    nodes: np.ndarray,
+    branches: list[np.ndarray],
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     """Least (word index, coalition indices) framed by a row of `block`."""
     n = len(ranks)
     s = block.shape[1]
-    coal = np.arange(len(block))  # row of each partial descendant
-    node = np.zeros(len(block), dtype=np.int64)  # its prefix id
-    for k, keys in enumerate(level_keys):
+    # Ordered pairs (m, m2) of distinct members: m's prefix, m2's symbol.
+    m, m2 = np.nonzero(~np.eye(s, dtype=bool))
+    coal = np.zeros(0, dtype=np.int64)  # row of each mixed path
+    node = np.zeros(0, dtype=np.int64)  # its prefix id
+    for k in range(1, len(level_keys)):
         syms = ranks[block, k]
-        fresh = np.ones(syms.shape, dtype=bool)
-        for m in range(1, s):
-            fresh[:, m] = (syms[:, :m] != syms[:, m : m + 1]).all(axis=1)
+        fresh = np.ones(syms.shape, dtype=bool)  # first member with its symbol
+        for j in range(1, s):
+            fresh[:, j] = (syms[:, :j] != syms[:, j : j + 1]).all(axis=1)
+        # Mixed paths grow by each distinct coalition symbol.
         grow = fresh[coal]
         probe = (node[:, None] * (n + 1) + syms[coal])[grow]
-        coal = np.broadcast_to(coal[:, None], grow.shape)[grow]
+        rows = np.broadcast_to(coal[:, None], grow.shape)[grow]
+        # New mixed paths: member m's prefix, once per distinct prefix and only
+        # where it branches, extended by member m2's symbol unless that gives
+        # some member's own prefix.
+        if branches[k - 1].any():
+            pref = nodes[block, k - 1]
+            head = pref * (n + 1)
+            first = branches[k - 1][pref]
+            for j in range(1, s):
+                first[:, j] &= (pref[:, :j] != pref[:, j : j + 1]).all(axis=1)
+            key = head[:, m] + syms[:, m2]
+            seed = first[:, m] & fresh[:, m2]
+            for j in range(s):
+                seed &= key != (head[:, j] + syms[:, j])[:, None]
+            row, pair = np.nonzero(seed)
+            probe = np.concatenate((probe, key[row, pair]))
+            rows = np.concatenate((rows, row))
+        keys = level_keys[k]
         pos = np.searchsorted(keys, probe)
         found = keys[np.minimum(pos, len(keys) - 1)] == probe
-        coal, node = coal[found], pos[found]
-    outside = (block[coal] != node[:, None]).all(axis=1)
-    coal, node = coal[outside], node[outside]
+        coal, node = rows[found], pos[found]
     if not len(node):
         return None
-    first = np.lexsort((coal, node))[0]
-    return int(node[first]), tuple(int(i) for i in block[coal[first]])
+    least = np.lexsort((coal, node))[0]
+    return int(node[least]), tuple(int(i) for i in block[coal[least]])
 
 
 # ---------------------------------------------------------------------------
@@ -280,23 +345,20 @@ def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
         raise BudgetExceededError(
             f"cover-free check needs ~{estimate:.2e} comparisons, budget is {budget:.2e}"
         )
-    edges = pi(code)
     full = (1 << l) - 1
-    pos_bit = {p: 1 << (p - 1) for p in range(1, l + 1)}
+    ranks = _column_ranks(words)
+    # Bit p of a word's mask says it agrees with the victim at position p+1;
+    # only the victim itself agrees everywhere.
+    bits = np.array([1 << p for p in range(l)], dtype=np.int64 if l < 64 else object)
     for i0 in range(n):
-        e0 = edges[i0]
-        values = set()
-        for j in range(n):
-            if j == i0:
-                continue
-            m = 0
-            for p, _sym in e0 & edges[j]:
-                m |= pos_bit[p]
-            if m:
-                values.add(m)
+        masks = np.sort((ranks == ranks[i0]) @ bits)
+        distinct = np.concatenate((masks[:1], masks[1:][masks[1:] != masks[:-1]]))
+        values = set(distinct.tolist()) - {0, full}
         if not _unions_reach(values, full, s):
             continue
         # Rare path: locate the lexicographically least covering coalition.
+        edges = pi(code)
+        e0 = edges[i0]
         others = [j for j in range(n) if j != i0]
         for coal_j in itertools.combinations(others, s):
             union = frozenset().union(*(edges[j] for j in coal_j))

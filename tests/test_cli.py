@@ -128,6 +128,18 @@ class TestConstructVerifyAudit:
         assert payload["verified"] is True
         assert payload["code_size"] == payload["selected_count"]
 
+    def test_construct_json_times_verify_layers(self, tmp_path, capsys):
+        out = tmp_path / "code.fpc"
+        rc = run(
+            "construct", "--c", "2", "--l", "4", "--q", "13",
+            "--seed", "7", "--out", str(out), "--json",
+        )
+        assert rc == 0
+        timings = json.loads(capsys.readouterr().out)["timings_ms"]
+        layers = [timings[k] for k in ("validate_induced", "is_frameproof", "is_cover_free")]
+        assert all(ms >= 0 for ms in layers)
+        assert sum(layers) <= timings["verify"]
+
     def test_construct_file_hash_pinned(self, tmp_path):
         # The whole CLI-written file, comment lines included, hashed at the
         # parent of the change that made mode and matching constants.

@@ -158,7 +158,7 @@ class TestPipelineChecks:
         b = Candidate((1, 2, 4, 5), frozenset({0b0011}))
         code = Code(5, 4, [a.transversal, b.transversal])
         with pytest.raises(ConstructionError, match="induced"):
-            _verify_pipeline(code, [a, b], cfg, 2, 1, budget=10**8)
+            _verify_pipeline(code, [a, b], cfg, 2, 1, budget=10**8, timings={})
 
     def test_diagnosis_reports_packing_breach(self):
         witness = Witness((1, 1, 1, 1), ((1, 1, 1, 2), (2, 2, 2, 1)))

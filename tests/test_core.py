@@ -9,6 +9,7 @@ from fpc.core import (
     BudgetExceededError,
     Code,
     _COALITION_BLOCK,
+    _coalition_blocks,
     Witness,
     desc_contains,
     desc_size,
@@ -167,6 +168,13 @@ class TestFrameproof:
                     assert verdict.witness == Witness(*expected)
         assert violations > 0
 
+    @pytest.mark.parametrize("n,s", [(2, 1), (50, 2), (600, 2), (30, 3), (13, 4)])
+    def test_coalition_blocks_are_lexicographic_and_full(self, n, s):
+        blocks = list(_coalition_blocks(n, s))
+        rows = [tuple(int(i) for i in row) for block in blocks for row in block]
+        assert rows == list(itertools.combinations(range(n), s))
+        assert all(len(block) == _COALITION_BLOCK for block in blocks[:-1])
+
     @pytest.mark.parametrize(
         "extra,least",
         [
@@ -189,6 +197,45 @@ class TestFrameproof:
         assert ranks[(a, b)] < _COALITION_BLOCK <= ranks[(y1, y2)]
         assert naive_frameproof(code, 2) == least
         assert is_frameproof(code, 2).witness == Witness(*least)
+
+
+def _assert_planted(code: Code, c: int, word, coalition):
+    """The planted violation is the least one, and both checkers name it."""
+    assert naive_frameproof(code, c) == (word, coalition)
+    assert is_frameproof(code, c).witness == Witness(word, coalition)
+    assert is_cover_free(code, c).witness == Witness(word, coalition)
+
+
+class TestFrameproofSeeding:
+    # Each planted word's path first leaves the coalition members' own
+    # prefixes where the frameproof route seeds a mixed path.
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_members_share_a_prefix(self, p):
+        # s=3 at l=6: a and b share their first p symbols; x leaves that
+        # prefix with c's symbol, then follows b.
+        a, b, c = (1,) * 6, (1,) * p + (2,) * (6 - p), (3,) * 6
+        x = (1,) * p + (3,) + (2,) * (5 - p)
+        _assert_planted(Code(3, 6, [a, b, c, x]), 3, x, (a, b, c))
+
+    @pytest.mark.parametrize("p", range(0, 3))
+    def test_branch_off_a_member_at_the_last_level(self, p):
+        # s=2 at l=4: a and b share their first p symbols; x follows b up to
+        # the last coordinate and takes a's symbol there.
+        a, b = (1,) * 4, (1,) * p + (2,) * (4 - p)
+        x = b[:3] + (1,)
+        _assert_planted(Code(2, 4, [a, b, x]), 2, x, (a, b))
+
+    def test_shared_prefix_beyond_the_first_block(self):
+        # 24 words give C(24, 3) = 2024 coalitions, and (a, b, c) sorts last.
+        # Each filler has a symbol no other word carries, so only x is framed.
+        fillers = [(1, 10 + k, 40 + k, 70 + k, 100 + k, 130 + k) for k in range(20)]
+        a, b, c = (5,) * 6, (5, 5, 6, 6, 6, 6), (7,) * 6
+        x = (5, 5, 7, 6, 5, 7)
+        code = Code(200, 6, [*fillers, a, b, c, x])
+        ranks = {coal: r for r, coal in enumerate(itertools.combinations(code.words, 3))}
+        assert ranks[(a, b, c)] >= _COALITION_BLOCK
+        _assert_planted(code, 3, x, (a, b, c))
 
 
 class TestCoverFree:
@@ -214,6 +261,29 @@ class TestCoverFree:
     @settings(max_examples=150)
     def test_equivalence_other_c(self, code, c):
         assert is_frameproof(code, c).ok == is_cover_free(code, c).ok
+
+    def test_masks_wider_than_int64(self):
+        # At l = 64 an agreement mask no longer fits a signed 64-bit integer.
+        a, b = (1,) * 64, (2,) * 64
+        x = (1,) * 32 + (2,) * 32
+        code = Code(2, 64, [a, b, x])
+        expected = Witness(x, (a, b))
+        assert is_cover_free(code, 2, budget=10**60).witness == expected
+        assert is_frameproof(code, 2, budget=10**60).witness == expected
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_witness_matches_naive_oracle(self, c):
+        rng = random.Random(c)
+        violations = 0
+        for _ in range(150):
+            code = random_code(rng, max_words=8)
+            expected = naive_frameproof(code, c)
+            verdict = is_cover_free(code, c)
+            assert verdict.ok == (expected is None)
+            if expected is not None:
+                violations += 1
+                assert verdict.witness == Witness(*expected)
+        assert violations > 0
 
 
 class TestWitnessSoundness:
