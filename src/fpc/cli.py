@@ -189,7 +189,10 @@ def cmd_oracle(args) -> int:
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse, before any work, an output path whose directory is missing."""
+    """Refuse, before any work, an output path that is a directory or whose
+    directory is missing."""
+    if os.path.isdir(path):
+        raise CliError(f"--out {path!r} is a directory")
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise CliError(f"--out directory {parent!r} does not exist")

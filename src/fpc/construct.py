@@ -4,12 +4,13 @@ The pipeline builds the complement family of a largest no-(lam+1)-matching
 family, lays a perfect transversal packing over the symbols, sparsifies each
 transversal's labeled t-subsets, keeps candidates whose missing pattern stays
 below the matching threshold, and extracts a conflict-free selection. The
-stages work on arrays of the packing: one kept-pattern int per transversal,
-one acceptance decision per distinct pattern, and int keys in the matching;
-only the selected transversals become `Candidate` objects, sharing one
-pattern frozenset per distinct pattern. The selected transversals are the
-code; verification re-checks the frameproof property exactly rather than
-trusting any pipeline stage.
+stages share the packing's (n, l) word matrix: the sparsifier gives each row
+one kept-pattern int and an int32 id per kept labeled subset, acceptance is
+decided once per distinct pattern, and the matching indexes the accepted
+rows of the id matrix without copying them. Only the selected rows become
+tuples and `Candidate` objects, sharing one pattern frozenset per distinct
+pattern. The selected transversals are the code; verification re-checks the
+frameproof property exactly rather than trusting any pipeline stage.
 """
 
 from __future__ import annotations
@@ -174,21 +175,21 @@ def construct(
 
     start = time.perf_counter()
     sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-    patterns, pattern_ids = shared_patterns(
-        sparsify(pack.transversals, t, sparsifier), cfg.l, t
-    )
+    pattern_ints, subset_ids = sparsify(pack.words, t, sparsifier)
+    patterns, pattern_ids = shared_patterns(pattern_ints, cfg.l, t)
     timings["candidates"] = _ms_since(start)
 
     start = time.perf_counter()
     accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
-    accepted = np.flatnonzero(accepts[pattern_ids]).tolist()
+    accepted = np.flatnonzero(accepts[pattern_ids])
     timings["accept"] = _ms_since(start)
 
     start = time.perf_counter()
-    words = [pack.transversals[k] for k in accepted]
-    ids = pattern_ids[accepted].tolist()
-    chosen = greedy_select(words, ids, patterns, cfg.q + 1, cfg.seed)
-    selected = [Candidate(words[k], patterns[ids[k]]) for k in chosen]
+    chosen = greedy_select(subset_ids, accepted, cfg.seed)
+    selected = [
+        Candidate(tuple(w), patterns[pattern_ids[k]])
+        for w, k in zip(pack.words[chosen].tolist(), chosen)
+    ]
     timings["matching"] = _ms_since(start)
 
     code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])

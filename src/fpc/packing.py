@@ -9,16 +9,20 @@ maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
 sparsifier thins the labeled t-subsets, a candidate is accepted when its
 missing pattern has no lam+1 pairwise disjoint members, and one seed-shuffled
 greedy pass selects candidates with pairwise disjoint surviving subsets.
-`sparsify` hashes each distinct labeled t-subset once and gives every word
-its kept pattern as one int; acceptance is decided once per distinct pattern;
-the greedy pass keys each kept labeled subset as an int computed from the
-word and a per-pattern table of position masks. A candidate carries only its
-transversal and the position pattern of its surviving subsets, and candidates
-with equal patterns share one frozenset; validation derives the labeled
-subsets from the two where it needs them. `survived_set` is the per-word
-reference route to the same pattern. `degree_diagnostics` counts the
-candidates whose pattern is a relabeled copy of the target family by
-membership in the cached image set, `pattern_images`.
+A packing holds its words as one (n, l) int64 matrix, `words`, and every
+stage works on it: `sparsify` hashes each distinct labeled t-subset once and
+gives every word its kept pattern as one int and an id per kept labeled
+subset; acceptance is decided once per distinct pattern; the greedy pass
+walks the shuffled words in blocks, dropping in one numpy test every word
+that holds an id already used. Only the selected words become tuples and
+`Candidate` objects. A candidate carries only its transversal and the
+position pattern of its surviving subsets, and candidates with equal
+patterns share one frozenset; validation derives the labeled subsets from
+the two where it needs them. `survived_set` and `r_membership` are the
+per-word reference route to the same pattern. `degree_diagnostics` counts
+degrees over the same per-combination keys and ids, and finds the candidates
+whose pattern is a relabeled copy of the target family by membership in the
+cached image set, `pattern_images`, once per distinct pattern.
 """
 
 from __future__ import annotations
@@ -139,17 +143,23 @@ class GF:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransversalPacking:
-    """Words with pairwise coordinate agreement at most t."""
+    """Words with pairwise coordinate agreement at most t, as the rows of an
+    (n, l) int64 matrix of 1-based symbols. Packings compare by identity."""
 
     l: int
     q: int
     t: int
-    transversals: tuple[Word, ...]
+    words: np.ndarray
+
+    @functools.cached_property
+    def transversals(self) -> tuple[Word, ...]:
+        """The rows as tuples, built once on first access."""
+        return tuple(map(tuple, self.words.tolist()))
 
     def __len__(self) -> int:
-        return len(self.transversals)
+        return len(self.words)
 
 
 def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
@@ -175,13 +185,13 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     # Horner's rule evaluates all vectors at once, one column per point.
     index = np.arange(q ** (t + 1))
     coeffs = [index // q ** (t - j) % q for j in range(t + 1)]
-    columns = []
+    words = np.empty((len(index), l), dtype=np.int64)
     for x in range(l):
         acc = coeffs[t]
         for c in reversed(coeffs[:t]):
             acc = field.add[field.mul[acc, x], c]
-        columns.append((acc + 1).tolist())
-    return TransversalPacking(l=l, q=q, t=t, transversals=tuple(zip(*columns)))
+        words[:, x] = acc + 1
+    return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
 def greedy_packing(
@@ -210,7 +220,8 @@ def greedy_packing(
         if all(s not in claimed for s in shadows):
             kept.append(w)
             claimed.update(shadows)
-    return TransversalPacking(l=l, q=q, t=t, transversals=tuple(sorted(kept)))
+    matrix = np.array(sorted(kept), dtype=np.int64).reshape(len(kept), l)
+    return TransversalPacking(l=l, q=q, t=t, words=matrix)
 
 
 def _labeled_subsets(w: Word, k: int) -> list[LabeledSubset]:
@@ -310,38 +321,88 @@ def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
     return Candidate(tuple(U), frozenset(pattern))
 
 
-def sparsify(words: Sequence[Word], t: int, cfg: SparsifierConfig) -> np.ndarray:
-    """Each word's kept pattern as an int: bit i is set iff the sparsifier
-    keeps the word's labeled t-subset on combination i of
-    `position_masks(l, t)`. The patterns equal `survived_set`'s, but each
-    distinct labeled subset is hashed once: per position combination the
-    symbols become one mixed-radix key, and `r_membership` runs once per
-    distinct key. The dtype is int64, or object when C(l, t) >= 64."""
-    if len(words) == 0:
-        return np.zeros(0, dtype=np.int64)
-    symbols = np.array(words, dtype=np.int64)
-    n, l = symbols.shape
-    radix = int(symbols.max()) + 1
+# The labeled-subset id `sparsify` gives every slot whose subset is not kept.
+NOT_KEPT = 0
+
+
+def _distinct_subsets(symbols: np.ndarray, t: int, radix: int):
+    """For each position combination of `position_masks(l, t)`, in order:
+    the combination, its distinct labeled subsets as sorted keys whose
+    base-`radix` digits are the symbols (the first position lowest), each
+    word's index into them, and the id of the first of them. Ids run on
+    from NOT_KEPT + 1 across the combinations, so distinct labeled subsets
+    get distinct ids."""
     if radix**t >= 2**63:
         raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
     place = radix ** np.arange(t)
-    combos = itertools.combinations(range(l), t)
-    dtype = np.int64 if math.comb(l, t) < 64 else object
-    patterns = np.zeros(n, dtype=dtype)
-    for i, combo in enumerate(combos):
+    first = NOT_KEPT + 1
+    for combo in itertools.combinations(range(symbols.shape[1]), t):
         keys, inverse = np.unique(symbols[:, combo] @ place, return_inverse=True)
-        kept = np.array(
-            [
-                r_membership(
-                    tuple((p + 1, key // radix**j % radix) for j, p in enumerate(combo)),
-                    cfg,
-                )
-                for key in keys.tolist()
-            ],
-            dtype=bool,
-        )
-        patterns |= kept[inverse].astype(dtype) << i
-    return patterns
+        yield combo, keys, inverse, first
+        first += len(keys)
+
+
+# `_encode_labeled`'s ">HI" record of one (position, symbol) pair as numpy fields.
+_RECORD = (("p", ">u2"), ("s", ">u4"))
+
+
+def _kept(
+    combo: Sequence[int], keys: np.ndarray, radix: int, cfg: SparsifierConfig
+) -> np.ndarray:
+    """`r_membership` of each labeled subset on the 0-based positions `combo`
+    whose symbols are the base-`radix` digits of `keys`: the hash key, the
+    threshold and the `_encode_labeled` records are built once for all keys,
+    and one keyed blake2b runs per key."""
+    threshold = int((1.0 - cfg.eta) * 2.0**64)
+    if threshold <= 0:
+        return np.zeros(len(keys), dtype=bool)
+    fields = [(f"{kind}{j}", fmt) for j in range(len(combo)) for kind, fmt in _RECORD]
+    records = np.empty(len(keys), dtype=fields)
+    for j, p in enumerate(combo):
+        records[f"p{j}"] = p + 1
+        records[f"s{j}"] = keys // radix**j % radix
+    # Copying a keyed state skips re-hashing the key block for every record.
+    key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    keyed = hashlib.blake2b(key=key, digest_size=8)
+    data, width = records.tobytes(), records.itemsize
+    digests = []
+    for i in range(0, len(data), width):
+        h = keyed.copy()
+        h.update(data[i : i + width])
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype=">u8") <= np.uint64(threshold - 1)
+
+
+def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's kept pattern as an int, and the ids of its kept labeled
+    t-subsets. `words` is an (n, l) symbol matrix, or anything np.asarray
+    turns into one.
+
+    Bit i of a pattern is set iff the sparsifier keeps the word's labeled
+    t-subset on combination i of `position_masks(l, t)`; the patterns equal
+    `survived_set`'s. ids[k, i] is that subset's id when it is kept and
+    NOT_KEPT otherwise; equal subsets share an id. Each distinct labeled
+    subset is hashed once, byte for byte as `r_membership` hashes it.
+    Symbols must lie in 0..2^32-1, as `r_membership`'s encoding needs. The
+    pattern dtype is int64, or object when C(l, t) >= 64; ids are int32."""
+    symbols = np.asarray(words, dtype=np.int64)
+    if symbols.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int32)
+    radix = int(symbols.max()) + 1
+    if symbols.min() < 0 or radix > 2**32:
+        raise ValueError("sparsifier symbols must lie in 0..2^32-1")
+    n, l = symbols.shape
+    slots = math.comb(l, t)
+    if n * slots >= 2**31:
+        raise ValueError(f"{n} words x {slots} subsets overflow int32 labeled-subset ids")
+    dtype = np.int64 if slots < 64 else object
+    patterns = np.zeros(n, dtype=dtype)
+    ids = np.empty((n, slots), dtype=np.int32)
+    for i, (combo, keys, inverse, first) in enumerate(_distinct_subsets(symbols, t, radix)):
+        kept = _kept(combo, keys, radix, cfg)[inverse]
+        patterns |= kept.astype(dtype) << i
+        ids[:, i] = np.where(kept, first + inverse, NOT_KEPT)
+    return patterns, ids
 
 
 def shared_patterns(
@@ -398,54 +459,63 @@ def greedy_matching(
     strategy: Literal["greedy"] = "greedy",
 ) -> list[Candidate]:
     """Select candidates with pairwise disjoint survived sets: `greedy_select`
-    over their transversals and patterns. `strategy` takes one value,
-    "greedy", and stays in the signature because callers that pass it,
-    `perfbench/replica.py` among them, pin it; any other value raises
-    ValueError."""
+    over labeled-subset ids built from their transversals and patterns.
+    `strategy` takes one value, "greedy", and stays in the signature because
+    callers that pass it, `perfbench/replica.py` among them, pin it; any
+    other value raises ValueError."""
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
-    ids: dict[frozenset[int], int] = {}
-    pattern_ids = [ids.setdefault(cand.pattern, len(ids)) for cand in candidates]
-    words = [cand.transversal for cand in candidates]
-    radix = max((max(w) for w in words), default=0) + 1
-    chosen = greedy_select(words, pattern_ids, list(ids), radix, seed)
+    if not candidates:
+        return []
+    symbols = np.array([cand.transversal for cand in candidates], dtype=np.int64)
+    distinct: dict[frozenset[int], int] = {}
+    pattern_ids = [distinct.setdefault(cand.pattern, len(distinct)) for cand in candidates]
+    t = next((mask.bit_count() for pattern in distinct for mask in pattern), 0)
+    masks = position_masks(symbols.shape[1], t) if t else []
+    kept = np.array([[m in p for m in masks] for p in distinct], dtype=bool)[pattern_ids]
+    ids = np.full(kept.shape, NOT_KEPT, dtype=np.int32)
+    if t:
+        subsets = _distinct_subsets(symbols, t, int(symbols.max()) + 1)
+        for i, (_combo, _keys, inverse, first) in enumerate(subsets):
+            ids[:, i] = np.where(kept[:, i], first + inverse, NOT_KEPT)
+    chosen = greedy_select(ids, np.arange(len(candidates)), seed)
     return [candidates[k] for k in chosen]
 
 
-def greedy_select(
-    words: Sequence[Word],
-    pattern_ids: Sequence[int],
-    patterns: Sequence[frozenset[int]],
-    radix: int,
-    seed: int,
-) -> list[int]:
-    """Indices, in selection order, of the words whose kept labeled subsets
-    are pairwise disjoint, taken by walking a seed-shuffled order; word k
-    keeps the subsets on the masks of `patterns[pattern_ids[k]]`. The
-    selection is maximal and depends only on the inputs and the seed; the
-    shuffle depends only on len(words). A labeled subset is keyed by the int
-    mask * radix^t + its symbols in base `radix`, which must exceed every
-    symbol, and a word stops at its first key already in use."""
-    tables = [
-        [(mask, [p for p in range(mask.bit_length()) if mask >> p & 1]) for mask in pattern]
-        for pattern in patterns
-    ]
-    order = list(range(len(words)))
+# Shuffled words that `greedy_select` tests against the used ids in one
+# numpy step; the survivors of a block are resolved in Python. Blocks of 256
+# to 4,096 timed within 5% of each other at (2,4,31), (2,4,47) and
+# (2,4,101); at (3,6,16) 4,096 was twice as slow as 256.
+_SELECT_BLOCK = 256
+
+
+def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
+    """The rows of `ids` whose kept labeled subsets are pairwise disjoint,
+    in selection order, taken from `rows` by walking a seed-shuffled order;
+    `ids` is `sparsify`'s id matrix. The selection is maximal among `rows`
+    and depends only on the inputs and the seed; the shuffle depends only on
+    len(rows).
+
+    The order is walked in blocks of `_SELECT_BLOCK` rows. One numpy test
+    drops every row that holds an id used before the block; the rest are
+    resolved in order against the ids taken inside the block, so the
+    selection equals the sequential greedy pass."""
+    order = list(range(len(rows)))
     random.Random(seed).shuffle(order)
-    used: set[int] = set()
-    selected = []
-    for k in order:
-        w = words[k]
-        keys = []
-        for key, positions in tables[pattern_ids[k]]:
-            for p in positions:
-                key = key * radix + w[p]
-            if key in used:
-                break
-            keys.append(key)
-        else:
-            used.update(keys)
-            selected.append(k)
+    order = np.asarray(rows)[order]
+    used = np.zeros(int(ids.max(initial=NOT_KEPT)) + 1, dtype=bool)
+    selected: list[int] = []
+    for start in range(0, len(order), _SELECT_BLOCK):
+        block = order[start : start + _SELECT_BLOCK]
+        held = ids[block]
+        free = ~used[held].any(axis=1)
+        taken: set[int] = set()
+        for k, row in zip(block[free].tolist(), held[free].tolist()):
+            if taken.isdisjoint(row):
+                taken.update(row)
+                taken.discard(NOT_KEPT)
+                selected.append(k)
+        used[list(taken)] = True
     return selected
 
 
@@ -536,45 +606,51 @@ def degree_diagnostics(
         raise ValueError("family must be t-uniform on the packing's positions")
     lam_f = embeddings_per_edge(family)
 
-    dP = Counter(a for U in packing.transversals for a in _labeled_subsets(U, t))
-
-    space = math.comb(l, t) * q**t
+    combos = list(itertools.combinations(range(l), t))
+    space = len(combos) * q**t
     if space <= element_cap:
-        elements = [
-            tuple((p + 1, sym) for p, sym in zip(combo, syms))
-            for combo in itertools.combinations(range(l), t)
-            for syms in itertools.product(range(1, q + 1), repeat=t)
-        ]
+        # Every labeled t-subset over the symbols 1..q, once.
+        grid = np.indices((q,) * t).reshape(t, -1).T + 1
+        elements = np.tile(grid, (len(combos), 1))
+        element_combo = np.repeat(np.arange(len(combos)), q**t)
     else:
         rng = random.Random(cfg.seed ^ 0x5EED5EED)
-        combos = list(itertools.combinations(range(l), t))
-        elements = [
-            tuple(
-                (p + 1, sym)
-                for p, sym in zip(rng.choice(combos), [rng.randint(1, q) for _ in range(t)])
-            )
+        drawn = [
+            (rng.choice(range(len(combos))), [rng.randint(1, q) for _ in range(t)])
             for _ in range(element_cap)
         ]
+        elements = np.array([syms for _, syms in drawn], dtype=np.int64)
+        element_combo = np.array([i for i, _ in drawn])
+    radix = max(q, int(packing.words.max())) + 1
+    element_keys = elements @ radix ** np.arange(t)
 
-    degrees = [dP.get(a, 0) for a in elements]
-    delta = max(0.0, 1.0 - len(packing.transversals) / q ** (t + 1))
-    threshold = (1.0 - math.sqrt(delta)) * q
-    frac_high = sum(1 for d in degrees if d >= threshold) / len(degrees)
-
-    patterns, pattern_ids = shared_patterns(sparsify(packing.transversals, t, cfg), l, t)
-    candidates = [
-        Candidate(U, patterns[k])
-        for U, k in zip(packing.transversals, pattern_ids.tolist())
-    ]
+    patterns, ids = sparsify(packing.words, t, cfg)
+    sets, pattern_ids = shared_patterns(patterns, l, t)
     images = pattern_images(family)
-    copies = [c for c in candidates if c.pattern in images]
-    dH: Counter = Counter()
-    for cand in copies:
-        dH.update(cand.survived)
-    in_r = [a for a in elements if r_membership(a, cfg)]
-    dh_mean = (
-        sum(dH.get(a, 0) for a in in_r) / len(in_r) if in_r else 0.0
-    )
+    copies = np.array([p in images for p in sets], dtype=bool)[pattern_ids]
+
+    # Per element: its degree in the packing, its degree among the copies,
+    # and whether the sparsifier keeps it. Only kept elements enter dH_mean,
+    # and a copy that holds a kept element keeps it.
+    degrees = np.zeros(len(elements), dtype=np.int64)
+    dH = np.zeros(len(elements), dtype=np.int64)
+    in_r = np.zeros(len(elements), dtype=bool)
+    for i, (combo, keys, inverse, _first) in enumerate(
+        _distinct_subsets(packing.words, t, radix)
+    ):
+        at = np.flatnonzero(element_combo == i)
+        wanted = element_keys[at]
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        found = keys[pos] == wanted
+        degrees[at] = np.where(found, np.bincount(inverse, minlength=len(keys))[pos], 0)
+        dH[at] = np.where(found, np.bincount(inverse[copies], minlength=len(keys))[pos], 0)
+        in_r[at] = _kept(combo, wanted, radix, cfg)
+
+    delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))
+    threshold = (1.0 - math.sqrt(delta)) * q
+    frac_high = int(np.count_nonzero(degrees >= threshold)) / len(degrees)
+    n_in_r = int(np.count_nonzero(in_r))
+    dh_mean = int(dH[in_r].sum()) / n_in_r if n_in_r else 0.0
 
     n_edges = len(family.edges)
     p = (
@@ -583,15 +659,19 @@ def degree_diagnostics(
         * cfg.eta ** (math.comb(l, t) - n_edges)
     )
 
-    codegree: Counter = Counter()
-    for cand in candidates:
-        for pair in itertools.combinations(sorted(cand.survived), 2):
-            codegree[pair] += 1
-    max_co = max(codegree.values()) if codegree else 0
+    # The most candidates keeping one pair of labeled subsets; a pair's two
+    # subsets lie on two distinct position combinations.
+    max_co = 0
+    kept = ids != NOT_KEPT
+    for i, j in itertools.combinations(range(len(combos)), 2):
+        both = kept[:, i] & kept[:, j]
+        if both.any():
+            pairs = ids[both, i].astype(np.int64) << 32 | ids[both, j]
+            max_co = max(max_co, int(np.unique(pairs, return_counts=True)[1].max()))
 
     return DegreeDiagnostics(
-        dP_max=max(degrees),
-        dP_min=min(degrees),
+        dP_max=int(degrees.max()),
+        dP_min=int(degrees.min()),
         frac_high_degree=frac_high,
         dH_mean=dh_mean,
         expected_D=p * q,

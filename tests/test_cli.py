@@ -187,6 +187,9 @@ class TestConstructVerifyAudit:
         out = tmp_path / "missing" / "x.out"
         assert run(command, *point, "--no-verify", "--out", str(out)) == 1
         assert "does not exist" in capsys.readouterr().err
+        # An existing directory cannot take the file either.
+        assert run(command, *point, "--no-verify", "--out", str(tmp_path)) == 1
+        assert "is a directory" in capsys.readouterr().err
 
     def test_generated_seed_is_printed(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"

@@ -1,23 +1,29 @@
+import collections
 import functools
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fpc.extremal import PositionFamily, complete_family, position_masks
 from fpc.construct import build_extremal_complement
+import fpc.packing
 from fpc.packing import (
     GF,
+    NOT_KEPT,
     Candidate,
     NotPrimePowerError,
     SparsifierConfig,
+    TransversalPacking,
     accept_candidate,
     degree_diagnostics,
     embeddings_per_edge,
     greedy_matching,
     greedy_packing,
+    greedy_select,
     pattern_images,
     r_membership,
     rs_packing,
@@ -99,6 +105,12 @@ class TestRsPacking:
             if q >= l and q ** (t + 1) <= 30_000:
                 assert rs_packing(l, t, q).transversals == reference(l, t)
 
+    @pytest.mark.parametrize("l,t,q", [(4, 2, 13), (6, 2, 16), (3, 0, 5), (5, 3, 7)])
+    def test_words_are_the_transversals(self, l, t, q):
+        p = rs_packing(l, t, q)
+        assert p.words.dtype == np.int64 and p.words.shape == (q ** (t + 1), l)
+        assert [tuple(row) for row in p.words.tolist()] == list(p.transversals)
+
     def test_prime_power_field(self):
         p = rs_packing(4, 1, 9)
         assert len(p) == 81
@@ -134,6 +146,11 @@ class TestGreedyPacking:
         c = greedy_packing(4, 2, 5, seed=4)
         assert a.transversals == b.transversals
         assert a.transversals != c.transversals
+
+    def test_words_are_the_sorted_transversals(self):
+        p = greedy_packing(4, 2, 5, seed=3)
+        assert [tuple(row) for row in p.words.tolist()] == list(p.transversals)
+        assert list(p.transversals) == sorted(p.transversals)
 
     def test_word_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -227,6 +244,20 @@ def _pattern_int(cand):
     return sum(1 << i for i, m in enumerate(masks) if m in cand.pattern)
 
 
+def _assert_ids_name_kept_subsets(words, t, patterns, ids):
+    """ids[k, i] is NOT_KEPT iff bit i of word k's pattern is clear, and the
+    other ids name the kept labeled subsets one to one."""
+    names: dict[tuple, int] = {}
+    for w, pattern, row in zip(words, patterns.tolist(), ids.tolist()):
+        for i, combo in enumerate(itertools.combinations(range(len(w)), t)):
+            if pattern >> i & 1:
+                assert row[i] != NOT_KEPT
+                assert names.setdefault(tuple((p, w[p]) for p in combo), row[i]) == row[i]
+            else:
+                assert row[i] == NOT_KEPT
+    assert len(set(names.values())) == len(names)
+
+
 class TestSparsify:
     @pytest.mark.parametrize(
         "packing",
@@ -241,33 +272,61 @@ class TestSparsify:
     def test_equals_survived_set(self, packing, eta):
         pack = packing()
         cfg = SparsifierConfig(eta=eta, seed=7)
-        patterns = sparsify(pack.transversals, pack.t, cfg)
+        patterns, ids = sparsify(pack.words, pack.t, cfg)
         expected = [_pattern_int(survived_set(U, pack.t, cfg)) for U in pack.transversals]
         assert patterns.tolist() == expected
         if eta == 0.0:
             assert set(expected) == {2 ** math.comb(pack.l, pack.t) - 1}
+        assert ids.dtype == np.int32 and ids.shape == (len(pack), math.comb(pack.l, pack.t))
+        _assert_ids_name_kept_subsets(pack.transversals, pack.t, patterns, ids)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 7, 2**70 + 3, -1, -(2**40) - 9])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("t,top", [(1, 2**32 - 1), (2, 2**31 - 2), (3, 40)])
+    def test_batch_hash_equals_r_membership(self, seed, eta, t, top):
+        # Seeds outside 0..2^64-1 reach the key only through its 64-bit mask,
+        # and symbols near 2^32 fill the 4-byte field of each record.
+        rng = random.Random(seed % 1009)
+        symbols = [1, 2, top - 1, top]
+        words = [
+            tuple(rng.choice(symbols + [rng.randint(1, top)]) for _ in range(4))
+            for _ in range(60)
+        ]
+        cfg = SparsifierConfig(eta=eta, seed=seed)
+        patterns, ids = sparsify(words, t, cfg)
+        assert patterns.tolist() == [_pattern_int(survived_set(w, t, cfg)) for w in words]
+        _assert_ids_name_kept_subsets(words, t, patterns, ids)
 
     def test_wide_patterns_are_python_ints(self):
         # C(8, 4) = 70 combinations do not fit an int64 pattern.
         rng = random.Random(3)
         words = [tuple(rng.randint(1, 9) for _ in range(8)) for _ in range(20)]
         cfg = SparsifierConfig(eta=0.3, seed=5)
-        patterns = sparsify(words, 4, cfg)
+        patterns, ids = sparsify(words, 4, cfg)
         assert patterns.dtype == object
         assert patterns.tolist() == [_pattern_int(survived_set(w, 4, cfg)) for w in words]
+        _assert_ids_name_kept_subsets(words, 4, patterns, ids)
 
     def test_empty(self):
-        assert sparsify([], 2, SparsifierConfig(eta=0.1, seed=0)).tolist() == []
+        patterns, ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
+        assert patterns.tolist() == [] and ids.size == 0
 
     def test_refuses_keys_beyond_int64(self):
         # (2^16 + 1)^4 > 2^63: the int64 keys would wrap silently.
         with pytest.raises(ValueError, match="below 2\\^63"):
             sparsify([(2**16,) * 5], 4, SparsifierConfig(eta=0.1, seed=0))
 
+    @pytest.mark.parametrize("symbol", [2**32, 2**40, -1])
+    def test_refuses_symbols_outside_32_bits(self, symbol):
+        # `r_membership` packs each symbol into 4 bytes; a wider array entry
+        # must not wrap into another symbol's record.
+        with pytest.raises(ValueError, match="0..2\\^32-1"):
+            sparsify([(1, symbol, 3)], 1, SparsifierConfig(eta=0.1, seed=0))
+
     def test_shared_patterns(self):
         pack = rs_packing(4, 2, 7)
         cfg = SparsifierConfig(eta=0.3, seed=2)
-        sets, ids = shared_patterns(sparsify(pack.transversals, 2, cfg), 4, 2)
+        sets, ids = shared_patterns(sparsify(pack.words, 2, cfg)[0], 4, 2)
         assert len(set(sets)) == len(sets)
         for U, k in zip(pack.transversals, ids.tolist()):
             assert sets[k] == survived_set(U, 2, cfg).pattern
@@ -395,6 +454,36 @@ class TestMatching:
         cands = list(_matching_pool(*point))
         got = greedy_matching(cands, seed)
         assert got == _reference_greedy(cands, seed)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, fpc.packing._SELECT_BLOCK])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 1])
+    def test_blocks_equal_reference_greedy(self, monkeypatch, block, seed):
+        # At eta 0.5 about half the slots hold NOT_KEPT, and 2,197 shuffled
+        # words cross the block boundaries many times; a block keeps words
+        # that clash with each other, so the in-block resolution matters.
+        monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", block)
+        cands = list(_matching_pool(4, 2, 13, 0.5))
+        assert len(cands) > 8 * fpc.packing._SELECT_BLOCK
+        assert greedy_matching(cands, seed) == _reference_greedy(cands, seed)
+
+    @pytest.mark.parametrize("block", [3, fpc.packing._SELECT_BLOCK])
+    def test_select_over_sparsify_ids_equals_reference(self, monkeypatch, block):
+        # The route `construct` takes: ids straight from `sparsify`, rows
+        # through a subset of the packing.
+        monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", block)
+        pack = rs_packing(4, 2, 13)
+        cfg = SparsifierConfig(eta=0.5, seed=13)
+        _patterns, ids = sparsify(pack.words, 2, cfg)
+        rows = np.arange(0, len(pack), 3)
+        chosen = greedy_select(ids, rows, 9)
+        cands = [survived_set(pack.transversals[k], 2, cfg) for k in rows.tolist()]
+        expected = [c.transversal for c in _reference_greedy(cands, 9)]
+        assert [pack.transversals[k] for k in chosen] == expected
+
+    def test_empty_patterns_all_selected(self):
+        cands = [Candidate((k, 1, 2), frozenset()) for k in range(1, 40)]
+        assert greedy_matching(cands, 4) == _reference_greedy(cands, 4)
+        assert len(greedy_matching(cands, 4)) == 39
 
     def test_only_greedy_strategy(self):
         cands = _candidates_for(rs_packing(4, 2, 5), 0.2, 4)
@@ -531,3 +620,49 @@ class TestDiagnostics:
             packing, SparsifierConfig(eta=0.05, seed=3), F, element_cap=50
         )
         assert diag.dP_max == 5 and diag.dP_min == 5
+
+    @pytest.mark.parametrize("element_cap", [200_000, 40])
+    @pytest.mark.parametrize("eta", [0.3, 0.45])
+    def test_counts_equal_tuple_counters(self, element_cap, eta):
+        # Words over q = 3 repeat pairs of labeled subsets, so this is no
+        # packing and codegrees exceed 1. The reference counts labeled-subset
+        # tuples as `degree_diagnostics` did before it counted ids.
+        rng = random.Random(8)
+        words = sorted({tuple(rng.randint(1, 3) for _ in range(4)) for _ in range(50)})
+        packing = TransversalPacking(l=4, q=3, t=2, words=np.array(words))
+        cfg = SparsifierConfig(eta=eta, seed=4)
+        _, family = build_extremal_complement(2, 4)
+        diag = degree_diagnostics(packing, cfg, family, element_cap=element_cap)
+
+        def labeled(combo, syms):
+            return tuple((p + 1, s) for p, s in zip(combo, syms))
+
+        combos = list(itertools.combinations(range(4), 2))
+        if element_cap >= len(combos) * 3**2:
+            grid = list(itertools.product(range(1, 4), repeat=2))
+            elements = [labeled(combo, syms) for combo in combos for syms in grid]
+        else:
+            drng = random.Random(cfg.seed ^ 0x5EED5EED)
+            elements = [
+                labeled(drng.choice(combos), [drng.randint(1, 3) for _ in range(2)])
+                for _ in range(element_cap)
+            ]
+        cands = [survived_set(w, 2, cfg) for w in words]
+        dP = collections.Counter(a for w in words for a in _labeled(w, 2))
+        copies = [c for c in cands if c.pattern in pattern_images(family)]
+        dH = collections.Counter(a for c in copies for a in c.survived)
+        in_r = [a for a in elements if r_membership(a, cfg)]
+        codegree = collections.Counter(
+            pair for c in cands for pair in itertools.combinations(sorted(c.survived), 2)
+        )
+        degrees = [dP[a] for a in elements]
+        threshold = (1 - math.sqrt(max(0.0, 1 - len(words) / 3**3))) * 3
+        assert copies and in_r
+        assert (diag.dP_max, diag.dP_min) == (max(degrees), min(degrees))
+        assert diag.frac_high_degree == sum(d >= threshold for d in degrees) / len(degrees)
+        assert diag.dH_mean == sum(dH[a] for a in in_r) / len(in_r)
+        assert diag.max_codegree == max(codegree.values()) > 1
+
+
+def _labeled(w, k):
+    return itertools.combinations([(p + 1, s) for p, s in enumerate(w)], k)
