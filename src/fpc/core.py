@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -122,33 +122,48 @@ def desc_size(coalition: Sequence[Word]) -> int:
 # Witnesses are canonical: least (x0, sorted coalition) over all violations,
 # so results never depend on evaluation order.
 #
-# One route: each coalition's descendants grow one coordinate at a time from
-# the coalition's distinct symbols there, and a partial descendant is dropped
-# as soon as it is not a prefix of any codeword. The members' own prefixes
-# always survive and can never end in a violation, so they are neither stored
-# nor probed: only mixed paths, those that are no member's prefix, are grown.
-# A mixed path starts where a member's prefix is extended by a symbol that no
-# member on that prefix carries, and only from prefixes with at least two
-# children in the code (a one-child prefix continues only into its members).
-# Every mixed path that survives all l coordinates is a non-member codeword.
-# Symbols are replaced by their rank at their position before anything enters
-# numpy, so arbitrarily large symbols never meet a fixed-width integer.
+# One route, which never enumerates coalitions: states grow one position at a
+# time along the prefix trie of the code. A state is a codeword prefix plus the
+# members used so far (at most s). At the next position it grows
+#   - by each member's own symbol there, where the trie has that child;
+#   - while it has fewer than s members, by every trie child whose symbol no
+#     member carries, once per word with that symbol at that position; the
+#     word becomes the next member.
+# So only codeword prefixes ever become states. A full-length state whose word
+# is not a member is a violation, and its least coalition is its members plus
+# the smallest word indices outside them and the word. That is complete:
+# follow x0 through any coalition that frames it, adding, wherever the members
+# so far miss x0's symbol, a coalition member that carries it; the state grown
+# along x0 has a member set inside the coalition. So the least (word, least
+# coalition) over the grown violations is the canonical witness.
+#
+# States grow in passes, cut before they expand: a state's weight is s plus,
+# while it has a free slot, the number of words its node's children can add
+# (at most n), which bounds the states it grows. So a pass holds at most
+# `_STATE_CAP` of weight plus one state's fan-out. Each pass takes the deepest
+# level with a full pass of weight waiting, else the shallowest level, so a
+# level never holds more than about 2 * `_STATE_CAP` states plus one fan-out.
+# Once a violation is known, a state is dropped when every word below its
+# prefix sorts after the violation's word. Symbols are replaced by their rank
+# at their position before anything enters numpy, so arbitrarily large symbols
+# never meet a fixed-width integer.
 
-# Coalitions handled per numpy pass. Larger blocks cut per-pass overhead but
-# hold more mixed paths at once. Checking an 85-word (3,6,16) code, blocks of
-# 2,048 and 4,096 ran the check about 15% faster than 1,024 but raised the
-# 36 MB peak RSS of `fpc construct` by 0.4 and 1.5 MB over 1,024.
-_COALITION_BLOCK = 1024
+# Weight per pass. Checking a 667-word (2,4,31) code, 4,096 kept the
+# tracemalloc peak at 0.60 MB, under the 0.63 MB of the coalition-block route
+# it replaced; 8,192 ran about 20% faster but peaked at 1.2 MB and raised the
+# peak RSS of `fpc construct` by 0.4 MB, and 2,048 ran about 35% slower.
+_STATE_CAP = 4096
 
 
 def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact c-frameproof check.
 
-    Enumerates every coalition of s = min(c, n-1) codewords and grows its
-    mixed descendants (those that are no member's prefix) coordinate by
-    coordinate, keeping only those that are still prefixes of some codeword;
-    what survives all l coordinates is a codeword outside the coalition. The
-    witness is the least (word, coalition) over all violations. Raises
+    Grows (codeword prefix, partial coalition) states position by position:
+    a state follows its members' symbols where they continue a codeword
+    prefix and, while it has fewer than s = min(c, n-1) members, takes as
+    the next member any word carrying a prefix's next symbol that no member
+    carries. A full-length state whose word is not a member is a violation.
+    The witness is the least (word, coalition) over all violations. Raises
     BudgetExceededError rather than sampling when the instance exceeds
     `budget` comparisons.
     """
@@ -159,80 +174,65 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n <= 1:
         return Verdict(True)
     s = min(c, n - 1)
-    # Level k keeps at most min(s^k, distinct length-k prefixes) <= min(s^l, n)
-    # mixed paths per coalition, so the work is bounded by about this. It is an
-    # upper bound: the members' own prefixes are never kept, and most levels
-    # hold far fewer. n - s in place of n keeps the refusal thresholds where
-    # they have always been.
+    # A member set of size m has at most min(m^k, n) descendant prefixes of
+    # length k, so over the l positions (prefix, member set) pairs number
+    # about this at most; n - s in place of n keeps the refusal thresholds
+    # where they have always been. The route's states are bounded by s! times
+    # the pairs, because a member set can be reached in each order its
+    # members are added in. A repeat needs two members that carry the same
+    # symbol where one of them is added: the seed-4099 (2,4,31) and (3,6,16)
+    # codes grew 2 repeats among about 350k states.
     estimate = math.comb(n, s) * code.l * min(n - s, s**code.l)
     if estimate > budget:
         raise BudgetExceededError(
             f"frameproof check needs ~{estimate:.2e} comparisons, "
             f"budget is {budget:.2e}"
         )
-    index = _prefix_index(words)
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for block in _coalition_blocks(n, s):
-        hit = _least_framed(block, *index)
-        if hit is not None and (best is None or hit < best):
-            best = hit
+    best = _least_violation(_prefix_levels(words), n, s)
     if best is None:
         return Verdict(True)
     j, coal = best
     return Verdict(False, Witness(words[j], tuple(words[i] for i in coal)))
 
 
-def _coalition_blocks(n: int, s: int) -> Iterator[np.ndarray]:
-    """Every s-subset of range(n) as an increasing row, in lexicographic
-    order, `_COALITION_BLOCK` rows at a time (the last block may be short).
+@dataclass(frozen=True)
+class _Level:
+    """The trie level one position adds, with its parents' children.
 
-    The (s-1)-subsets, the heads, are drawn lazily; each head is followed by
-    every last index above its own, and numpy expands a batch of heads into
-    their rows at once.
+    A child's key is parent id * (n+1) + the rank of its symbol; ids are
+    positions in the sorted keys, so the last level's ids are word indices.
     """
-    heads = itertools.combinations(range(n), s - 1)
-    per_batch = max(1, 8 * _COALITION_BLOCK // n)  # at most 8 blocks of rows
-    pending = np.zeros((0, s), dtype=np.int64)
-    while batch := list(itertools.islice(heads, per_batch)):
-        batch = np.array(batch, dtype=np.int64).reshape(len(batch), s - 1)
-        lowest = batch[:, -1] + 1 if s > 1 else np.zeros(len(batch), dtype=np.int64)
-        count = n - lowest
-        last = np.arange(count.sum()) + np.repeat(lowest - (np.cumsum(count) - count), count)
-        rows = np.column_stack((np.repeat(batch, count, axis=0), last))
-        pending = np.concatenate((pending, rows))
-        while len(pending) >= _COALITION_BLOCK:
-            yield pending[:_COALITION_BLOCK]
-            pending = pending[_COALITION_BLOCK:]
-    if len(pending):
-        yield pending
+
+    keys: np.ndarray  # sorted child keys
+    child_lo: np.ndarray  # children of parent v are keys[child_lo[v]:child_lo[v+1]]
+    fan: np.ndarray  # per parent: words its children's symbols can add
+    by_rank: np.ndarray  # word indices grouped by their rank here
+    rank_lo: np.ndarray  # rank r's group is by_rank[rank_lo[r]:rank_lo[r+1]]
+    first_word: np.ndarray  # per child: least word index below it
+    ranks: np.ndarray  # per word its rank here, then -1 for an empty slot
 
 
-def _prefix_index(
-    words: tuple[Word, ...],
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """Rank matrix, the sorted prefix keys of every level, each word's
-    prefix ids, and which prefixes branch.
-
-    The level-k key of a prefix is node * (n+1) + rank, where node is the id
-    of its length-k prefix (0 for the empty prefix); ids are positions in the
-    previous level's sorted keys, so they stay below n and the last level's
-    ids are word indices. nodes[j, k] is the id of words[j]'s length-(k+1)
-    prefix, and branches[k][id] says that prefix has at least two children.
-    """
+def _prefix_levels(words: tuple[Word, ...]) -> list[_Level]:
+    """One `_Level` per position of the (sorted, distinct) words."""
     n = len(words)
-    ranks = _column_ranks(words)
-    level_keys = []
-    nodes = np.empty_like(ranks)
+    levels = []
     node = np.zeros(n, dtype=np.int64)
-    for k in range(ranks.shape[1]):
-        keys, node = np.unique(node * (n + 1) + ranks[:, k], return_inverse=True)
-        level_keys.append(keys)
-        nodes[:, k] = node
-    branches = [
-        np.bincount(keys // (n + 1), minlength=len(parents)) >= 2
-        for parents, keys in zip(level_keys, level_keys[1:])
-    ]
-    return ranks, level_keys, nodes, branches
+    for col in _column_ranks(words).T:
+        keys, first_word, node = np.unique(
+            node * (n + 1) + col, return_index=True, return_inverse=True
+        )
+        parents = 1 if not levels else len(levels[-1].keys)
+        child_lo = np.searchsorted(keys, np.arange(parents + 1) * (n + 1))
+        rank_lo = np.concatenate(([0], np.cumsum(np.bincount(col))))
+        group = np.diff(rank_lo)[keys % (n + 1)]
+        fan = np.add.reduceat(group, child_lo[:-1])  # every parent has a child
+        levels.append(
+            _Level(
+                keys, child_lo, fan, np.argsort(col, kind="stable"), rank_lo,
+                first_word, np.append(col, -1),
+            )
+        )
+    return levels
 
 
 def _column_ranks(words: tuple[Word, ...]) -> np.ndarray:
@@ -244,53 +244,114 @@ def _column_ranks(words: tuple[Word, ...]) -> np.ndarray:
     return np.array(rank_rows, dtype=np.int64).T
 
 
-def _least_framed(
-    block: np.ndarray,
-    ranks: np.ndarray,
-    level_keys: list[np.ndarray],
-    nodes: np.ndarray,
-    branches: list[np.ndarray],
+def _least_violation(
+    levels: list[_Level], n: int, s: int
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Least (word index, coalition indices) framed by a row of `block`."""
-    n = len(ranks)
-    s = block.shape[1]
-    # Ordered pairs (m, m2) of distinct members: m's prefix, m2's symbol.
-    m, m2 = np.nonzero(~np.eye(s, dtype=bool))
-    coal = np.zeros(0, dtype=np.int64)  # row of each mixed path
-    node = np.zeros(0, dtype=np.int64)  # its prefix id
-    for k in range(1, len(level_keys)):
-        syms = ranks[block, k]
-        fresh = np.ones(syms.shape, dtype=bool)  # first member with its symbol
-        for j in range(1, s):
-            fresh[:, j] = (syms[:, :j] != syms[:, j : j + 1]).all(axis=1)
-        # Mixed paths grow by each distinct coalition symbol.
-        grow = fresh[coal]
-        probe = (node[:, None] * (n + 1) + syms[coal])[grow]
-        rows = np.broadcast_to(coal[:, None], grow.shape)[grow]
-        # New mixed paths: member m's prefix, once per distinct prefix and only
-        # where it branches, extended by member m2's symbol unless that gives
-        # some member's own prefix.
-        if branches[k - 1].any():
-            pref = nodes[block, k - 1]
-            head = pref * (n + 1)
-            first = branches[k - 1][pref]
-            for j in range(1, s):
-                first[:, j] &= (pref[:, :j] != pref[:, j : j + 1]).all(axis=1)
-            key = head[:, m] + syms[:, m2]
-            seed = first[:, m] & fresh[:, m2]
-            for j in range(s):
-                seed &= key != (head[:, j] + syms[:, j])[:, None]
-            row, pair = np.nonzero(seed)
-            probe = np.concatenate((probe, key[row, pair]))
-            rows = np.concatenate((rows, row))
-        keys = level_keys[k]
-        pos = np.searchsorted(keys, probe)
-        found = keys[np.minimum(pos, len(keys) - 1)] == probe
-        coal, node = rows[found], pos[found]
-    if not len(node):
-        return None
-    least = np.lexsort((coal, node))[0]
-    return int(node[least]), tuple(int(i) for i in block[coal[least]])
+    """Least (word index, coalition indices) over all violations, or None.
+
+    A state is a node id of its level and a row of s member indices in the
+    order they were added, n marking a free slot.
+    """
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    # Per level, the states waiting to grow there and their total weight.
+    root = (np.zeros(1, dtype=np.int64), np.full((1, s), n, dtype=np.int64), n + s)
+    waiting = {0: root}
+    while waiting:
+        # Grow the deepest level that has a full batch waiting, else the
+        # shallowest: passes over a few states each would cost numpy's
+        # per-call overhead many times over.
+        full = [k for k, (_, _, total) in waiting.items() if total >= _STATE_CAP]
+        k = max(full) if full else min(waiting)
+        node, members, _ = waiting.pop(k)
+        if best is not None and k:
+            keep = levels[k - 1].first_word[node] <= best[0]
+            node, members = node[keep], members[keep]
+            if not len(node):
+                continue
+        weight = np.cumsum(_weight(levels[k], node, members, n))
+        cut = max(1, int(np.searchsorted(weight, _STATE_CAP, side="right")))
+        if cut < len(node):
+            waiting[k] = (node[cut:], members[cut:], int(weight[-1] - weight[cut - 1]))
+        node, members = _grow(levels[k], node[:cut], members[:cut], n)
+        if k + 1 < len(levels):
+            total = int(_weight(levels[k + 1], node, members, n).sum())
+            if k + 1 in waiting:
+                held_node, held_members, held = waiting[k + 1]
+                node = np.concatenate((held_node, node))
+                members = np.concatenate((held_members, members))
+                total += held
+            waiting[k + 1] = (node, members, total)
+            continue
+        framed = (members != node[:, None]).all(axis=1)
+        if framed.any():
+            hit = _least_coalition(node[framed], members[framed], n, s)
+            if best is None or hit < best:
+                best = hit
+    return best
+
+
+def _weight(level: _Level, node: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """Per state, a bound on the states it grows: its s members' symbols,
+    plus, while it has a free slot, the words its node's children can add."""
+    return members.shape[1] + level.fan[node] * (members[:, -1] == n)
+
+
+def _grow(
+    level: _Level, node: np.ndarray, members: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states one more position grows from a batch."""
+    s = members.shape[1]
+    syms = level.ranks[members]
+    # By a member's own symbol, once per distinct symbol, where the child exists.
+    fresh = syms >= 0
+    for j in range(1, s):
+        fresh[:, j] &= (syms[:, :j] != syms[:, j : j + 1]).all(axis=1)
+    probe = np.where(fresh, node[:, None] * (n + 1) + syms, -1).ravel()
+    pos = np.searchsorted(level.keys, probe)
+    found = np.flatnonzero(level.keys[np.minimum(pos, len(level.keys) - 1)] == probe)
+    follow_node, follow_members = pos[found], members[found // s]
+    # By every child whose symbol no member carries, taking each word with
+    # that symbol as the next member.
+    state = np.flatnonzero(members[:, -1] == n)
+    lo = level.child_lo[node[state]]
+    count = level.child_lo[node[state] + 1] - lo
+    child, state = _ranges(lo, count), np.repeat(state, count)
+    rank = level.keys[child] % (n + 1)
+    unclaimed = (syms[state] != rank[:, None]).all(axis=1)
+    state, child, rank = state[unclaimed], child[unclaimed], rank[unclaimed]
+    size = level.rank_lo[rank + 1] - level.rank_lo[rank]
+    word = level.by_rank[_ranges(level.rank_lo[rank], size)]
+    added = members[np.repeat(state, size)]
+    slot = np.repeat((syms[state] >= 0).sum(axis=1), size)
+    added.reshape(-1)[np.arange(len(word)) * s + slot] = word
+    return (
+        np.concatenate((follow_node, np.repeat(child, size))),
+        np.concatenate((follow_members, added)),
+    )
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], start[i]+1, ..., start[i]+count[i]-1 for each i, concatenated."""
+    offset = np.repeat(start - (np.cumsum(count) - count), count)
+    return np.arange(len(offset)) + offset
+
+
+def _least_coalition(
+    word: np.ndarray, members: np.ndarray, n: int, s: int
+) -> tuple[int, tuple[int, ...]]:
+    """Least (word, coalition) where each row's members are filled up to s
+    with the smallest indices that are neither a member nor the word."""
+    least = word == word.min()
+    word, members = word[least], members[least]
+    # At most s+1 indices are taken, so range(s+1) has enough free ones.
+    spare = np.arange(s + 1)
+    taken = np.column_stack((members, word))
+    free = (spare[None, :, None] != taken[:, None, :]).all(axis=2)
+    need = (members == n).sum(axis=1)
+    fill = np.where(free & (np.cumsum(free, axis=1) <= need[:, None]), spare, n)
+    coal = np.sort(np.column_stack((members, fill)), axis=1)[:, :s]
+    first = np.lexsort(coal.T[::-1])[0]
+    return int(word[0]), tuple(int(i) for i in coal[first])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 import itertools
-import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpc import core
 from fpc.core import (
     BudgetExceededError,
     Code,
-    _COALITION_BLOCK,
-    _coalition_blocks,
     Witness,
     desc_contains,
     desc_size,
@@ -22,6 +20,18 @@ from fpc.core import (
 )
 
 BAD_CODE = Code(3, 2, [(1, 1), (2, 2), (1, 2)])
+
+# Pass caps of the frameproof state growth: one state per pass, a few, and
+# the default. The least witness must not depend on where passes are cut.
+STATE_CAPS = (1, 7, core._STATE_CAP)
+
+
+def each_state_cap(monkeypatch):
+    """Yield each of STATE_CAPS with the frameproof pass cap set to it."""
+    for cap in STATE_CAPS:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_STATE_CAP", cap)
+            yield cap
 
 
 def naive_frameproof(code: Code, c: int):
@@ -154,26 +164,20 @@ class TestFrameproof:
         with pytest.raises(BudgetExceededError):
             is_cover_free(code, 2, budget=10)
 
-    def test_matches_naive_oracle(self):
-        rng = random.Random(555)
-        violations = 0
-        for _ in range(150):
-            code = random_code(rng)
-            for c in (2, 3, 4):
-                expected = naive_frameproof(code, c)
-                verdict = is_frameproof(code, c)
-                assert verdict.ok == (expected is None)
-                if expected is not None:
-                    violations += 1
-                    assert verdict.witness == Witness(*expected)
-        assert violations > 0
-
-    @pytest.mark.parametrize("n,s", [(2, 1), (50, 2), (600, 2), (30, 3), (13, 4)])
-    def test_coalition_blocks_are_lexicographic_and_full(self, n, s):
-        blocks = list(_coalition_blocks(n, s))
-        rows = [tuple(int(i) for i in row) for block in blocks for row in block]
-        assert rows == list(itertools.combinations(range(n), s))
-        assert all(len(block) == _COALITION_BLOCK for block in blocks[:-1])
+    def test_matches_naive_oracle(self, monkeypatch):
+        for _ in each_state_cap(monkeypatch):
+            rng = random.Random(555)
+            violations = 0
+            for _ in range(150):
+                code = random_code(rng)
+                for c in (2, 3, 4):
+                    expected = naive_frameproof(code, c)
+                    verdict = is_frameproof(code, c)
+                    assert verdict.ok == (expected is None)
+                    if expected is not None:
+                        violations += 1
+                        assert verdict.witness == Witness(*expected)
+            assert violations > 0
 
     @pytest.mark.parametrize(
         "extra,least",
@@ -182,21 +186,55 @@ class TestFrameproof:
             ((3, 50, 60), ((2, 1, 2), ((1, 1, 1), (2, 2, 2)))),
         ],
     )
-    def test_least_witness_across_coalition_blocks(self, extra, least):
-        # 50 words give C(50, 2) = 1225 coalitions, more than one block.
-        # (a, b) frames z in the first block; (y1, y2) frames `extra` only in
-        # the last block, and `extra` is the least framed word in one case
-        # and not in the other. Every other word has a symbol no other word
-        # carries at its position, so it cannot be framed.
+    def test_least_witness_across_coalition_blocks(self, extra, least, monkeypatch):
+        # (a, b) frames z and (y1, y2) frames `extra`, and `extra` is the
+        # least framed word in one case and not in the other. At cap 1 every
+        # pass of the state growth holds one state, so the two violations
+        # come out of different passes.
+        # Every other word has a symbol no other word carries at its
+        # position, so it cannot be framed.
         a, b, z = (1, 1, 1), (2, 2, 2), (2, 1, 2)
         y1, y2 = (1, 500, 60), (3, 50, 70)
         fillers = [(1, 100 + k, 200 + k) for k in range(44)]
         code = Code(600, 3, [a, b, z, y1, y2, extra, *fillers])
-        assert math.comb(len(code), 2) > _COALITION_BLOCK
-        ranks = {coal: r for r, coal in enumerate(itertools.combinations(code.words, 2))}
-        assert ranks[(a, b)] < _COALITION_BLOCK <= ranks[(y1, y2)]
         assert naive_frameproof(code, 2) == least
-        assert is_frameproof(code, 2).witness == Witness(*least)
+        for _ in each_state_cap(monkeypatch):
+            assert is_frameproof(code, 2).witness == Witness(*least)
+
+    @pytest.mark.parametrize("cap", [1, 7])
+    def test_fan_out_beyond_the_cap(self, cap, monkeypatch):
+        # After the prefix (2, 2) a one-member state can take any of the 200
+        # words (1, 1, 1, k) or (2, 2, 1, 1) carrying 1 at the third
+        # position, or any other word (2, 2, k, 1). That fan-out alone
+        # exceeds the cap, so such a state is grown alone.
+        words = [(1, 1, 1, k) for k in range(1, 200)]
+        words += [(2, 2, k, 1) for k in range(1, 100)]
+        code = Code(199, 4, words)
+        monkeypatch.setattr(core, "_STATE_CAP", cap)
+        passes = []
+        grow = core._grow
+
+        def recorded(level, node, members, n):
+            heaviest = int(core._weight(level, node, members, n).max())
+            below_root = len(level.child_lo) > 2  # the first level has one parent
+            passes.append((len(node), heaviest, below_root))
+            return grow(level, node, members, n)
+
+        monkeypatch.setattr(core, "_grow", recorded)
+        verdict = is_frameproof(code, 2)
+        assert not verdict.ok
+        assert verdict == is_cover_free(code, 2)
+        assert any(heavy > cap and below for _, heavy, below in passes)
+        assert all(size == 1 for size, heavy, _ in passes if heavy > cap)
+
+    @pytest.mark.parametrize("q,l", [(2, 6), (3, 4)])
+    def test_complete_codes_match_cover_free(self, q, l):
+        # Every prefix continues into a codeword, so the states outnumber the
+        # C(n, 3) coalitions unless growth stops below the least framed word.
+        code = Code(q, l, list(itertools.product(range(1, q + 1), repeat=l)))
+        verdict = is_frameproof(code, 3)
+        assert not verdict.ok
+        assert verdict == is_cover_free(code, 3)
 
 
 def _assert_planted(code: Code, c: int, word, coalition):
@@ -226,16 +264,15 @@ class TestFrameproofSeeding:
         x = b[:3] + (1,)
         _assert_planted(Code(2, 4, [a, b, x]), 2, x, (a, b))
 
-    def test_shared_prefix_beyond_the_first_block(self):
-        # 24 words give C(24, 3) = 2024 coalitions, and (a, b, c) sorts last.
+    def test_shared_prefix_beyond_the_first_block(self, monkeypatch):
+        # 24 words; (a, b, c) share their first two symbols and sort last.
         # Each filler has a symbol no other word carries, so only x is framed.
         fillers = [(1, 10 + k, 40 + k, 70 + k, 100 + k, 130 + k) for k in range(20)]
         a, b, c = (5,) * 6, (5, 5, 6, 6, 6, 6), (7,) * 6
         x = (5, 5, 7, 6, 5, 7)
         code = Code(200, 6, [*fillers, a, b, c, x])
-        ranks = {coal: r for r, coal in enumerate(itertools.combinations(code.words, 3))}
-        assert ranks[(a, b, c)] >= _COALITION_BLOCK
-        _assert_planted(code, 3, x, (a, b, c))
+        for _ in each_state_cap(monkeypatch):
+            _assert_planted(code, 3, x, (a, b, c))
 
 
 class TestCoverFree:
