@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpc import core
+from fpc.construct import ConstructionConfig, construct
 from fpc.core import (
     BudgetExceededError,
     Code,
@@ -20,18 +21,6 @@ from fpc.core import (
 )
 
 BAD_CODE = Code(3, 2, [(1, 1), (2, 2), (1, 2)])
-
-# Pass caps of the frameproof state growth: one state per pass, a few, and
-# the default. The least witness must not depend on where passes are cut.
-STATE_CAPS = (1, 7, core._STATE_CAP)
-
-
-def each_state_cap(monkeypatch):
-    """Yield each of STATE_CAPS with the frameproof pass cap set to it."""
-    for cap in STATE_CAPS:
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "_STATE_CAP", cap)
-            yield cap
 
 
 def naive_frameproof(code: Code, c: int):
@@ -164,20 +153,41 @@ class TestFrameproof:
         with pytest.raises(BudgetExceededError):
             is_cover_free(code, 2, budget=10)
 
-    def test_matches_naive_oracle(self, monkeypatch):
-        for _ in each_state_cap(monkeypatch):
-            rng = random.Random(555)
-            violations = 0
-            for _ in range(150):
-                code = random_code(rng)
-                for c in (2, 3, 4):
-                    expected = naive_frameproof(code, c)
-                    verdict = is_frameproof(code, c)
-                    assert verdict.ok == (expected is None)
-                    if expected is not None:
-                        violations += 1
-                        assert verdict.witness == Witness(*expected)
-            assert violations > 0
+    def test_budget_counts_groups_not_coalitions(self):
+        # The seed-7 (3,6,16) build has 85 words, so C(85, 3) * 6 * 82
+        # coalition comparisons would be about 4.9e7; its (position, symbol)
+        # groups bound the search far below that.
+        code, _report = construct(ConstructionConfig(c=3, l=6, q=16, seed=7, verify=False))
+        assert len(code) == 85
+        assert is_frameproof(code, 3, budget=10**6).ok
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(555)
+        violations = 0
+        for _ in range(150):
+            code = random_code(rng)
+            for c in (2, 3, 4):
+                expected = naive_frameproof(code, c)
+                verdict = is_frameproof(code, c)
+                assert verdict.ok == (expected is None)
+                if expected is not None:
+                    violations += 1
+                    assert verdict.witness == Witness(*expected)
+        assert violations > 0
+
+    def test_matches_cover_free_at_larger_n(self):
+        # Up to 25 words, so searches branch over groups of several words and
+        # end in the labeled-subset lookup, which the naive-oracle sizes
+        # rarely reach.
+        rng = random.Random(2025)
+        violations = 0
+        for _ in range(300):
+            code = random_code(rng, max_q=5, max_l=5, max_words=25)
+            c = rng.randint(2, 4)
+            verdict = is_frameproof(code, c)
+            assert verdict == is_cover_free(code, c)
+            violations += not verdict.ok
+        assert 0 < violations < 300
 
     @pytest.mark.parametrize(
         "extra,least",
@@ -186,11 +196,9 @@ class TestFrameproof:
             ((3, 50, 60), ((2, 1, 2), ((1, 1, 1), (2, 2, 2)))),
         ],
     )
-    def test_least_witness_across_coalition_blocks(self, extra, least, monkeypatch):
+    def test_least_witness_across_coalition_blocks(self, extra, least):
         # (a, b) frames z and (y1, y2) frames `extra`, and `extra` is the
-        # least framed word in one case and not in the other. At cap 1 every
-        # pass of the state growth holds one state, so the two violations
-        # come out of different passes.
+        # least framed word in one case and not in the other.
         # Every other word has a symbol no other word carries at its
         # position, so it cannot be framed.
         a, b, z = (1, 1, 1), (2, 2, 2), (2, 1, 2)
@@ -198,39 +206,21 @@ class TestFrameproof:
         fillers = [(1, 100 + k, 200 + k) for k in range(44)]
         code = Code(600, 3, [a, b, z, y1, y2, extra, *fillers])
         assert naive_frameproof(code, 2) == least
-        for _ in each_state_cap(monkeypatch):
-            assert is_frameproof(code, 2).witness == Witness(*least)
+        assert is_frameproof(code, 2).witness == Witness(*least)
 
-    @pytest.mark.parametrize("cap", [1, 7])
-    def test_fan_out_beyond_the_cap(self, cap, monkeypatch):
-        # After the prefix (2, 2) a one-member state can take any of the 200
-        # words (1, 1, 1, k) or (2, 2, 1, 1) carrying 1 at the third
-        # position, or any other word (2, 2, k, 1). That fan-out alone
-        # exceeds the cap, so such a state is grown alone.
+    def test_large_groups_match_cover_free(self):
+        # 200 words carry 1 at the third position and 100 carry (2, 2) in
+        # front, so searches meet groups of a hundred words and more.
         words = [(1, 1, 1, k) for k in range(1, 200)]
         words += [(2, 2, k, 1) for k in range(1, 100)]
         code = Code(199, 4, words)
-        monkeypatch.setattr(core, "_STATE_CAP", cap)
-        passes = []
-        grow = core._grow
-
-        def recorded(level, node, members, n):
-            heaviest = int(core._weight(level, node, members, n).max())
-            below_root = len(level.child_lo) > 2  # the first level has one parent
-            passes.append((len(node), heaviest, below_root))
-            return grow(level, node, members, n)
-
-        monkeypatch.setattr(core, "_grow", recorded)
         verdict = is_frameproof(code, 2)
         assert not verdict.ok
         assert verdict == is_cover_free(code, 2)
-        assert any(heavy > cap and below for _, heavy, below in passes)
-        assert all(size == 1 for size, heavy, _ in passes if heavy > cap)
 
     @pytest.mark.parametrize("q,l", [(2, 6), (3, 4)])
     def test_complete_codes_match_cover_free(self, q, l):
-        # Every prefix continues into a codeword, so the states outnumber the
-        # C(n, 3) coalitions unless growth stops below the least framed word.
+        # Every word is framed, and every group holds a 1/q share of the code.
         code = Code(q, l, list(itertools.product(range(1, q + 1), repeat=l)))
         verdict = is_frameproof(code, 3)
         assert not verdict.ok
@@ -245,8 +235,8 @@ def _assert_planted(code: Code, c: int, word, coalition):
 
 
 class TestFrameproofSeeding:
-    # Each planted word's path first leaves the coalition members' own
-    # prefixes where the frameproof route seeds a mixed path.
+    # Planted words whose coalition members share prefixes with each other
+    # and with the planted word.
 
     @pytest.mark.parametrize("p", range(1, 6))
     def test_members_share_a_prefix(self, p):
@@ -264,15 +254,27 @@ class TestFrameproofSeeding:
         x = b[:3] + (1,)
         _assert_planted(Code(2, 4, [a, b, x]), 2, x, (a, b))
 
-    def test_shared_prefix_beyond_the_first_block(self, monkeypatch):
+    def test_shared_prefix_beyond_the_first_block(self):
         # 24 words; (a, b, c) share their first two symbols and sort last.
         # Each filler has a symbol no other word carries, so only x is framed.
         fillers = [(1, 10 + k, 40 + k, 70 + k, 100 + k, 130 + k) for k in range(20)]
         a, b, c = (5,) * 6, (5, 5, 6, 6, 6, 6), (7,) * 6
         x = (5, 5, 7, 6, 5, 7)
         code = Code(200, 6, [*fillers, a, b, c, x])
-        for _ in each_state_cap(monkeypatch):
-            _assert_planted(code, 3, x, (a, b, c))
+        _assert_planted(code, 3, x, (a, b, c))
+
+    def test_coalition_after_many_fillers(self):
+        # 400 fillers sort first and share a symbol at position 1, so C(403, 3)
+        # coalitions come before the planted one; only its three members
+        # carry x's symbols, each at one position.
+        fillers = [(1, 10 + k, 2000 + k) for k in range(400)]
+        members = ((900, 1, 1), (901, 2, 2), (902, 3, 3))
+        x = (900, 2, 3)
+        code = Code(3000, 3, [*fillers, *members, x])
+        for check in (is_frameproof, is_cover_free):
+            start = time.perf_counter()
+            assert check(code, 3).witness == Witness(x, members)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestCoverFree:
