@@ -1,4 +1,8 @@
-"""Frameproof-code toolkit: construction, exact verification, and bounds."""
+"""Frameproof-code toolkit: construction, exact verification, and bounds.
+
+The package re-exports the numpy-free checkers and bounds; the construction
+pipeline is imported from `fpc.construct` and `fpc.packing`.
+"""
 
 from .core import (
     BudgetExceededError,
@@ -28,59 +32,21 @@ from .extremal import (
     matching_number,
     rate_limit,
 )
-from .packing import (
-    Candidate,
-    DegreeDiagnostics,
-    SparsifierConfig,
-    TransversalPacking,
-    accept_candidate,
-    degree_diagnostics,
-    greedy_matching,
-    greedy_packing,
-    r_membership,
-    rs_packing,
-    survived_set,
-    validate_induced,
-    validate_packing,
-)
-from .construct import (
-    ConstructionConfig,
-    ConstructionError,
-    ConstructionReport,
-    build_extremal_complement,
-    construct,
-    own_subsequence_audit,
-    search_max,
-    trivial_code,
-)
 
 __all__ = [
     "BoundsReport",
     "BudgetExceededError",
-    "Candidate",
     "Code",
-    "ConstructionConfig",
-    "ConstructionError",
-    "ConstructionReport",
-    "DegreeDiagnostics",
     "EmcValue",
     "PositionFamily",
-    "SparsifierConfig",
-    "TransversalPacking",
     "Verdict",
     "Witness",
-    "accept_candidate",
     "blackburn_upper",
     "bounds_report",
-    "build_extremal_complement",
-    "construct",
-    "degree_diagnostics",
     "desc_contains",
     "desc_size",
     "emc_families",
     "emc_value",
-    "greedy_matching",
-    "greedy_packing",
     "improved_threshold",
     "improved_upper",
     "is_cover_free",
@@ -89,15 +55,7 @@ __all__ = [
     "m_exact",
     "matching_number",
     "own_profile",
-    "own_subsequence_audit",
     "pi",
     "pi_inverse",
-    "r_membership",
     "rate_limit",
-    "rs_packing",
-    "search_max",
-    "survived_set",
-    "trivial_code",
-    "validate_induced",
-    "validate_packing",
 ]

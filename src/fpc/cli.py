@@ -1,6 +1,8 @@
 """Command-line surface.
 
 Subcommands: bounds, oracle, construct, verify, audit, sweep, diagnose.
+Only the commands that build a packing import the numpy pipeline, so --help,
+bounds, oracle and verify start without numpy.
 Exit codes: 0 success, 1 bad input or internal refusal, 2 a checked property
 failed (verify found a witness, audit found a violation). All randomness
 flows from --seed; a missing seed is generated and printed so any run can be
@@ -19,14 +21,7 @@ import time
 from typing import Optional, Sequence
 
 from . import fileio
-from .construct import (
-    ConstructionConfig,
-    ConstructionError,
-    construct,
-    own_subsequence_audit,
-    build_extremal_complement,
-)
-from .core import BudgetExceededError, DEFAULT_BUDGET, is_frameproof
+from .core import BudgetExceededError, ConstructionError, DEFAULT_BUDGET, is_frameproof
 from .extremal import (
     EXHAUSTIVE_CAP,
     ExhaustiveCapError,
@@ -34,13 +29,6 @@ from .extremal import (
     emc_value,
     lambda_of,
     m_exact,
-)
-from .packing import (
-    SparsifierConfig,
-    check_image_cap,
-    degree_diagnostics,
-    greedy_packing,
-    rs_packing,
 )
 
 
@@ -140,8 +128,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
 
 
-def _config(args, **given) -> ConstructionConfig:
+def _config(args, **given):
     """The config the flags name; `given` fields override or fill in theirs."""
+    from .construct import ConstructionConfig
+
     flags = {f.name for f in dataclasses.fields(ConstructionConfig)} - given.keys()
     return ConstructionConfig(**{name: getattr(args, name) for name in flags}, **given)
 
@@ -199,6 +189,8 @@ def _check_out_dir(path: str) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .construct import construct
+
     _check_out_dir(args.out)
     seed, generated = _resolve_seed(args.seed)
     cfg = _config(args, seed=seed)
@@ -235,6 +227,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .construct import own_subsequence_audit
+
     code = fileio.read_code_file(args.path)
     result = own_subsequence_audit(code, args.c)
     print(
@@ -256,6 +250,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .construct import construct
+
     _check_out_dir(args.out)
     qs = _parse_list(args.q_list, "--q-list", int)
     etas = _parse_list(args.eta_list, "--eta-list", float)
@@ -293,6 +289,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .construct import build_extremal_complement
+    from .packing import (
+        SparsifierConfig,
+        check_image_cap,
+        degree_diagnostics,
+        greedy_packing,
+        rs_packing,
+    )
+
     check_image_cap(args.l)  # before the packing, which can be huge at large l
     seed, generated = _resolve_seed(args.seed)
     t, _lam = lambda_of(args.c, args.l)

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     BudgetExceededError,
     Code,
+    ConstructionError,
     DEFAULT_BUDGET,
     Verdict,
     Witness,
@@ -59,10 +60,6 @@ from .packing import (
     sparsify,
     validate_induced,
 )
-
-
-class ConstructionError(Exception):
-    """A pipeline invariant failed; carries the diagnosis."""
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Words are tuples of 1-based symbols from {1..q}. A code is a set of distinct
 words of a common length. The two checkers, `is_frameproof` and
 `is_cover_free`, decide the same property through deliberately different
 routes (a search over words grouped by (position, symbol) vs. closure over
-unions of agreement bit masks) so they can cross-validate each other; both
-are exact and refuse oversized instances instead of sampling.
+unions of the agreement bit masks of each victim's neighbours, the words
+sharing a (position, symbol) with it) so they can cross-validate each other;
+both are exact and refuse oversized instances instead of sampling. The module
+is pure Python, so checking a code never loads numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 Word = tuple[int, ...]
 Edge = frozenset[tuple[int, int]]  # {(position, symbol)}, positions 1-based
 
@@ -25,6 +25,10 @@ DEFAULT_BUDGET = 10**10
 
 class BudgetExceededError(Exception):
     """The exact enumeration would exceed the comparison budget."""
+
+
+class ConstructionError(Exception):
+    """A pipeline invariant failed; carries the diagnosis."""
 
 
 def validate_word(word: Sequence[int], l: int, q: int) -> Word:
@@ -254,8 +258,10 @@ def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     Independent of `is_frameproof`: for each candidate victim edge it asks
     whether the agreement sets of s other edges can union to all positions,
-    by breadth-first closure over the distinct agreement masks. Witnesses use
-    the same canonical (word, coalition) order as the frameproof checker.
+    by breadth-first closure over the distinct agreement masks. Only the
+    victim's neighbours, the edges sharing a vertex with it, get a mask; every
+    other edge agrees nowhere and has mask 0. Witnesses use the same canonical
+    (word, coalition) order as the frameproof checker.
     """
     if c < 2:
         raise ValueError("c must be at least 2")
@@ -265,56 +271,54 @@ def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(True)
     l = code.l
     s = min(c, n - 1)
-    estimate = n * n * l + n * (4**l) * s
+    vertex_edges: dict[tuple[int, int], list[int]] = {}
+    for j, w in enumerate(words):
+        for k, sym in enumerate(w):
+            vertex_edges.setdefault((k, sym), []).append(j)
+    # Each victim visits every edge through each of its vertices, Σ|G|² visits
+    # in all; its closure unions at most 2^l reached masks with 2^l values s
+    # times.
+    estimate = sum(len(g) ** 2 for g in vertex_edges.values()) + n * (4**l) * s
     if estimate > budget:
         raise BudgetExceededError(
             f"cover-free check needs ~{estimate:.2e} comparisons, budget is {budget:.2e}"
         )
     full = (1 << l) - 1
-    ranks = _column_ranks(words)
-    # Bit p of a word's mask says it agrees with the victim at position p+1;
-    # only the victim itself agrees everywhere.
-    bits = np.array([1 << p for p in range(l)], dtype=np.int64 if l < 64 else object)
-    for i0 in range(n):
-        masks = (ranks == ranks[i0]) @ bits
-        ordered = np.sort(masks)
-        distinct = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-        values = set(distinct.tolist()) - {0, full}
-        if not _unions_reach(values, full, s):
+    for i0, w in enumerate(words):
+        # Bit k of a neighbour's mask says it agrees with the victim at
+        # position k+1; only the victim itself agrees everywhere.
+        masks: dict[int, int] = {}
+        get = masks.get
+        for k, sym in enumerate(w):
+            bit = 1 << k
+            for j in vertex_edges[k, sym]:
+                masks[j] = get(j, 0) | bit
+        del masks[i0]
+        if not _unions_reach(set(masks.values()), full, s):
             continue
         # Rare path: the least coalition, index by index. j joins when the
         # other masks, cut to the bits j leaves uncovered, reach them in the
-        # slots left; spare edges fill the rest, as n-1 >= s. Masks below j need
-        # no exclusion: a coalition completed through one would sort below the
-        # least coalition, or that index would have joined at its turn.
-        masks[i0] = 0
+        # slots left; spare edges, neighbours or not, fill the rest, as
+        # n-1 >= s. Masks below j need no exclusion: a coalition completed
+        # through one would sort below the least coalition, or that index
+        # would have joined at its turn.
         coalition: list[int] = []
         need = full
         for j in range(n):
             if j == i0:
                 continue
-            rest = need & ~int(masks[j])
+            rest = need & ~masks.get(j, 0)
             left = s - len(coalition) - 1
             if rest:
-                cut = set((masks & rest).tolist()) - {0}
+                cut = {m & rest for m in masks.values()} - {0}
                 if not (left and _unions_reach(cut, rest, left)):
                     continue
             coalition.append(j)
             need = rest
             if not left:
-                coalition_words = tuple(words[k] for k in coalition)
-                return Verdict(False, Witness(words[i0], coalition_words))
+                return Verdict(False, Witness(w, tuple(words[j] for j in coalition)))
         raise AssertionError("mask closure found a cover but no coalition realizes it")
     return Verdict(True)
-
-
-def _column_ranks(words: tuple[Word, ...]) -> np.ndarray:
-    """ranks[j, k] is the rank of words[j][k] among the symbols at position k."""
-    rank_rows = []
-    for col in zip(*words):
-        rank = {sym: r for r, sym in enumerate(sorted(set(col)))}
-        rank_rows.append([rank[sym] for sym in col])
-    return np.array(rank_rows, dtype=np.int64).T
 
 
 def _unions_reach(values: set[int], full: int, steps: int) -> bool:

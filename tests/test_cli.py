@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,9 @@ from fpc.fileio import (
     read_code_file,
     write_code_file,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv):
@@ -183,7 +190,7 @@ class TestConstructVerifyAudit:
         def construct_called(*args, **kwargs):
             raise AssertionError("construct ran before --out was checked")
 
-        monkeypatch.setattr("fpc.cli.construct", construct_called)
+        monkeypatch.setattr("fpc.construct.construct", construct_called)
         out = tmp_path / "missing" / "x.out"
         assert run(command, *point, "--no-verify", "--out", str(out)) == 1
         assert "does not exist" in capsys.readouterr().err
@@ -348,3 +355,28 @@ class TestDiagnoseCommand:
         assert run("diagnose", "--c", "2", "--l", "10", "--q", "11") == 1
         assert time.perf_counter() - started < 5.0
         assert "capped at l = 9" in capsys.readouterr().err
+
+
+def test_checking_commands_start_without_numpy(tmp_path):
+    # Only the commands that build a packing need numpy; --help, bounds and
+    # verify, and importing the checker modules, never load it.
+    path = tmp_path / "code.fpc"
+    path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
+    child = f"""
+import sys
+import fpc, fpc.cli, fpc.core, fpc.fileio, fpc.extremal
+from fpc.cli import main
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+assert main(["verify", "--in", {str(path)!r}, "--c", "2"]) == 0
+assert main(["bounds", "2", "4", "13"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "frameproof: ok (3 words, c=2)" in result.stdout

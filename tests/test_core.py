@@ -160,6 +160,10 @@ class TestFrameproof:
         code, _report = construct(ConstructionConfig(c=3, l=6, q=16, seed=7, verify=False))
         assert len(code) == 85
         assert is_frameproof(code, 3, budget=10**6).ok
+        # is_cover_free counts only the neighbour pairs it masks: about 1.03e6
+        # at the seed-7 (2,4,47) build, where all n*n*l pairs would be 1.1e7.
+        code, _report = construct(ConstructionConfig(c=2, l=4, q=47, seed=7, verify=False))
+        assert is_cover_free(code, 2, budget=2 * 10**6).ok
 
     def test_matches_naive_oracle(self):
         rng = random.Random(555)
@@ -262,6 +266,13 @@ class TestFrameproofSeeding:
         x = (5, 5, 7, 6, 5, 7)
         code = Code(200, 6, [*fillers, a, b, c, x])
         _assert_planted(code, 3, x, (a, b, c))
+
+    def test_spare_member_shares_no_symbol(self):
+        # (2, 3) and (3, 2) frame x; s = 3 takes a spare third member, and the
+        # least one, (1, 1), agrees with x nowhere.
+        a, b, c = (1, 1), (2, 3), (3, 2)
+        x = (2, 2)
+        _assert_planted(Code(3, 2, [a, b, c, x]), 3, x, (a, b, c))
 
     def test_coalition_after_many_fillers(self):
         # 400 fillers sort first and share a symbol at position 1, so C(403, 3)
