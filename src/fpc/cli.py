@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: bounds, oracle, construct, verify, audit, sweep, diagnose.
-Only the commands that build a packing import the numpy pipeline, so --help,
-bounds, oracle and verify start without numpy.
+Only the commands that build a packing (construct, sweep, diagnose) import
+the numpy pipeline, so --help, bounds, oracle, verify and audit start
+without numpy.
 Exit codes: 0 success, 1 bad input or internal refusal, 2 a checked property
 failed (verify found a witness, audit found a violation). All randomness
 flows from --seed; a missing seed is generated and printed so any run can be
@@ -21,7 +22,13 @@ import time
 from typing import Optional, Sequence
 
 from . import fileio
-from .core import BudgetExceededError, ConstructionError, DEFAULT_BUDGET, is_frameproof
+from .core import (
+    BudgetExceededError,
+    ConstructionError,
+    DEFAULT_BUDGET,
+    is_frameproof,
+    own_subsequence_audit,
+)
 from .extremal import (
     EXHAUSTIVE_CAP,
     ExhaustiveCapError,
@@ -227,8 +234,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from .construct import own_subsequence_audit
-
     code = fileio.read_code_file(args.path)
     result = own_subsequence_audit(code, args.c)
     print(
@@ -270,10 +275,8 @@ def cmd_sweep(args) -> int:
                 started = time.perf_counter()
                 _code, report = construct(cfg, budget=budget)
                 elapsed_ms = int((time.perf_counter() - started) * 1000)
-                if report.verified is None:
-                    verified = "skipped"
-                else:
-                    verified = "true" if report.verified.ok else "false"
+                # A failed verification raises ConstructionError instead.
+                verified = "skipped" if report.verified is None else "true"
                 rows.append(
                     {
                         **report.as_dict(),
@@ -316,13 +319,7 @@ def cmd_diagnose(args) -> int:
         "seed": seed,
         "packing": args.packing,
         "packing_size": len(pack),
-        "dP_max": diag.dP_max,
-        "dP_min": diag.dP_min,
-        "frac_high_degree": diag.frac_high_degree,
-        "dH_mean": diag.dH_mean,
-        "expected_D": diag.expected_D,
-        "lambda_F": diag.lambda_F,
-        "max_codegree": diag.max_codegree,
+        **dataclasses.asdict(diag),
     }
     if generated:
         payload["seed_generated"] = True

@@ -10,14 +10,15 @@ decided once per distinct pattern, and the matching indexes the accepted
 rows of the id matrix without copying them. Only the selected rows become
 tuples and `Candidate` objects, sharing one pattern frozenset per distinct
 pattern. The selected transversals are the code; verification re-checks the
-frameproof property exactly rather than trusting any pipeline stage.
+frameproof property exactly rather than trusting any pipeline stage. The
+report takes t, lambda, m and the bounds from one `BoundsReport`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Literal, Optional
@@ -35,19 +36,15 @@ from .core import (
     desc_contains,
     is_cover_free,
     is_frameproof,
-    own_profile,
 )
 from .extremal import (
-    EmcValue,
+    BoundsReport,
     PositionFamily,
-    blackburn_upper,
+    bounds_report,
     complete_family,
-    emc_families,
-    improved_upper,
+    extremal_family,
     lambda_of,
     matching_number,
-    rate_limit,
-    resolve_m,
 )
 from .packing import (
     Candidate,
@@ -88,18 +85,11 @@ class ConstructionConfig:
 @dataclass
 class ConstructionReport:
     config: ConstructionConfig
-    t: int
-    lam: int
-    m: EmcValue
+    bounds: BoundsReport  # t, lambda, m and the bounds at the config's (c, l, q)
     packing_size: int
-    candidate_count: int
     accepted_count: int
-    selected_count: int
     code_size: int
     rate: Fraction
-    rate_limit: Fraction
-    blackburn: int
-    improved: Optional[int]
     verified: Optional[Verdict]
     verified_note: str = ""
     # Stage -> ms. "verify" is the total of the layers that ran inside it:
@@ -107,6 +97,7 @@ class ConstructionReport:
     timings_ms: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
+        b = self.bounds
         return {
             "c": self.config.c,
             "l": self.config.l,
@@ -116,19 +107,20 @@ class ConstructionReport:
             "mode": self.config.mode,
             "packing": self.config.packing,
             "matching": self.config.matching,
-            "t": self.t,
-            "lambda": self.lam,
-            "m": self.m.value,
-            "m_status": self.m.status,
+            "t": b.t,
+            "lambda": b.lam,
+            "m": b.m.value,
+            "m_status": b.m.status,
             "packing_size": self.packing_size,
-            "candidate_count": self.candidate_count,
+            # Every packing word is a candidate; every selected one a codeword.
+            "candidate_count": self.packing_size,
             "accepted_count": self.accepted_count,
-            "selected_count": self.selected_count,
+            "selected_count": self.code_size,
             "code_size": self.code_size,
             "rate": str(self.rate),
-            "rate_limit": str(self.rate_limit),
-            "blackburn": self.blackburn,
-            "improved": self.improved,
+            "rate_limit": str(b.rate_limit),
+            "blackburn": b.blackburn,
+            "improved": b.improved,
             "verified": None if self.verified is None else self.verified.ok,
             "verified_note": self.verified_note,
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
@@ -136,13 +128,10 @@ class ConstructionReport:
 
 
 def build_extremal_complement(c: int, l: int) -> tuple[PositionFamily, PositionFamily]:
-    """The larger certified extremal family and its complement among all
-    t-subsets of positions. Ties go to the cover-style family."""
+    """The `extremal_family` of (c, l) and its complement among all t-subsets
+    of positions."""
     t, lam = lambda_of(c, l)
-    cover, clique = emc_families(l, t, lam)
-    chosen = cover if len(cover) >= len(clique) else clique
-    if matching_number(chosen) > lam:
-        raise AssertionError("chosen extremal family is infeasible")
+    chosen = extremal_family(l, t, lam)
     complement = PositionFamily(l, t, complete_family(l, t).edges - chosen.edges)
     return chosen, complement
 
@@ -156,74 +145,60 @@ def construct(
     it would mean a bug, never an expected outcome. A verification that would
     blow the comparison budget yields verified=None with a note instead.
     """
-    t, lam = lambda_of(cfg.c, cfg.l)
+    bounds = bounds_report(cfg.c, cfg.l, cfg.q)
+    t, lam = bounds.t, bounds.lam
     timings: dict[str, float] = {}
 
-    start = time.perf_counter()
-    _chosen, complement = build_extremal_complement(cfg.c, cfg.l)
-    timings["families"] = _ms_since(start)
+    with _timed(timings, "families"):
+        _chosen, complement = build_extremal_complement(cfg.c, cfg.l)
 
-    start = time.perf_counter()
-    if cfg.packing == "rs":
-        pack = rs_packing(cfg.l, t, cfg.q)
-    else:
-        pack = greedy_packing(cfg.l, t, cfg.q, cfg.seed)
-    timings["packing"] = _ms_since(start)
+    with _timed(timings, "packing"):
+        if cfg.packing == "rs":
+            pack = rs_packing(cfg.l, t, cfg.q)
+        else:
+            pack = greedy_packing(cfg.l, t, cfg.q, cfg.seed)
 
-    start = time.perf_counter()
-    sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-    pattern_ints, subset_ids = sparsify(pack.words, t, sparsifier)
-    patterns, pattern_ids = shared_patterns(pattern_ints, cfg.l, t)
-    timings["candidates"] = _ms_since(start)
+    with _timed(timings, "candidates"):
+        sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
+        pattern_ints, subset_ids = sparsify(pack.words, t, sparsifier)
+        patterns, pattern_ids = shared_patterns(pattern_ints, cfg.l, t)
 
-    start = time.perf_counter()
-    accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
-    accepted = np.flatnonzero(accepts[pattern_ids])
-    timings["accept"] = _ms_since(start)
+    with _timed(timings, "accept"):
+        accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
+        accepted = np.flatnonzero(accepts[pattern_ids])
 
-    start = time.perf_counter()
-    chosen = greedy_select(subset_ids, accepted, cfg.seed)
-    selected = [
-        Candidate(tuple(w), patterns[pattern_ids[k]])
-        for w, k in zip(pack.words[chosen].tolist(), chosen)
-    ]
-    timings["matching"] = _ms_since(start)
+    with _timed(timings, "matching"):
+        chosen = greedy_select(subset_ids, accepted, cfg.seed)
+        selected = [
+            Candidate(tuple(w), patterns[pattern_ids[k]])
+            for w, k in zip(pack.words[chosen].tolist(), chosen)
+        ]
 
     code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])
 
     verified: Optional[Verdict] = None
     note = ""
     if cfg.verify:
-        start = time.perf_counter()
-        try:
-            verified = _verify_pipeline(code, selected, cfg, t, lam, budget, timings)
-        except BudgetExceededError as exc:
-            verified = None
-            note = f"verification skipped: {exc}"
-        timings["verify"] = _ms_since(start)
+        with _timed(timings, "verify"):
+            try:
+                verified = _verify_pipeline(code, selected, cfg, t, lam, budget, timings)
+            except BudgetExceededError as exc:
+                note = f"verification skipped: {exc}"
     else:
         note = "verification skipped: disabled by config"
 
-    bb = blackburn_upper(cfg.c, cfg.l, cfg.q)
-    if len(code) > bb:
+    if len(code) > bounds.blackburn:
         raise ConstructionError(
-            f"constructed {len(code)} words above the proven bound {bb}; "
+            f"constructed {len(code)} words above the proven bound {bounds.blackburn}; "
             "this is a checker or pipeline bug"
         )
     report = ConstructionReport(
         config=cfg,
-        t=t,
-        lam=lam,
-        m=resolve_m(cfg.l, t, lam),
+        bounds=bounds,
         packing_size=len(pack),
-        candidate_count=len(pack),
         accepted_count=len(accepted),
-        selected_count=len(selected),
         code_size=len(code),
         rate=Fraction(len(code), cfg.q**t),
-        rate_limit=rate_limit(cfg.c, cfg.l),
-        blackburn=bb,
-        improved=improved_upper(cfg.c, cfg.l, cfg.q),
         verified=verified,
         verified_note=note,
         timings_ms=timings,
@@ -231,16 +206,12 @@ def construct(
     return code, report
 
 
-def _ms_since(start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0
-
-
-def _timed(timings: dict[str, float], name: str, fn, *args):
-    """fn(*args), with its wall time recorded as timings[name] in ms."""
+@contextmanager
+def _timed(timings: dict[str, float], name: str):
+    """Record the block's wall time as timings[name] in ms, unless it raises."""
     start = time.perf_counter()
-    result = fn(*args)
-    timings[name] = _ms_since(start)
-    return result
+    yield
+    timings[name] = (time.perf_counter() - start) * 1000.0
 
 
 def _verify_pipeline(
@@ -253,13 +224,17 @@ def _verify_pipeline(
     timings: dict[str, float],
 ) -> Verdict:
     """The three verify layers, each timed under its own key in `timings`."""
-    if not _timed(timings, "validate_induced", validate_induced, selected, t):
+    with _timed(timings, "validate_induced"):
+        induced = validate_induced(selected, t)
+    if not induced:
         raise ConstructionError(
             "selected family violates the induced-packing conditions "
             "(shared t-agreement inside a survived set, or agreement above t)"
         )
-    fp = _timed(timings, "is_frameproof", is_frameproof, code, cfg.c, budget)
-    cf = _timed(timings, "is_cover_free", is_cover_free, code, cfg.c, budget)
+    with _timed(timings, "is_frameproof"):
+        fp = is_frameproof(code, cfg.c, budget)
+    with _timed(timings, "is_cover_free"):
+        cf = is_cover_free(code, cfg.c, budget)
     if fp.ok != cf.ok:
         raise ConstructionError(
             f"checker disagreement: frameproof={fp.ok} cover-free={cf.ok}; "
@@ -382,54 +357,3 @@ def search_max(
 
     search(1, [words[0]])
     return Code(q, l, best), not exhausted
-
-
-# ---------------------------------------------------------------------------
-# Own-subsequence audit
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    word: Word
-    own_t_count: int
-    own_tminus1_count: int
-    bound_applies: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
-class AuditResult:
-    t: int
-    lam: int
-    m: EmcValue
-    required: int
-    rows: tuple[AuditRow, ...]
-
-    @property
-    def violations(self) -> list[Word]:
-        return [r.word for r in self.rows if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def own_subsequence_audit(code: Code, c: int) -> AuditResult:
-    """Check the conditional floor on own t-subsequences.
-
-    On a c-frameproof code, any codeword with no own (t-1)-subsequence must
-    have at least binom(l, t) - m own t-subsequences. Violations on a
-    verified code would disprove the checker or the m oracle.
-    """
-    t, lam = lambda_of(c, code.l)
-    m = resolve_m(code.l, t, lam)
-    required = math.comb(code.l, t) - m.value
-    rows = []
-    for word, counts in own_profile(code, t).items():
-        applies = counts.own_tminus1_count == 0
-        ok = (not applies) or counts.own_t_count >= required
-        rows.append(
-            AuditRow(word, counts.own_t_count, counts.own_tminus1_count, applies, ok)
-        )
-    return AuditResult(t=t, lam=lam, m=m, required=required, rows=tuple(rows))

@@ -6,16 +6,20 @@ words of a common length. The two checkers, `is_frameproof` and
 routes (a search over words grouped by (position, symbol) vs. closure over
 unions of the agreement bit masks of each victim's neighbours, the words
 sharing a (position, symbol) with it) so they can cross-validate each other;
-both are exact and refuse oversized instances instead of sampling. The module
-is pure Python, so checking a code never loads numpy.
+both are exact and refuse oversized instances instead of sampling. The
+own-subsequence audit sits beside `own_profile`, which it reads. The module
+and `fpc.extremal` are pure Python, so checking or auditing never loads numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from .extremal import EmcValue, emc_value, lambda_of
 
 Word = tuple[int, ...]
 Edge = frozenset[tuple[int, int]]  # {(position, symbol)}, positions 1-based
@@ -384,3 +388,54 @@ def own_subset_counts(edges: Sequence[Edge], t: int) -> list[int]:
         subsets_of.append(subs)
         incidence.update(subs)
     return [sum(1 for T in subs if incidence[T] == 1) for subs in subsets_of]
+
+
+# ---------------------------------------------------------------------------
+# Own-subsequence audit
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AuditRow:
+    word: Word
+    own_t_count: int
+    own_tminus1_count: int
+    bound_applies: bool
+    ok: bool
+
+
+@dataclass(frozen=True)
+class AuditResult:
+    t: int
+    lam: int
+    m: EmcValue
+    required: int
+    rows: tuple[AuditRow, ...]
+
+    @property
+    def violations(self) -> list[Word]:
+        return [r.word for r in self.rows if not r.ok]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def own_subsequence_audit(code: Code, c: int) -> AuditResult:
+    """Check the conditional floor on own t-subsequences.
+
+    On a c-frameproof code, any codeword with no own (t-1)-subsequence must
+    have at least binom(l, t) - m own t-subsequences. Violations on a
+    verified code would disprove the checker or the m oracle.
+    """
+    t, lam = lambda_of(c, code.l)
+    m = emc_value(code.l, t, lam)
+    required = math.comb(code.l, t) - m.value
+    rows = []
+    for word, counts in own_profile(code, t).items():
+        applies = counts.own_tminus1_count == 0
+        ok = (not applies) or counts.own_t_count >= required
+        rows.append(
+            AuditRow(word, counts.own_t_count, counts.own_tminus1_count, applies, ok)
+        )
+    return AuditResult(t=t, lam=lam, m=m, required=required, rows=tuple(rows))

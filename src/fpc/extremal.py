@@ -3,9 +3,10 @@
 The central quantity is the largest t-uniform family on [l] vertices with no
 lam+1 pairwise disjoint edges. `emc_value` evaluates the conjectured closed
 form and tags the parameter regimes where it is a proven theorem; `m_exact`
-settles small instances outright by branch-and-bound. Everything downstream
-(`blackburn_upper`, `improved_upper`, `rate_limit`) is exact rational
-arithmetic floored at the end, never floating point.
+settles small instances outright by branch-and-bound from the certified
+`extremal_family`, whose complement the construction reserves. Everything
+downstream (`blackburn_upper`, `improved_upper`, `rate_limit`) is exact
+rational arithmetic floored at the end, never floating point.
 """
 
 from __future__ import annotations
@@ -82,23 +83,33 @@ def _mask(positions) -> int:
 
 
 def matching_number(family: PositionFamily) -> int:
-    """Maximum number of pairwise disjoint edges, by branch and bound."""
-    edges = sorted(family.edges)
-    best = 0
+    """Maximum number of pairwise disjoint edges, by `_largest_matching`."""
+    l, t = family.l, family.t
+    return len(_largest_matching(sorted(family.edges), l, t, stop=l // t))
 
-    def extend(start: int, used: int, count: int):
+
+def _largest_matching(edges: list[int], l: int, t: int, stop: int) -> tuple[int, ...]:
+    """A largest set of pairwise disjoint edges (bitmasks on [l], each of size
+    t), by branch and bound, cut short by the first matching of size `stop`
+    the search meets. No matching is larger than l // t."""
+    best: tuple[int, ...] = ()
+
+    def extend(start: int, used: int, picked: tuple[int, ...], size: int) -> bool:
         nonlocal best
-        if count > best:
-            best = count
+        if size > len(best):
+            best = picked
+            if size == stop:
+                return True
         # Even if every remaining vertex were packed, can we beat best?
-        free = family.l - used.bit_count()
-        if count + free // family.t <= best:
-            return
+        elif size + (l - used.bit_count()) // t <= len(best):
+            return False
         for j in range(start, len(edges)):
-            if edges[j] & used == 0:
-                extend(j + 1, used | edges[j], count + 1)
+            e = edges[j]
+            if not e & used and extend(j + 1, used | e, picked + (e,), size + 1):
+                return True
+        return False
 
-    extend(0, 0, 0)
+    extend(0, 0, (), 0)
     return best
 
 
@@ -135,7 +146,9 @@ def conjecture_terms(l: int, t: int, lam: int) -> tuple[int, int]:
 
 
 def emc_value(l: int, t: int, lam: int) -> EmcValue:
-    """Conjectured maximum family size, tagged by the first proven regime."""
+    """The closed-form m that every bound uses, tagged by the first proven
+    regime. Outside them the value rests on the general conjecture: it is
+    flagged as conjectured, never refused."""
     _check_emc_params(l, t, lam)
     value = max(conjecture_terms(l, t, lam))
     if lam == 0:
@@ -171,13 +184,23 @@ def emc_families(l: int, t: int, lam: int) -> tuple[PositionFamily, PositionFami
     return cover, clique
 
 
+def extremal_family(l: int, t: int, lam: int) -> PositionFamily:
+    """The larger certified candidate of `emc_families`; ties go to the
+    cover family. The construction reserves its complement, and `m_exact`
+    seeds its bound from it."""
+    cover, clique = emc_families(l, t, lam)
+    return cover if len(cover) >= len(clique) else clique
+
+
 def m_exact(l: int, t: int, lam: int, cap: int = EXHAUSTIVE_CAP) -> EmcValue:
     """Exact maximum by exhaustive branch and bound.
 
     Searches the complement: the fewest edges whose removal from the complete
     family destroys every (lam+1)-matching. Branching follows one violating
-    matching at a time, with earlier members pinned kept so subtrees stay
-    disjoint. Refuses instances with binom(l, t) above `cap`.
+    matching at a time (the first that `_largest_matching` meets), with
+    earlier members pinned kept so subtrees stay disjoint. The bound starts
+    from the certified `extremal_family`, so a wrong closed form cannot leak
+    into the result. Refuses instances with binom(l, t) above `cap`.
     """
     _check_emc_params(l, t, lam)
     n_edges = math.comb(l, t)
@@ -192,35 +215,14 @@ def m_exact(l: int, t: int, lam: int, cap: int = EXHAUSTIVE_CAP) -> EmcValue:
             "expect exponential growth",
             RuntimeWarning,
         )
-    all_edges = [_mask(s) for s in itertools.combinations(range(l), t)]
-
-    def find_matching(kept: frozenset[int]) -> Optional[tuple[int, ...]]:
-        edges = sorted(kept)
-
-        def grow(start: int, used: int, picked: tuple[int, ...]):
-            if len(picked) == lam + 1:
-                return picked
-            for j in range(start, len(edges)):
-                if edges[j] & used == 0:
-                    got = grow(j + 1, used | edges[j], picked + (edges[j],))
-                    if got is not None:
-                        return got
-            return None
-
-        return grow(0, 0, ())
-
-    # Any certified-feasible family seeds the bound; the larger closed-form
-    # candidate is feasible by construction, so start from its complement.
-    cover, clique = emc_families(l, t, lam)
-    seed = cover if len(cover) >= len(clique) else clique
-    best = n_edges - len(seed)
+    best = n_edges - len(extremal_family(l, t, lam))
 
     def search(kept: frozenset[int], deleted: int, pinned: frozenset[int]):
         nonlocal best
         if deleted >= best:
             return
-        violating = find_matching(kept)
-        if violating is None:
+        violating = _largest_matching(sorted(kept), l, t, stop=lam + 1)
+        if len(violating) <= lam:
             best = deleted
             return
         for k, e in enumerate(violating):
@@ -228,19 +230,14 @@ def m_exact(l: int, t: int, lam: int, cap: int = EXHAUSTIVE_CAP) -> EmcValue:
                 continue
             search(kept - {e}, deleted + 1, pinned | set(violating[:k]))
 
-    search(frozenset(all_edges), 0, frozenset())
+    search(frozenset(position_masks(l, t)), 0, frozenset())
     return EmcValue(n_edges - best, True, "exhaustive")
 
 
-def resolve_m(l: int, t: int, lam: int) -> EmcValue:
-    """Best available m: formula when proven, exhaustive when feasible,
-    otherwise the conjectured formula value (flagged, never refused)."""
-    formula = emc_value(l, t, lam)
-    if formula.proven:
-        return formula
-    if math.comb(l, t) <= EXHAUSTIVE_CAP:
-        return m_exact(l, t, lam)
-    return formula
+# The m the bounds use, under the name `perfbench/replica.py` imports. It needs
+# no exhaustive fallback: `emc_value` leaves a case unproven only when lam >= 2
+# and t >= 4, so binom(l, t) >= binom(12, 4) = 495 > EXHAUSTIVE_CAP.
+resolve_m = emc_value
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +247,7 @@ def resolve_m(l: int, t: int, lam: int) -> EmcValue:
 
 def _bound_pieces(c: int, l: int) -> tuple[int, int, int, EmcValue]:
     t, lam = lambda_of(c, l)
-    m = resolve_m(l, t, lam)
+    m = emc_value(l, t, lam)
     denom = math.comb(l, t) - m.value
     if denom <= 0:
         raise AssertionError("extremal value reached binom(l, t); bound degenerates")
@@ -323,7 +320,7 @@ class BoundsReport:
 
 def bounds_report(c: int, l: int, q: int) -> BoundsReport:
     t, lam = lambda_of(c, l)
-    m = resolve_m(l, t, lam)
+    m = emc_value(l, t, lam)
     return BoundsReport(
         c=c,
         l=l,

@@ -15,7 +15,6 @@ from fpc.cli import main as cli_main
 from fpc.construct import (
     ConstructionConfig,
     construct,
-    own_subsequence_audit,
     search_max,
     trivial_code,
 )
@@ -23,6 +22,7 @@ from fpc.core import (
     desc_contains,
     is_cover_free,
     is_frameproof,
+    own_subsequence_audit,
     pi,
     pi_inverse,
 )
@@ -115,8 +115,8 @@ def test_criterion_5_end_to_end():
         assert improved_upper(c, l, q) == ceiling
         assert len(code) <= ceiling
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-        selected = [survived_set(w, report.t, sparsifier) for w in code.words]
-        assert validate_induced(selected, report.t)
+        selected = [survived_set(w, report.bounds.t, sparsifier) for w in code.words]
+        assert validate_induced(selected, report.bounds.t)
     assert time.monotonic() - started < 300
 
 

@@ -20,6 +20,7 @@ from fpc.fileio import (
     read_code_file,
     write_code_file,
 )
+from fpc.packing import greedy_packing
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -134,6 +135,19 @@ class TestConstructVerifyAudit:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
         assert payload["code_size"] == payload["selected_count"]
+
+    def test_construct_json_bounds_match_bounds_command(self, tmp_path, capsys):
+        out = tmp_path / "code.fpc"
+        rc = run(
+            "construct", "--c", "3", "--l", "5", "--q", "11",
+            "--seed", "7", "--no-verify", "--out", str(out), "--json",
+        )
+        assert rc == 0
+        built = json.loads(capsys.readouterr().out)
+        assert run("bounds", "3", "5", "11", "--json") == 0
+        bounds = json.loads(capsys.readouterr().out)
+        keys = ["t", "lambda", "m", "m_status", "blackburn", "improved", "rate_limit"]
+        assert {k: built[k] for k in keys} == {k: bounds[k] for k in keys}
 
     def test_construct_json_times_verify_layers(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
@@ -348,6 +362,16 @@ class TestDiagnoseCommand:
         assert run("diagnose", "--c", "2", *point, "--seed", "7", "--json") == 0
         assert json.loads(capsys.readouterr().out)["dH_mean"] == dh_mean
 
+    def test_greedy_packing(self, capsys):
+        rc = run(
+            "diagnose", "--c", "2", "--l", "4", "--q", "6", "--seed", "3",
+            "--packing", "greedy", "--json",
+        )
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["packing"] == "greedy"
+        assert payload["packing_size"] == 158 == len(greedy_packing(4, 2, 6, seed=3))
+
     def test_refuses_large_l_before_packing(self, capsys):
         # The (2,10,11) packing alone has 1.77M words; the l <= 9 cap of the
         # image enumeration must refuse before it is built.
@@ -358,8 +382,8 @@ class TestDiagnoseCommand:
 
 
 def test_checking_commands_start_without_numpy(tmp_path):
-    # Only the commands that build a packing need numpy; --help, bounds and
-    # verify, and importing the checker modules, never load it.
+    # Only the commands that build a packing need numpy; --help, bounds,
+    # verify and audit, and importing the checker modules, never load it.
     path = tmp_path / "code.fpc"
     path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
     child = f"""
@@ -372,6 +396,7 @@ except SystemExit as exc:
     assert exc.code == 0, exc.code
 assert main(["verify", "--in", {str(path)!r}, "--c", "2"]) == 0
 assert main(["bounds", "2", "4", "13"]) == 0
+assert main(["audit", "--in", {str(path)!r}, "--c", "2"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -380,3 +405,4 @@ assert "numpy" not in sys.modules, "numpy was imported"
     )
     assert result.returncode == 0, result.stderr
     assert "frameproof: ok (3 words, c=2)" in result.stdout
+    assert "own-subsequence floor: ok" in result.stdout

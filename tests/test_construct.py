@@ -10,13 +10,12 @@ from fpc.construct import (
     ConstructionError,
     build_extremal_complement,
     construct,
-    own_subsequence_audit,
     search_max,
     trivial_code,
     _diagnose_violation,
     _verify_pipeline,
 )
-from fpc.core import Code, Witness, is_cover_free, is_frameproof
+from fpc.core import Code, Witness, is_cover_free, is_frameproof, own_subsequence_audit
 from fpc.extremal import blackburn_upper, improved_upper, lambda_of, matching_number
 from fpc.fileio import format_code_file
 from fpc.packing import (
@@ -81,11 +80,11 @@ class TestConstruct:
             assert report.verified is not None and report.verified.ok
             assert is_frameproof(code, cfg.c).ok
             assert is_cover_free(code, cfg.c).ok
-            assert report.code_size <= report.blackburn
-            if report.improved is not None:
-                assert report.code_size <= report.improved
-            assert report.code_size == report.selected_count == len(code)
-            assert report.rate == Fraction(len(code), cfg.q**report.t)
+            assert report.code_size <= report.bounds.blackburn
+            if report.bounds.improved is not None:
+                assert report.code_size <= report.bounds.improved
+            assert report.code_size == report.as_dict()["selected_count"] == len(code)
+            assert report.rate == Fraction(len(code), cfg.q**report.bounds.t)
 
     def test_eta_one_yields_empty_code(self):
         code, report = construct(

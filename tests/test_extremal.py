@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpc.extremal import (
+    EXHAUSTIVE_CAP,
     EmcValue,
     ExhaustiveCapError,
     PositionFamily,
@@ -155,6 +156,20 @@ class TestEmcValue:
 
     def test_singleton_uniformity(self):
         assert emc_value(5, 1, 3).value == 3
+
+    def test_unproven_cases_lie_above_the_exhaustive_cap(self):
+        # Why resolve_m needs no exhaustive fallback: every case the closed
+        # form leaves unproven is too large for m_exact anyway.
+        unproven = 0
+        for l in range(2, 41):
+            for t in range(1, l + 1):
+                for lam in range(0, l // t):
+                    formula = emc_value(l, t, lam)
+                    assert resolve_m(l, t, lam) == formula
+                    if not formula.proven:
+                        unproven += 1
+                        assert math.comb(l, t) > EXHAUSTIVE_CAP, (l, t, lam)
+        assert unproven > 0
 
     def test_agreement_with_exhaustive_in_proven_grid(self):
         for l in range(2, 7):
