@@ -17,6 +17,7 @@ report takes t, lambda, m and the bounds from one `BoundsReport`.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -57,6 +58,12 @@ from .packing import (
     sparsify,
     validate_induced,
 )
+
+
+# The most bytes the packing's int64 word matrix and the sparsifier's int32
+# id matrix, the pipeline's largest arrays, may take together; `construct`
+# refuses a larger build before any packing exists.
+_MATRIX_BYTE_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,13 @@ def construct(
     """
     bounds = bounds_report(cfg.c, cfg.l, cfg.q)
     t, lam = bounds.t, bounds.lam
+    # No packing has more than q^(t+1) words (the Singleton bound).
+    need = cfg.q ** (t + 1) * (8 * cfg.l + 4 * math.comb(cfg.l, t))
+    if need > _MATRIX_BYTE_CAP:
+        raise ConstructionError(
+            f"the word and id matrices at (c, l, q) = ({cfg.c}, {cfg.l}, {cfg.q}) need an "
+            f"estimated {need / 2**30:.2f} GiB, above the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
+        )
     timings: dict[str, float] = {}
 
     with _timed(timings, "families"):
@@ -162,6 +176,7 @@ def construct(
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
         pattern_ints, subset_ids = sparsify(pack.words, t, sparsifier)
         patterns, pattern_ids = shared_patterns(pattern_ints, cfg.l, t)
+        del pattern_ints
 
     with _timed(timings, "accept"):
         accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)

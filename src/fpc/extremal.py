@@ -245,46 +245,37 @@ resolve_m = emc_value
 # ---------------------------------------------------------------------------
 
 
-def _bound_pieces(c: int, l: int) -> tuple[int, int, int, EmcValue]:
+def _bound_pieces(c: int, l: int) -> tuple[int, int, EmcValue, int, Fraction, Fraction]:
+    """t, lambda, m, binom(l,t) - m, the improved threshold and the rate limit:
+    everything the bounds need that does not depend on q."""
     t, lam = lambda_of(c, l)
     m = emc_value(l, t, lam)
     denom = math.comb(l, t) - m.value
     if denom <= 0:
         raise AssertionError("extremal value reached binom(l, t); bound degenerates")
-    return t, lam, denom, m
+    return t, lam, m, denom, Fraction(denom, l - t + 1), Fraction(math.comb(l, t), denom)
 
 
 def blackburn_upper(c: int, l: int, q: int) -> int:
     """Size bound binom(l,t) q^t / (binom(l,t) - m) + binom(l,t-1) q^(t-1),
     evaluated as an exact rational and floored once at the end."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    t, _lam, denom, _m = _bound_pieces(c, l)
-    exact = Fraction(math.comb(l, t) * q**t, denom) + math.comb(l, t - 1) * q ** (t - 1)
-    return math.floor(exact)
+    return bounds_report(c, l, q).blackburn
 
 
 def improved_threshold(c: int, l: int) -> Fraction:
     """Smallest q (as an exact rational) at which the lower-order term drops."""
-    t, _lam, denom, _m = _bound_pieces(c, l)
-    return Fraction(denom, l - t + 1)
+    return _bound_pieces(c, l)[4]
 
 
 def improved_upper(c: int, l: int, q: int) -> Optional[int]:
     """floor(binom(l,t) q^t / (binom(l,t) - m)) when q clears the threshold,
     None below it."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    t, _lam, denom, _m = _bound_pieces(c, l)
-    if q < improved_threshold(c, l):
-        return None
-    return math.floor(Fraction(math.comb(l, t) * q**t, denom))
+    return bounds_report(c, l, q).improved
 
 
 def rate_limit(c: int, l: int) -> Fraction:
     """The q -> infinity limit of (largest code size) / q^t, as a reduced fraction."""
-    _t, _lam, denom, _m = _bound_pieces(c, l)
-    return Fraction(math.comb(l, _t), denom)
+    return _bound_pieces(c, l)[5]
 
 
 @dataclass(frozen=True)
@@ -319,8 +310,10 @@ class BoundsReport:
 
 
 def bounds_report(c: int, l: int, q: int) -> BoundsReport:
-    t, lam = lambda_of(c, l)
-    m = emc_value(l, t, lam)
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    t, lam, m, denom, threshold, limit = _bound_pieces(c, l)
+    leading = Fraction(math.comb(l, t) * q**t, denom)
     return BoundsReport(
         c=c,
         l=l,
@@ -328,8 +321,8 @@ def bounds_report(c: int, l: int, q: int) -> BoundsReport:
         t=t,
         lam=lam,
         m=m,
-        blackburn=blackburn_upper(c, l, q),
-        improved=improved_upper(c, l, q),
-        improved_threshold=improved_threshold(c, l),
-        rate_limit=rate_limit(c, l),
+        blackburn=math.floor(leading + math.comb(l, t - 1) * q ** (t - 1)),
+        improved=None if q < threshold else math.floor(leading),
+        improved_threshold=threshold,
+        rate_limit=limit,
     )

@@ -27,6 +27,7 @@ cached image set, `pattern_images`, once per distinct pattern.
 
 from __future__ import annotations
 
+import array
 import functools
 import hashlib
 import itertools
@@ -182,15 +183,16 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
         )
     # In `itertools.product` order, coefficient vector i lists the base-q
     # digits of i, most significant first; coeffs[0] is the constant term.
-    # Horner's rule evaluates all vectors at once, one column per point.
-    index = np.arange(q ** (t + 1))
-    coeffs = [index // q ** (t - j) % q for j in range(t + 1)]
-    words = np.empty((len(index), l), dtype=np.int64)
+    # Horner's rule evaluates all vectors at once, one column per point, in
+    # place; field.mul[x] is the row of products with x, mul being symmetric.
+    coeffs = np.indices((q,) * (t + 1), dtype=np.int32).reshape(t + 1, -1)
+    words = np.empty((coeffs.shape[1], l), dtype=np.int64)
     for x in range(l):
-        acc = coeffs[t]
+        acc = words[:, x]
+        acc[:] = coeffs[t]
         for c in reversed(coeffs[:t]):
-            acc = field.add[field.mul[acc, x], c]
-        words[:, x] = acc + 1
+            acc[:] = field.add[field.mul[x][acc], c]
+        acc += 1
     return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
@@ -325,19 +327,42 @@ def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
 NOT_KEPT = 0
 
 
+# Largest key space, per key, that `_rank` ranks by a presence table.
+_DENSE_RANK_RATIO = 4
+
+
+def _rank(values: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(values, return_inverse=True) for values in 0..space-1, with
+    the inverse as int32. A key space of at most `_DENSE_RANK_RATIO` times
+    len(values) is ranked by a presence table and its running count, so no
+    copy of `values` is sorted."""
+    if space > _DENSE_RANK_RATIO * len(values):
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return distinct, inverse.astype(np.int32, copy=False)
+    present = np.zeros(space, dtype=bool)
+    present[values] = True
+    rank = np.cumsum(present, dtype=np.int32)
+    rank -= 1
+    return np.flatnonzero(present), rank[values]
+
+
 def _distinct_subsets(symbols: np.ndarray, t: int, radix: int):
     """For each position combination of `position_masks(l, t)`, in order:
     the combination, its distinct labeled subsets as sorted keys whose
     base-`radix` digits are the symbols (the first position lowest), each
-    word's index into them, and the id of the first of them. Ids run on
-    from NOT_KEPT + 1 across the combinations, so distinct labeled subsets
-    get distinct ids."""
+    word's int32 index into them, and the id of the first of them. Ids run
+    on from NOT_KEPT + 1 across the combinations, so distinct labeled
+    subsets get distinct ids."""
     if radix**t >= 2**63:
         raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
-    place = radix ** np.arange(t)
     first = NOT_KEPT + 1
     for combo in itertools.combinations(range(symbols.shape[1]), t):
-        keys, inverse = np.unique(symbols[:, combo] @ place, return_inverse=True)
+        # Horner's rule from the last position down, in one array.
+        keys = symbols[:, combo[-1]].copy()
+        for p in reversed(combo[:-1]):
+            keys *= radix
+            keys += symbols[:, p]
+        keys, inverse = _rank(keys, radix**t)
         yield combo, keys, inverse, first
         first += len(keys)
 
@@ -399,9 +424,10 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
     patterns = np.zeros(n, dtype=dtype)
     ids = np.empty((n, slots), dtype=np.int32)
     for i, (combo, keys, inverse, first) in enumerate(_distinct_subsets(symbols, t, radix)):
-        kept = _kept(combo, keys, radix, cfg)[inverse]
-        patterns |= kept.astype(dtype) << i
-        ids[:, i] = np.where(kept, first + inverse, NOT_KEPT)
+        kept = _kept(combo, keys, radix, cfg)
+        key_ids = np.arange(first, first + len(keys), dtype=np.int32)
+        ids[:, i] = np.where(kept, key_ids, NOT_KEPT)[inverse]
+        np.bitwise_or(patterns, 1 << i, out=patterns, where=kept[inverse])
     return patterns, ids
 
 
@@ -411,8 +437,8 @@ def shared_patterns(
     """The distinct patterns of `sparsify`, each as one frozenset of position
     masks that every candidate with that pattern shares, and each word's
     index into that list."""
-    distinct, ids = np.unique(patterns, return_inverse=True)
     masks = position_masks(l, t)
+    distinct, ids = _rank(patterns, 1 << len(masks))
     sets = [
         frozenset(m for i, m in enumerate(masks) if int(pattern) >> i & 1)
         for pattern in distinct.tolist()
@@ -500,13 +526,14 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     drops every row that holds an id used before the block; the rest are
     resolved in order against the ids taken inside the block, so the
     selection equals the sequential greedy pass."""
-    order = list(range(len(rows)))
+    # A compact array takes the same swaps as a list of the same length.
+    order = array.array("i", range(len(rows)))
     random.Random(seed).shuffle(order)
-    order = np.asarray(rows)[order]
+    order, rows = np.frombuffer(order, dtype=np.int32), np.asarray(rows)
     used = np.zeros(int(ids.max(initial=NOT_KEPT)) + 1, dtype=bool)
     selected: list[int] = []
     for start in range(0, len(order), _SELECT_BLOCK):
-        block = order[start : start + _SELECT_BLOCK]
+        block = rows[order[start : start + _SELECT_BLOCK]]
         held = ids[block]
         free = ~used[held].any(axis=1)
         taken: set[int] = set()

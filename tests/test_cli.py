@@ -212,6 +212,28 @@ class TestConstructVerifyAudit:
         assert run(command, *point, "--no-verify", "--out", str(tmp_path)) == 1
         assert "is a directory" in capsys.readouterr().err
 
+    def test_oversized_build_refused_before_packing(self, tmp_path, monkeypatch, capsys):
+        # (2,10,11): 11^6 words x (8 * 10 + 4 * C(10, 5)) bytes is 1.80 GiB
+        # of word and id matrices, above the 1 GiB cap.
+        class PackingBuilt(Exception):
+            pass
+
+        def rs_called(*args, **kwargs):
+            raise PackingBuilt
+
+        monkeypatch.setattr("fpc.construct.rs_packing", rs_called)
+        out = tmp_path / "x.fpc"
+        started = time.perf_counter()
+        assert run("construct", "--c", "2", "--l", "10", "--q", "11", "--no-verify", "--out", str(out)) == 1
+        assert time.perf_counter() - started < 1.0
+        assert "estimated 1.80 GiB, above the 1 GiB cap" in capsys.readouterr().err
+        assert not out.exists()
+        # (2,4,127) needs 0.11 GiB and reaches the packing.
+        from fpc.construct import ConstructionConfig, construct
+
+        with pytest.raises(PackingBuilt):
+            construct(ConstructionConfig(2, 4, 127, verify=False))
+
     def test_generated_seed_is_printed(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
         rc = run("construct", "--c", "2", "--l", "4", "--q", "5", "--out", str(out))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,24 @@ class TestConstruct:
             with pytest.raises(TypeError):
                 ConstructionConfig(c=2, l=4, q=13, **{name: value})
         assert (ConstructionConfig.mode, ConstructionConfig.matching) == ("relaxed", "greedy")
+
+
+def test_pipeline_peak_memory_stays_near_its_matrices():
+    # The word matrix and the id matrix are the largest arrays the pipeline
+    # keeps; besides them it holds a few arrays of one entry per word.
+    cfg = ConstructionConfig(2, 4, 31, seed=7, verify=False)
+    construct(cfg)  # the field tables, families and lazy imports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        construct(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    n = 31**3
+    matrices = n * 4 * 8 + n * math.comb(4, 2) * 4
+    assert peak <= 1.6 * matrices, f"traced peak {peak / matrices:.2f}x the matrices"
 
 
 class TestPipelineChecks:

@@ -323,6 +323,46 @@ class TestSparsify:
         with pytest.raises(ValueError, match="0..2\\^32-1"):
             sparsify([(1, symbol, 3)], 1, SparsifierConfig(eta=0.1, seed=0))
 
+    @staticmethod
+    def _subset_ranks(monkeypatch, symbols, t, ratio):
+        # ratio 0 sends every key space to np.unique; a huge one to the table.
+        monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
+        radix = int(symbols.max()) + 1
+        subsets = fpc.packing._distinct_subsets(symbols, t, radix)
+        return radix, [(keys, inverse, first) for _combo, keys, inverse, first in subsets]
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 700])
+    @pytest.mark.parametrize("t,top", [(1, 3), (2, 12), (3, 5)])
+    def test_dense_ranks_equal_sorted_ranks(self, monkeypatch, n, t, top):
+        rng = np.random.default_rng(n * 31 + t)
+        symbols = rng.integers(0, top + 1, size=(n, 5))
+        radix, dense = self._subset_ranks(monkeypatch, symbols, t, 10**9)
+        _, unique = self._subset_ranks(monkeypatch, symbols, t, 0)
+        for combo, (keys, inverse, first), (ukeys, uinverse, ufirst) in zip(
+            itertools.combinations(range(5), t), dense, unique
+        ):
+            assert keys.dtype == ukeys.dtype == np.int64
+            assert inverse.dtype == uinverse.dtype == np.int32
+            assert np.array_equal(keys, ukeys) and np.array_equal(inverse, uinverse)
+            assert first == ufirst
+            assert np.array_equal(keys[inverse], symbols[:, combo] @ radix ** np.arange(t))
+
+    @pytest.mark.parametrize("t,top", [(1, 2**32 - 1), (2, 2**31 - 2)])
+    def test_wide_symbols_rank_as_their_offsets(self, monkeypatch, t, top):
+        # Symbols near the 32-bit limit have a key space far beyond the word
+        # count, so np.unique ranks them; the same words shifted down to 0..9
+        # rank through the table, and the ranks are the same.
+        rng = np.random.default_rng(top)
+        small = rng.integers(0, 10, size=(300, 4))
+        wide_radix, wide = self._subset_ranks(monkeypatch, small + (top - 9), t, 4)
+        radix, dense = self._subset_ranks(monkeypatch, small, t, 10**9)
+        for (wkeys, winverse, wfirst), (keys, inverse, first) in zip(wide, dense):
+            assert np.array_equal(winverse, inverse) and wfirst == first
+            for j in range(t):
+                assert np.array_equal(
+                    wkeys // wide_radix**j % wide_radix - (top - 9), keys // radix**j % radix
+                )
+
     def test_shared_patterns(self):
         pack = rs_packing(4, 2, 7)
         cfg = SparsifierConfig(eta=0.3, seed=2)
@@ -479,6 +519,16 @@ class TestMatching:
         cands = [survived_set(pack.transversals[k], 2, cfg) for k in rows.tolist()]
         expected = [c.transversal for c in _reference_greedy(cands, 9)]
         assert [pack.transversals[k] for k in chosen] == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 257, 5000])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, -3])
+    def test_select_order_is_the_list_shuffle(self, n, seed):
+        # With no kept subsets every row is selected, in the shuffled order,
+        # which must be the order `random.shuffle` gives a list of the rows.
+        rows = np.arange(n)[::-1]
+        expected = rows.tolist()
+        random.Random(seed).shuffle(expected)
+        assert greedy_select(np.zeros((n, 1), np.int32), rows, seed) == expected
 
     def test_empty_patterns_all_selected(self):
         cands = [Candidate((k, 1, 2), frozenset()) for k in range(1, 40)]
