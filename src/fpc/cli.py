@@ -1,4 +1,22 @@
-"""Command-line surface.
+"""Command-line surface: the parser and one `cmd_*` function per subcommand.
+
+At module level this imports only argparse, os, sys and typing, so
+`fpc --help` loads no other fpc module. Each command imports what it runs:
+bounds and oracle load `fpc.extremal`; verify loads `fpc.fileio` and
+`fpc.core`, and audit those two plus `fpc.extremal`; construct, sweep and
+diagnose also load the numpy pipeline (`fpc.construct`, `fpc.packing`).
+`secrets` is imported only to generate a missing --seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from typing import Optional, Sequence
+
+# The `fpc --help` description; argparse reflows it, so only its words count.
+_DESCRIPTION = """Command-line surface.
 
 Subcommands: bounds, oracle, construct, verify, audit, sweep, diagnose.
 Only the commands that build a packing (construct, sweep, diagnose) import
@@ -9,34 +27,6 @@ failed (verify found a witness, audit found a violation). All randomness
 flows from --seed; a missing seed is generated and printed so any run can be
 reproduced. FPC_BUDGET overrides the exact-checker comparison budget.
 """
-
-from __future__ import annotations
-
-import argparse
-import dataclasses
-import json
-import os
-import secrets
-import sys
-import time
-from typing import Optional, Sequence
-
-from . import fileio
-from .core import (
-    BudgetExceededError,
-    ConstructionError,
-    DEFAULT_BUDGET,
-    is_frameproof,
-    own_subsequence_audit,
-)
-from .extremal import (
-    EXHAUSTIVE_CAP,
-    ExhaustiveCapError,
-    bounds_report,
-    emc_value,
-    lambda_of,
-    m_exact,
-)
 
 
 class CliError(Exception):
@@ -50,6 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_budget() -> int:
+    from .core import DEFAULT_BUDGET
+
     raw = os.environ.get("FPC_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -62,6 +54,8 @@ def _env_budget() -> int:
 def _resolve_seed(seed: Optional[int]) -> tuple[int, bool]:
     if seed is not None:
         return seed, False
+    import secrets
+
     return secrets.randbits(32), True
 
 
@@ -71,7 +65,7 @@ def _print_kv(pairs):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="fpc", description=__doc__)
+    parser = _Parser(prog="fpc", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="size bounds and the rate limit for (c, l, q)")
@@ -87,7 +81,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--method", choices=["exhaustive", "formula", "both"], default="both"
     )
-    p.add_argument("--cap", type=int, default=EXHAUSTIVE_CAP)
+    p.add_argument("--cap", type=int, default=None)  # None: cmd_oracle uses EXHAUSTIVE_CAP
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("construct", help="build a frameproof code and write it out")
@@ -137,6 +131,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
 
 def _config(args, **given):
     """The config the flags name; `given` fields override or fill in theirs."""
+    import dataclasses
+
     from .construct import ConstructionConfig
 
     flags = {f.name for f in dataclasses.fields(ConstructionConfig)} - given.keys()
@@ -144,6 +140,10 @@ def _config(args, **given):
 
 
 def cmd_bounds(args) -> int:
+    import json
+
+    from .extremal import bounds_report
+
     report = bounds_report(args.c, args.l, args.q)
     if args.json:
         print(json.dumps(report.as_dict(), sort_keys=True))
@@ -153,12 +153,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import json
+
+    from .extremal import EXHAUSTIVE_CAP, ExhaustiveCapError, emc_value, m_exact
+
+    cap = EXHAUSTIVE_CAP if args.cap is None else args.cap
     results = {}
     if args.method in ("formula", "both"):
         results["formula"] = emc_value(args.l, args.t, args.lam)
     if args.method in ("exhaustive", "both"):
         try:
-            results["exhaustive"] = m_exact(args.l, args.t, args.lam, cap=args.cap)
+            results["exhaustive"] = m_exact(args.l, args.t, args.lam, cap=cap)
         except ExhaustiveCapError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -196,6 +201,9 @@ def _check_out_dir(path: str) -> None:
 
 
 def cmd_construct(args) -> int:
+    import json
+
+    from . import fileio
     from .construct import construct
 
     _check_out_dir(args.out)
@@ -219,6 +227,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import fileio
+    from .core import is_frameproof
+
     code = fileio.read_code_file(args.path)
     budget = args.budget if args.budget is not None else _env_budget()
     verdict = is_frameproof(code, args.c, budget)
@@ -234,6 +245,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import fileio
+    from .core import own_subsequence_audit
+
     code = fileio.read_code_file(args.path)
     result = own_subsequence_audit(code, args.c)
     print(
@@ -255,6 +269,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import time
+
+    from . import fileio
     from .construct import construct
 
     _check_out_dir(args.out)
@@ -292,7 +309,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    import dataclasses
+    import json
+
     from .construct import build_extremal_complement
+    from .extremal import lambda_of
     from .packing import (
         SparsifierConfig,
         check_image_cap,
@@ -358,14 +379,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (
-        CliError,
-        ValueError,
-        OSError,
-        BudgetExceededError,
-        ConstructionError,
-        fileio.CodeFileError,
-    ) as exc:
+    except Exception as exc:
+        from .core import BudgetExceededError, ConstructionError
+
+        refusals = (CliError, ValueError, OSError, BudgetExceededError, ConstructionError)
+        if not isinstance(exc, refusals):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,9 +17,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .extremal import EmcValue, emc_value, lambda_of
+if TYPE_CHECKING:
+    from .extremal import EmcValue
 
 Word = tuple[int, ...]
 Edge = frozenset[tuple[int, int]]  # {(position, symbol)}, positions 1-based
@@ -428,6 +429,8 @@ def own_subsequence_audit(code: Code, c: int) -> AuditResult:
     have at least binom(l, t) - m own t-subsequences. Violations on a
     verified code would disprove the checker or the m oracle.
     """
+    from .extremal import emc_value, lambda_of
+
     t, lam = lambda_of(c, code.l)
     m = emc_value(code.l, t, lam)
     required = math.comb(code.l, t) - m.value

@@ -7,7 +7,6 @@ parse: anything off-spec is an error, never a silent fix-up.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .core import Code
@@ -113,6 +112,8 @@ def read_code_file(path: Union[str, os.PathLike]) -> Code:
 
 def format_sweep_row(values: dict) -> str:
     """One CSV line in the fixed column order; absent improved renders empty."""
+    from fractions import Fraction
+
     out = []
     for col in SWEEP_COLUMNS:
         v = values[col]

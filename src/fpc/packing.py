@@ -364,6 +364,7 @@ def _distinct_subsets(symbols: np.ndarray, t: int, radix: int):
             keys += symbols[:, p]
         keys, inverse = _rank(keys, radix**t)
         yield combo, keys, inverse, first
+        del inverse  # a caller done with it frees it before the next keys
         first += len(keys)
 
 
@@ -423,11 +424,16 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
     dtype = np.int64 if slots < 64 else object
     patterns = np.zeros(n, dtype=dtype)
     ids = np.empty((n, slots), dtype=np.int32)
-    for i, (combo, keys, inverse, first) in enumerate(_distinct_subsets(symbols, t, radix)):
+    subsets = _distinct_subsets(symbols, t, radix)
+    for i in range(slots):
+        # Not enumerate(): its reused result tuple would keep this inverse
+        # alive while the generator builds the next combination's keys.
+        combo, keys, inverse, first = next(subsets)
         kept = _kept(combo, keys, radix, cfg)
         key_ids = np.arange(first, first + len(keys), dtype=np.int32)
         ids[:, i] = np.where(kept, key_ids, NOT_KEPT)[inverse]
         np.bitwise_or(patterns, 1 << i, out=patterns, where=kept[inverse])
+        del inverse
     return patterns, ids
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from fpc.cli import main
-from fpc.core import Code, is_cover_free
+from fpc.core import Code, ConstructionError, is_cover_free
+from fpc.extremal import EXHAUSTIVE_CAP
 from fpc.fileio import (
     SWEEP_COLUMNS,
     CodeFileError,
@@ -99,8 +100,12 @@ class TestOracleCommand:
         assert "agreement" in capsys.readouterr().out
 
     def test_cap_refusal_states_cap(self, capsys):
+        # Without --cap the command resolves EXHAUSTIVE_CAP itself.
         assert run("oracle", "9", "3", "2", "--method", "exhaustive") == 1
-        assert "cap 20" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"exhaustive cap {EXHAUSTIVE_CAP};" in err
+        assert run("oracle", "5", "2", "1", "--method", "exhaustive", "--cap", "9") == 1
+        assert "exhaustive cap 9;" in capsys.readouterr().err
 
     def test_formula_above_cap(self, capsys):
         assert run("oracle", "9", "3", "2", "--method", "formula") == 0
@@ -276,10 +281,32 @@ class TestConstructVerifyAudit:
         assert run("audit", "--in", str(bad), "--c", "2") == 2
         assert "violation" in capsys.readouterr().out
 
-    def test_verify_malformed_file_exit_1(self, tmp_path):
+    def test_verify_malformed_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.fpc"
         bad.write_text("fpc 1\n3 2\n1 9\n")
         assert run("verify", "--in", str(bad), "--c", "2") == 1
+        # CodeFileError is caught as the ValueError it is.
+        assert capsys.readouterr().err == "error: line 3: symbol 9 outside 1..3\n"
+
+    def test_construction_error_exit_1(self, tmp_path, monkeypatch, capsys):
+        # main imports ConstructionError and BudgetExceededError only once
+        # an exception propagates.
+        def refuse(*args, **kwargs):
+            raise ConstructionError("planted diagnosis")
+
+        monkeypatch.setattr("fpc.construct.construct", refuse)
+        out = tmp_path / "code.fpc"
+        assert run("construct", "--c", "2", "--l", "4", "--q", "5", "--seed", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: planted diagnosis\n"
+
+    def test_unexpected_errors_propagate(self, tmp_path, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("not a refusal")
+
+        monkeypatch.setattr("fpc.construct.construct", crash)
+        out = tmp_path / "code.fpc"
+        with pytest.raises(RuntimeError, match="not a refusal"):
+            run("construct", "--c", "2", "--l", "4", "--q", "5", "--seed", "1", "--out", str(out))
 
     def test_budget_env(self, tmp_path, monkeypatch, capsys):
         good = tmp_path / "g.fpc"
@@ -290,7 +317,8 @@ class TestConstructVerifyAudit:
         assert rc == 0
         monkeypatch.setenv("FPC_BUDGET", "10")
         assert run("verify", "--in", str(good), "--c", "2") == 1
-        assert "budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget is 1.00e+01" in err
 
     def test_budget_env_skips_construct_verification(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FPC_BUDGET", "10")
@@ -404,27 +432,40 @@ class TestDiagnoseCommand:
 
 
 def test_checking_commands_start_without_numpy(tmp_path):
-    # Only the commands that build a packing need numpy; --help, bounds,
-    # verify and audit, and importing the checker modules, never load it.
+    # One fresh interpreter per command. --help loads no other fpc module,
+    # verify only fileio and core, and only the commands that build a
+    # packing load numpy.
     path = tmp_path / "code.fpc"
     path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
-    child = f"""
+    cases = [
+        (
+            ["--help"],
+            ("fpc.core", "fpc.extremal", "fpc.fileio", "numpy", "secrets", "fractions", "json"),
+            "usage: fpc",
+        ),
+        (
+            ["verify", "--in", str(path), "--c", "2"],
+            ("fpc.extremal", "fractions", "numpy", "secrets"),
+            "frameproof: ok (3 words, c=2)",
+        ),
+        (["bounds", "2", "4", "13"], ("numpy",), "rate_limit = 2"),
+        (["audit", "--in", str(path), "--c", "2"], ("numpy",), "own-subsequence floor: ok"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for argv, unloaded, expected in cases:
+        child = f"""
 import sys
-import fpc, fpc.cli, fpc.core, fpc.fileio, fpc.extremal
 from fpc.cli import main
 try:
-    main(["--help"])
+    rc = main({argv!r})
 except SystemExit as exc:
-    assert exc.code == 0, exc.code
-assert main(["verify", "--in", {str(path)!r}, "--c", "2"]) == 0
-assert main(["bounds", "2", "4", "13"]) == 0
-assert main(["audit", "--in", {str(path)!r}, "--c", "2"]) == 0
-assert "numpy" not in sys.modules, "numpy was imported"
+    rc = exc.code
+assert rc == 0, rc
+loaded = [name for name in {unloaded!r} if name in sys.modules]
+assert not loaded, f"{argv[0]} imported {{loaded}}"
 """
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert "frameproof: ok (3 words, c=2)" in result.stdout
-    assert "own-subsequence floor: ok" in result.stdout
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert expected in result.stdout

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -306,6 +307,22 @@ class TestSparsify:
         assert patterns.dtype == object
         assert patterns.tolist() == [_pattern_int(survived_set(w, 4, cfg)) for w in words]
         _assert_ids_name_kept_subsets(words, 4, patterns, ids)
+
+    def test_one_inverse_alive_at_a_time(self, monkeypatch):
+        # Each combination's word-sized inverse must be freed before the next
+        # combination's keys are ranked, or the loop holds two of them.
+        rank = fpc.packing._rank
+        inverses = []
+
+        def tracked(values, space):
+            assert all(ref() is None for ref in inverses), "an earlier inverse is alive"
+            distinct, inverse = rank(values, space)
+            inverses.append(weakref.ref(inverse))
+            return distinct, inverse
+
+        monkeypatch.setattr(fpc.packing, "_rank", tracked)
+        sparsify(rs_packing(4, 2, 7).words, 2, SparsifierConfig(eta=0.05, seed=7))
+        assert len(inverses) == math.comb(4, 2)
 
     def test_empty(self):
         patterns, ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
