@@ -317,6 +317,7 @@ def cmd_diagnose(args) -> int:
     from .packing import (
         SparsifierConfig,
         check_image_cap,
+        check_matrix_bytes,
         degree_diagnostics,
         greedy_packing,
         rs_packing,
@@ -325,6 +326,7 @@ def cmd_diagnose(args) -> int:
     check_image_cap(args.l)  # before the packing, which can be huge at large l
     seed, generated = _resolve_seed(args.seed)
     t, _lam = lambda_of(args.c, args.l)
+    check_matrix_bytes(args.l, t, args.q)
     _chosen, complement = build_extremal_complement(args.c, args.l)
     if args.packing == "rs":
         pack = rs_packing(args.l, t, args.q)

@@ -17,7 +17,6 @@ report takes t, lambda, m and the bounds from one `BoundsReport`.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -51,6 +50,7 @@ from .packing import (
     Candidate,
     SparsifierConfig,
     accept_pattern,
+    check_matrix_bytes,
     greedy_packing,
     greedy_select,
     rs_packing,
@@ -58,12 +58,6 @@ from .packing import (
     sparsify,
     validate_induced,
 )
-
-
-# The most bytes the packing's int64 word matrix and the sparsifier's int32
-# id matrix, the pipeline's largest arrays, may take together; `construct`
-# refuses a larger build before any packing exists.
-_MATRIX_BYTE_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -154,13 +148,7 @@ def construct(
     """
     bounds = bounds_report(cfg.c, cfg.l, cfg.q)
     t, lam = bounds.t, bounds.lam
-    # No packing has more than q^(t+1) words (the Singleton bound).
-    need = cfg.q ** (t + 1) * (8 * cfg.l + 4 * math.comb(cfg.l, t))
-    if need > _MATRIX_BYTE_CAP:
-        raise ConstructionError(
-            f"the word and id matrices at (c, l, q) = ({cfg.c}, {cfg.l}, {cfg.q}) need an "
-            f"estimated {need / 2**30:.2f} GiB, above the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
-        )
+    check_matrix_bytes(cfg.l, t, cfg.q)
     timings: dict[str, float] = {}
 
     with _timed(timings, "families"):

@@ -10,19 +10,21 @@ sparsifier thins the labeled t-subsets, a candidate is accepted when its
 missing pattern has no lam+1 pairwise disjoint members, and one seed-shuffled
 greedy pass selects candidates with pairwise disjoint surviving subsets.
 A packing holds its words as one (n, l) int64 matrix, `words`, and every
-stage works on it: `sparsify` hashes each distinct labeled t-subset once and
-gives every word its kept pattern as one int and an id per kept labeled
-subset; acceptance is decided once per distinct pattern; the greedy pass
-walks the shuffled words in blocks, dropping in one numpy test every word
-that holds an id already used. Only the selected words become tuples and
-`Candidate` objects. A candidate carries only its transversal and the
-position pattern of its surviving subsets, and candidates with equal
-patterns share one frozenset; validation derives the labeled subsets from
-the two where it needs them. `survived_set` and `r_membership` are the
-per-word reference route to the same pattern. `degree_diagnostics` counts
-degrees over the same per-combination keys and ids, and finds the candidates
-whose pattern is a relabeled copy of the target family by membership in the
-cached image set, `pattern_images`, once per distinct pattern.
+stage works on it: `sparsify`, the one ranker of labeled t-subsets, hashes
+each distinct one once and gives every word its kept pattern as one int and
+an id per kept labeled subset; acceptance is decided once per distinct
+pattern; the greedy pass walks the shuffled words in blocks, dropping in one
+numpy test every word that holds an id already used. Only the selected words
+become tuples and `Candidate` objects. A candidate carries only its
+transversal and the position pattern of its surviving subsets, and
+candidates with equal patterns share one frozenset; validation derives the
+labeled subsets from the two where it needs them. `survived_set` and `r_membership` are the
+per-word reference route to the same pattern. `greedy_matching` takes its ids
+from `sparsify` at eta 0. `degree_diagnostics` counts every labeled t-subset
+over 1..q exactly from the words' per-combination keys, and finds the
+candidates whose pattern is a relabeled copy of the target family by
+membership in the cached image set, `pattern_images`, once per distinct
+pattern.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-base
 _GF_TABLE_CAP = 512
 # Largest l whose l! position relabelings `pattern_images` enumerates.
 _IMAGE_L_CAP = 9
+# Most words, q^l, that `greedy_packing` enumerates.
+_GREEDY_WORD_CAP = 2_000_000
+# Most bytes that the word and id matrices, the pipeline's largest arrays,
+# may take together.
+_MATRIX_BYTE_CAP = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +170,19 @@ class TransversalPacking:
         return len(self.words)
 
 
+def check_matrix_bytes(l: int, t: int, q: int) -> None:
+    """Refuse, before any packing exists, a build whose word and id matrices
+    would pass `_MATRIX_BYTE_CAP` at q^(t+1) words, the most any packing
+    has by the Singleton bound: 8l bytes of symbols and 4·C(l, t) of ids
+    per word."""
+    need = q ** (t + 1) * (8 * l + 4 * math.comb(l, t))
+    if need > _MATRIX_BYTE_CAP:
+        raise ValueError(
+            f"the word and id matrices at (l, t, q) = ({l}, {t}, {q}) need an estimated "
+            f"{need / 2**30:.2f} GiB, above the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
+        )
+
+
 def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     """All q^(t+1) evaluation vectors of degree-<=t polynomials over GF(q).
 
@@ -196,9 +216,7 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
-def greedy_packing(
-    l: int, t: int, q: int, seed: int, word_cap: int = 2_000_000
-) -> TransversalPacking:
+def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
     """Maximal-by-inclusion packing over a seed-shuffled word order.
 
     Keeps a word iff none of its labeled (t+1)-subsets was claimed before,
@@ -208,9 +226,9 @@ def greedy_packing(
         raise ValueError(f"need t+1 <= l, got t={t}, l={l}")
     if q < 2:
         raise ValueError("q must be at least 2")
-    if q**l > word_cap:
+    if q**l > _GREEDY_WORD_CAP:
         raise ValueError(
-            f"greedy packing enumerates q^l = {q**l} words, above cap {word_cap}"
+            f"greedy packing enumerates q^l = {q**l} words, above cap {_GREEDY_WORD_CAP}"
         )
     rng = random.Random(seed)
     words = list(itertools.product(range(1, q + 1), repeat=l))
@@ -346,26 +364,15 @@ def _rank(values: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present), rank[values]
 
 
-def _distinct_subsets(symbols: np.ndarray, t: int, radix: int):
-    """For each position combination of `position_masks(l, t)`, in order:
-    the combination, its distinct labeled subsets as sorted keys whose
-    base-`radix` digits are the symbols (the first position lowest), each
-    word's int32 index into them, and the id of the first of them. Ids run
-    on from NOT_KEPT + 1 across the combinations, so distinct labeled
-    subsets get distinct ids."""
-    if radix**t >= 2**63:
-        raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
-    first = NOT_KEPT + 1
-    for combo in itertools.combinations(range(symbols.shape[1]), t):
-        # Horner's rule from the last position down, in one array.
-        keys = symbols[:, combo[-1]].copy()
-        for p in reversed(combo[:-1]):
-            keys *= radix
-            keys += symbols[:, p]
-        keys, inverse = _rank(keys, radix**t)
-        yield combo, keys, inverse, first
-        del inverse  # a caller done with it frees it before the next keys
-        first += len(keys)
+def _subset_keys(symbols: np.ndarray, combo: Sequence[int], radix: int) -> np.ndarray:
+    """Each word's labeled subset on the 0-based positions `combo` as one
+    int64 key whose base-`radix` digits are its symbols, the first position
+    lowest: Horner's rule from the last position down, in one array."""
+    keys = symbols[:, combo[-1]].copy()
+    for p in reversed(combo[:-1]):
+        keys *= radix
+        keys += symbols[:, p]
+    return keys
 
 
 # `_encode_labeled`'s ">HI" record of one (position, symbol) pair as numpy fields.
@@ -378,10 +385,11 @@ def _kept(
     """`r_membership` of each labeled subset on the 0-based positions `combo`
     whose symbols are the base-`radix` digits of `keys`: the hash key, the
     threshold and the `_encode_labeled` records are built once for all keys,
-    and one keyed blake2b runs per key."""
+    and one keyed blake2b runs per key. At eta 1 and eta 0 every digest
+    falls on one side of the threshold, so none is computed."""
     threshold = int((1.0 - cfg.eta) * 2.0**64)
-    if threshold <= 0:
-        return np.zeros(len(keys), dtype=bool)
+    if threshold <= 0 or threshold >= 2**64:
+        return np.full(len(keys), threshold > 0)
     fields = [(f"{kind}{j}", fmt) for j in range(len(combo)) for kind, fmt in _RECORD]
     records = np.empty(len(keys), dtype=fields)
     for j, p in enumerate(combo):
@@ -417,6 +425,8 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
     radix = int(symbols.max()) + 1
     if symbols.min() < 0 or radix > 2**32:
         raise ValueError("sparsifier symbols must lie in 0..2^32-1")
+    if radix**t >= 2**63:
+        raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
     n, l = symbols.shape
     slots = math.comb(l, t)
     if n * slots >= 2**31:
@@ -424,16 +434,17 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
     dtype = np.int64 if slots < 64 else object
     patterns = np.zeros(n, dtype=dtype)
     ids = np.empty((n, slots), dtype=np.int32)
-    subsets = _distinct_subsets(symbols, t, radix)
-    for i in range(slots):
-        # Not enumerate(): its reused result tuple would keep this inverse
-        # alive while the generator builds the next combination's keys.
-        combo, keys, inverse, first = next(subsets)
+    # Ids run on from NOT_KEPT + 1 across the combinations, so distinct
+    # labeled subsets get distinct ids.
+    first = NOT_KEPT + 1
+    for i, combo in enumerate(itertools.combinations(range(l), t)):
+        keys, inverse = _rank(_subset_keys(symbols, combo, radix), radix**t)
         kept = _kept(combo, keys, radix, cfg)
         key_ids = np.arange(first, first + len(keys), dtype=np.int32)
         ids[:, i] = np.where(kept, key_ids, NOT_KEPT)[inverse]
         np.bitwise_or(patterns, 1 << i, out=patterns, where=kept[inverse])
-        del inverse
+        first += len(keys)
+        del inverse  # freed before the next combination's keys are ranked
     return patterns, ids
 
 
@@ -491,7 +502,8 @@ def greedy_matching(
     strategy: Literal["greedy"] = "greedy",
 ) -> list[Candidate]:
     """Select candidates with pairwise disjoint survived sets: `greedy_select`
-    over labeled-subset ids built from their transversals and patterns.
+    over the ids `sparsify` gives every labeled subset at eta 0, with each
+    slot the candidate's pattern lacks set to NOT_KEPT.
     `strategy` takes one value, "greedy", and stays in the signature because
     callers that pass it, `perfbench/replica.py` among them, pin it; any
     other value raises ValueError."""
@@ -503,13 +515,13 @@ def greedy_matching(
     distinct: dict[frozenset[int], int] = {}
     pattern_ids = [distinct.setdefault(cand.pattern, len(distinct)) for cand in candidates]
     t = next((mask.bit_count() for pattern in distinct for mask in pattern), 0)
-    masks = position_masks(symbols.shape[1], t) if t else []
-    kept = np.array([[m in p for m in masks] for p in distinct], dtype=bool)[pattern_ids]
-    ids = np.full(kept.shape, NOT_KEPT, dtype=np.int32)
     if t:
-        subsets = _distinct_subsets(symbols, t, int(symbols.max()) + 1)
-        for i, (_combo, _keys, inverse, first) in enumerate(subsets):
-            ids[:, i] = np.where(kept[:, i], first + inverse, NOT_KEPT)
+        masks = position_masks(symbols.shape[1], t)
+        lacks = np.array([[m not in p for m in masks] for p in distinct], dtype=bool)
+        ids = sparsify(symbols, t, SparsifierConfig(eta=0.0, seed=0))[1]
+        ids[lacks[pattern_ids]] = NOT_KEPT
+    else:
+        ids = np.zeros((len(candidates), 0), dtype=np.int32)
     chosen = greedy_select(ids, np.arange(len(candidates)), seed)
     return [candidates[k] for k in chosen]
 
@@ -625,59 +637,41 @@ def degree_diagnostics(
     packing: TransversalPacking,
     cfg: SparsifierConfig,
     family: PositionFamily,
-    element_cap: int = 200_000,
 ) -> DegreeDiagnostics:
     """Empirical degree facts for the candidate hypergraph over a packing.
 
-    Reports the transversal-degree extremes over (a sample of) all labeled
-    t-subsets, the fraction meeting the near-regularity threshold, the mean
-    candidate degree of sparsifier survivors against its predicted value, and
-    the largest pairwise candidate codegree.
+    Counts, exactly, over every labeled t-subset with symbols in 1..q: the
+    transversal-degree extremes, the fraction meeting the near-regularity
+    threshold, and the mean candidate degree of sparsifier survivors against
+    its predicted value. Also reports the largest pairwise candidate
+    codegree.
     """
     l, q, t = packing.l, packing.q, packing.t
     if (family.l, family.t) != (l, t):
         raise ValueError("family must be t-uniform on the packing's positions")
     lam_f = embeddings_per_edge(family)
 
-    combos = list(itertools.combinations(range(l), t))
-    space = len(combos) * q**t
-    if space <= element_cap:
-        # Every labeled t-subset over the symbols 1..q, once.
-        grid = np.indices((q,) * t).reshape(t, -1).T + 1
-        elements = np.tile(grid, (len(combos), 1))
-        element_combo = np.repeat(np.arange(len(combos)), q**t)
-    else:
-        rng = random.Random(cfg.seed ^ 0x5EED5EED)
-        drawn = [
-            (rng.choice(range(len(combos))), [rng.randint(1, q) for _ in range(t)])
-            for _ in range(element_cap)
-        ]
-        elements = np.array([syms for _, syms in drawn], dtype=np.int64)
-        element_combo = np.array([i for i, _ in drawn])
-    radix = max(q, int(packing.words.max())) + 1
-    element_keys = elements @ radix ** np.arange(t)
-
     patterns, ids = sparsify(packing.words, t, cfg)
     sets, pattern_ids = shared_patterns(patterns, l, t)
     images = pattern_images(family)
     copies = np.array([p in images for p in sets], dtype=bool)[pattern_ids]
+    del patterns, pattern_ids
 
-    # Per element: its degree in the packing, its degree among the copies,
-    # and whether the sparsifier keeps it. Only kept elements enter dH_mean,
-    # and a copy that holds a kept element keeps it.
-    degrees = np.zeros(len(elements), dtype=np.int64)
-    dH = np.zeros(len(elements), dtype=np.int64)
-    in_r = np.zeros(len(elements), dtype=bool)
-    for i, (combo, keys, inverse, _first) in enumerate(
-        _distinct_subsets(packing.words, t, radix)
-    ):
-        at = np.flatnonzero(element_combo == i)
-        wanted = element_keys[at]
-        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        found = keys[pos] == wanted
-        degrees[at] = np.where(found, np.bincount(inverse, minlength=len(keys))[pos], 0)
-        dH[at] = np.where(found, np.bincount(inverse[copies], minlength=len(keys))[pos], 0)
-        in_r[at] = _kept(combo, wanted, radix, cfg)
+    # Per labeled subset on the q^t grid of each combination: its degree in
+    # the packing, its degree among the copies, and whether the sparsifier
+    # keeps it. Only kept subsets enter dH_mean, and a copy that holds a kept
+    # subset keeps it. Degrees are counts of the words' keys.
+    combos = list(itertools.combinations(range(l), t))
+    radix = max(q, int(packing.words.max())) + 1
+    grid_keys = (np.indices((q,) * t).reshape(t, -1).T + 1) @ radix ** np.arange(t)
+    degrees, dH, in_r = [], [], []
+    for combo in combos:
+        keys = _subset_keys(packing.words, combo, radix)
+        degrees.append(np.bincount(keys, minlength=radix**t)[grid_keys])
+        dH.append(np.bincount(keys[copies], minlength=radix**t)[grid_keys])
+        in_r.append(_kept(combo, grid_keys, radix, cfg))
+    del keys
+    degrees, dH, in_r = (np.concatenate(counts) for counts in (degrees, dH, in_r))
 
     delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))
     threshold = (1.0 - math.sqrt(delta)) * q
@@ -699,7 +693,9 @@ def degree_diagnostics(
     for i, j in itertools.combinations(range(len(combos)), 2):
         both = kept[:, i] & kept[:, j]
         if both.any():
-            pairs = ids[both, i].astype(np.int64) << 32 | ids[both, j]
+            pairs = ids[both, i].astype(np.int64)
+            pairs <<= 32
+            pairs |= ids[both, j]
             max_co = max(max_co, int(np.unique(pairs, return_counts=True)[1].max()))
 
     return DegreeDiagnostics(

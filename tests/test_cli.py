@@ -430,6 +430,24 @@ class TestDiagnoseCommand:
         assert time.perf_counter() - started < 5.0
         assert "capped at l = 9" in capsys.readouterr().err
 
+    def test_oversized_packing_refused_before_building(self, monkeypatch, capsys):
+        # (2,4,269): 269^3 words x (8 * 4 + 4 * C(4, 2)) bytes is 1.015 GiB
+        # of word and id matrices, above the 1 GiB cap that construct keeps.
+        class PackingBuilt(Exception):
+            pass
+
+        def rs_called(*args, **kwargs):
+            raise PackingBuilt
+
+        monkeypatch.setattr("fpc.packing.rs_packing", rs_called)
+        started = time.perf_counter()
+        assert run("diagnose", "--c", "2", "--l", "4", "--q", "269", "--seed", "1") == 1
+        assert time.perf_counter() - started < 1.0
+        assert "estimated 1.02 GiB, above the 1 GiB cap" in capsys.readouterr().err
+        # (2,4,263) needs 0.95 GiB and reaches the packing.
+        with pytest.raises(PackingBuilt):
+            run("diagnose", "--c", "2", "--l", "4", "--q", "263", "--seed", "1")
+
 
 def test_checking_commands_start_without_numpy(tmp_path):
     # One fresh interpreter per command. --help loads no other fpc module,

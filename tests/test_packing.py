@@ -155,7 +155,7 @@ class TestGreedyPacking:
 
     def test_word_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            greedy_packing(8, 2, 9, seed=0, word_cap=1000)
+            greedy_packing(8, 2, 9, seed=0)
 
 
 class TestValidatePacking:
@@ -308,7 +308,21 @@ class TestSparsify:
         assert patterns.tolist() == [_pattern_int(survived_set(w, 4, cfg)) for w in words]
         _assert_ids_name_kept_subsets(words, 4, patterns, ids)
 
-    def test_one_inverse_alive_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "run,ranks",
+        [
+            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.05, seed=7)), 6),
+            (lambda pack: greedy_matching(_candidates_for(pack, 0.05, 7), seed=3), 6),
+            (
+                lambda pack: degree_diagnostics(
+                    pack, SparsifierConfig(eta=0.05, seed=7), build_extremal_complement(2, 4)[1]
+                ),
+                7,  # the six combinations, then the distinct patterns
+            ),
+        ],
+        ids=["sparsify", "greedy_matching", "degree_diagnostics"],
+    )
+    def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks):
         # Each combination's word-sized inverse must be freed before the next
         # combination's keys are ranked, or the loop holds two of them.
         rank = fpc.packing._rank
@@ -320,9 +334,10 @@ class TestSparsify:
             inverses.append(weakref.ref(inverse))
             return distinct, inverse
 
+        pack = rs_packing(4, 2, 7)
         monkeypatch.setattr(fpc.packing, "_rank", tracked)
-        sparsify(rs_packing(4, 2, 7).words, 2, SparsifierConfig(eta=0.05, seed=7))
-        assert len(inverses) == math.comb(4, 2)
+        run(pack)
+        assert len(inverses) == ranks
 
     def test_empty(self):
         patterns, ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
@@ -345,8 +360,14 @@ class TestSparsify:
         # ratio 0 sends every key space to np.unique; a huge one to the table.
         monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
         radix = int(symbols.max()) + 1
-        subsets = fpc.packing._distinct_subsets(symbols, t, radix)
-        return radix, [(keys, inverse, first) for _combo, keys, inverse, first in subsets]
+        ranks, first = [], fpc.packing.NOT_KEPT + 1
+        for combo in itertools.combinations(range(symbols.shape[1]), t):
+            keys, inverse = fpc.packing._rank(
+                fpc.packing._subset_keys(symbols, combo, radix), radix**t
+            )
+            ranks.append((keys, inverse, first))
+            first += len(keys)
+        return radix, ranks
 
     @pytest.mark.parametrize("n", [1, 2, 50, 700])
     @pytest.mark.parametrize("t,top", [(1, 3), (2, 12), (3, 5)])
@@ -680,17 +701,8 @@ class TestDiagnostics:
         assert diag.max_codegree <= 1
         assert diag.dP_max <= 5
 
-    def test_sampled_element_path(self):
-        packing = rs_packing(4, 2, 5)
-        _, F = build_extremal_complement(2, 4)
-        diag = degree_diagnostics(
-            packing, SparsifierConfig(eta=0.05, seed=3), F, element_cap=50
-        )
-        assert diag.dP_max == 5 and diag.dP_min == 5
-
-    @pytest.mark.parametrize("element_cap", [200_000, 40])
     @pytest.mark.parametrize("eta", [0.3, 0.45])
-    def test_counts_equal_tuple_counters(self, element_cap, eta):
+    def test_counts_equal_tuple_counters(self, eta):
         # Words over q = 3 repeat pairs of labeled subsets, so this is no
         # packing and codegrees exceed 1. The reference counts labeled-subset
         # tuples as `degree_diagnostics` did before it counted ids.
@@ -699,21 +711,14 @@ class TestDiagnostics:
         packing = TransversalPacking(l=4, q=3, t=2, words=np.array(words))
         cfg = SparsifierConfig(eta=eta, seed=4)
         _, family = build_extremal_complement(2, 4)
-        diag = degree_diagnostics(packing, cfg, family, element_cap=element_cap)
+        diag = degree_diagnostics(packing, cfg, family)
 
-        def labeled(combo, syms):
-            return tuple((p + 1, s) for p, s in zip(combo, syms))
-
-        combos = list(itertools.combinations(range(4), 2))
-        if element_cap >= len(combos) * 3**2:
-            grid = list(itertools.product(range(1, 4), repeat=2))
-            elements = [labeled(combo, syms) for combo in combos for syms in grid]
-        else:
-            drng = random.Random(cfg.seed ^ 0x5EED5EED)
-            elements = [
-                labeled(drng.choice(combos), [drng.randint(1, 3) for _ in range(2)])
-                for _ in range(element_cap)
-            ]
+        grid = list(itertools.product(range(1, 4), repeat=2))
+        elements = [
+            tuple((p + 1, s) for p, s in zip(combo, syms))
+            for combo in itertools.combinations(range(4), 2)
+            for syms in grid
+        ]
         cands = [survived_set(w, 2, cfg) for w in words]
         dP = collections.Counter(a for w in words for a in _labeled(w, 2))
         copies = [c for c in cands if c.pattern in pattern_images(family)]
