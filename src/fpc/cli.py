@@ -5,7 +5,7 @@ At module level this imports only argparse, os, sys and typing, so
 bounds and oracle load `fpc.extremal`; verify loads `fpc.fileio` and
 `fpc.core`, and audit those two plus `fpc.extremal`; construct, sweep and
 diagnose also load the numpy pipeline (`fpc.construct`, `fpc.packing`).
-`secrets` is imported only to generate a missing --seed.
+A missing --seed is drawn from `os.urandom`, which loads nothing more.
 """
 
 from __future__ import annotations
@@ -54,9 +54,7 @@ def _env_budget() -> int:
 def _resolve_seed(seed: Optional[int]) -> tuple[int, bool]:
     if seed is not None:
         return seed, False
-    import secrets
-
-    return secrets.randbits(32), True
+    return int.from_bytes(os.urandom(4), "big"), True
 
 
 def _print_kv(pairs):

@@ -17,6 +17,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, ne
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -136,7 +138,9 @@ def desc_size(coalition: Sequence[Word]) -> int:
 # asks whether s other words can cover x's positions, a word covering the
 # positions where it agrees with x:
 #   - it branches over the words in the smallest group among x's uncovered
-#     positions, since one of them must cover that position;
+#     positions, since one of them must cover that position; members that
+#     leave x the same positions uncovered make one branch, since an OR
+#     does not change when a repeated question is dropped;
 #   - with one slot left, one lookup in a labeled-subset index says whether
 #     another word agrees with x on every uncovered position. Per distinct
 #     uncovered set, the index counts the words by their symbols there; it is
@@ -158,8 +162,9 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     For each word x in sorted order, searches for s = min(c, n-1) other words
     that cover x's positions, branching over the smallest (position, symbol)
-    group among the positions still uncovered and answering the last slot
-    from a labeled-subset index. The first framed word is the least one, and
+    group among the positions still uncovered, once per distinct set of
+    positions its members leave uncovered, and answering the last slot from
+    a labeled-subset index. The first framed word is the least one, and
     its least coalition is chosen index by index. Raises BudgetExceededError
     rather than sampling when the instance exceeds `budget` comparisons.
     """
@@ -191,19 +196,30 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
     def reach(x: int, uncovered: tuple[int, ...], left: int) -> bool:
         """Can `left` words other than x cover x on `uncovered`?"""
-        w = words[x]
+        # On all l positions the projection is the word itself.
+        get = tuple if len(uncovered) == l else itemgetter(*uncovered)
         if left == 1:
-            if uncovered not in index:
-                index[uncovered] = Counter(tuple(v[k] for k in uncovered) for v in words)
-            return index[uncovered][tuple(w[k] for k in uncovered)] > 1
+            counts = index.get(uncovered)
+            if counts is None:
+                counts = index[uncovered] = Counter(map(get, words))
+            return counts[get(words[x])] > 1
+        # Every member of the group agrees with x at one uncovered position,
+        # so one uncovered position leaves nothing to another member.
+        w = words[x]
         group = min((groups[k][w[k]] for k in uncovered), key=len)
+        if len(uncovered) == 1:
+            return len(group) > 1
+        # Members that leave x the same positions uncovered answer alike, so
+        # each distinct rest is asked once; a member that leaves none frames x.
+        wx = get(w)
+        rests = set()
         for j in group:
             if j != x:
-                v = words[j]
-                rest = tuple(k for k in uncovered if v[k] != w[k])
-                if not rest or reach(x, rest, left - 1):
+                rest = tuple(compress(uncovered, map(ne, get(words[j]), wx)))
+                if not rest:
                     return True
-        return False
+                rests.add(rest)
+        return any(reach(x, rest, left - 1) for rest in rests)
 
     everywhere = tuple(range(l))
     for x in range(n):

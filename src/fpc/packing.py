@@ -17,28 +17,36 @@ pattern; the greedy pass walks the shuffled words in blocks, dropping in one
 numpy test every word that holds an id already used. Only the selected words
 become tuples and `Candidate` objects. A candidate carries only its
 transversal and the position pattern of its surviving subsets, and
-candidates with equal patterns share one frozenset; validation derives the
-labeled subsets from the two where it needs them. `survived_set` and `r_membership` are the
-per-word reference route to the same pattern. `greedy_matching` takes its ids
-from `sparsify` at eta 0. `degree_diagnostics` counts every labeled t-subset
-over 1..q exactly from the words' per-combination keys, and finds the
-candidates whose pattern is a relabeled copy of the target family by
-membership in the cached image set, `pattern_images`, once per distinct
-pattern.
+candidates with equal patterns share one frozenset; validation counts the
+words' projections onto each set of positions instead. `survived_set` and
+`r_membership` are the per-word reference route to the same pattern.
+`greedy_matching` takes its ids from `sparsify` at eta 0. `degree_diagnostics`
+counts every labeled t-subset over 1..q exactly from the words'
+per-combination keys, and finds the candidates whose pattern is a relabeled
+copy of the target family by membership in the cached image set,
+`pattern_images`, once per distinct pattern.
+
+The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
+object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
+Supported interpreters must ship `_blake2`; on a build without it this
+module does not import.
 """
 
 from __future__ import annotations
 
 import array
 import functools
-import hashlib
 import itertools
 import math
 import random
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Literal, Optional, Sequence
+
+# hashlib's own blake2b; `import hashlib` would also load OpenSSL's _hashlib.
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -275,9 +283,15 @@ def validate_packing(packing, t: Optional[int] = None) -> bool:
 
 
 def shadows_disjoint(words: Iterable[Word], t: int) -> bool:
-    """Equivalent packing criterion: labeled (t+1)-subsets never repeat."""
-    keys = [a for w in words for a in _labeled_subsets(w, t + 1)]
-    return len(keys) == len(set(keys))
+    """Equivalent packing criterion: labeled (t+1)-subsets never repeat, that
+    is, on each set of t+1 positions the words' projections are distinct."""
+    words = list(words)
+    if not words:
+        return True
+    for combo in itertools.combinations(range(len(words[0])), t + 1):
+        if len(set(map(itemgetter(*combo), words))) < len(words):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +343,7 @@ def r_membership(a: LabeledSubset, cfg: SparsifierConfig) -> bool:
     threshold is 2^64 at eta = 0 and 0 at eta = 1, so both ends are exact.
     """
     key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    digest = hashlib.blake2b(_encode_labeled(a), key=key, digest_size=8).digest()
+    digest = blake2b(_encode_labeled(a), key=key, digest_size=8).digest()
     u = int.from_bytes(digest, "big")
     return u < int((1.0 - cfg.eta) * 2.0**64)
 
@@ -397,7 +411,7 @@ def _kept(
         records[f"s{j}"] = keys // radix**j % radix
     # Copying a keyed state skips re-hashing the key block for every record.
     key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    keyed = hashlib.blake2b(key=key, digest_size=8)
+    keyed = blake2b(key=key, digest_size=8)
     data, width = records.tobytes(), records.itemsize
     digests = []
     for i in range(0, len(data), width):
@@ -567,20 +581,34 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
 def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
     """Re-check the induced-packing conditions without trusting the matcher:
     pairwise agreement <= t, shared t-agreements in neither survived set, and
-    edge-disjoint survived sets. Each is a count over labeled subsets. Words
-    agree on more than t coordinates iff they share a labeled (t+1)-subset.
-    Granted that, two t-shadows meet only in the one t-subset where their
-    words agree, and a candidate's survived set lies in its own t-shadow, so
-    the middle condition says no survived subset lies in a second t-shadow.
-    The last says no labeled t-subset survives twice."""
+    edge-disjoint survived sets. Each is a count of the words' projections
+    onto one set of positions, so no `sparsify` id is trusted. Words agree on
+    more than t coordinates iff their projections onto some t+1 positions
+    coincide. Granted that, two t-shadows meet only in the one t-subset where
+    their words agree, and a candidate's survived set lies in its own
+    t-shadow, so the middle condition says that a candidate whose pattern
+    holds a t-set of positions is the only word with its projection there.
+    That count of 1 also rules out a labeled t-subset that survives twice,
+    since both holders would project onto it. A pattern mask that is not a
+    t-set of positions fails. t must be at least 1."""
+    if t < 1:
+        raise ValueError(f"t={t} below 1")
     words = [c.transversal for c in selected]
-    degree = Counter(a for w in words for a in _labeled_subsets(w, t))
-    survived = [a for c in selected for a in c.survived]
-    return (
-        shadows_disjoint(words, t)
-        and len(survived) == len(set(survived))
-        and all(degree[a] == 1 for a in survived)
-    )
+    if not words:
+        return True
+    if not shadows_disjoint(words, t):
+        return False
+    l = len(words[0])
+    masks = position_masks(l, t)
+    if not set().union(*{c.pattern for c in selected}) <= set(masks):
+        return False
+    for combo, mask in zip(itertools.combinations(range(l), t), masks):
+        get = itemgetter(*combo)
+        counts = Counter(map(get, words))
+        for c, w in zip(selected, words):
+            if mask in c.pattern and counts[get(w)] > 1:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -687,16 +715,21 @@ def degree_diagnostics(
     )
 
     # The most candidates keeping one pair of labeled subsets; a pair's two
-    # subsets lie on two distinct position combinations.
+    # subsets lie on two distinct position combinations. Each pair is one
+    # int64 key; sorted in place, equal keys form runs, and a run longer than
+    # max_co shows as a key equal to the key max_co places before it.
     max_co = 0
-    kept = ids != NOT_KEPT
     for i, j in itertools.combinations(range(len(combos)), 2):
-        both = kept[:, i] & kept[:, j]
+        both = ids[:, i] != NOT_KEPT
+        both &= ids[:, j] != NOT_KEPT
         if both.any():
-            pairs = ids[both, i].astype(np.int64)
+            pairs = ids[:, i][both].astype(np.int64)
             pairs <<= 32
-            pairs |= ids[both, j]
-            max_co = max(max_co, int(np.unique(pairs, return_counts=True)[1].max()))
+            pairs |= ids[:, j][both]
+            pairs.sort()
+            max_co = max(max_co, 1)
+            while max_co < len(pairs) and (pairs[max_co:] == pairs[:-max_co]).any():
+                max_co += 1
 
     return DegreeDiagnostics(
         dP_max=int(degrees.max()),

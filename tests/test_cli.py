@@ -487,3 +487,22 @@ assert not loaded, f"{argv[0]} imported {{loaded}}"
         )
         assert result.returncode == 0, result.stderr
         assert expected in result.stdout
+
+
+def test_construct_leaves_openssl_unloaded(tmp_path):
+    # blake2b comes from _blake2, and a missing --seed from os.urandom, so a
+    # verified build never loads hashlib's OpenSSL backend.
+    out = tmp_path / "code.fpc"
+    argv = ["construct", "--c", "2", "--l", "4", "--q", "13", "--out", str(out)]
+    child = f"""
+import sys
+from fpc.cli import main
+assert main({argv!r}) == 0
+assert "_hashlib" not in sys.modules, "fpc construct loaded _hashlib"
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert "seed_generated = True" in result.stdout

@@ -9,6 +9,7 @@ from fpc.construct import ConstructionConfig, construct
 from fpc.core import (
     BudgetExceededError,
     Code,
+    Verdict,
     Witness,
     desc_contains,
     desc_size,
@@ -273,6 +274,40 @@ class TestFrameproofSeeding:
         a, b, c = (1, 1), (2, 3), (3, 2)
         x = (2, 2)
         _assert_planted(Code(3, 2, [a, b, c, x]), 3, x, (a, b, c))
+
+    def test_second_member_leaves_nothing_uncovered(self):
+        # s=3 at l=4: a alone carries x's symbol at position 2 and b alone at
+        # position 4. After a covers x's first half, b agrees with x on all
+        # of the second half, so the search answers one level below the top
+        # without a lookup. The fillers share one of x's symbols and carry a
+        # symbol no other word has, so only x is framed; the least filler is
+        # the spare member.
+        a, b = (1, 1, 3, 3), (4, 4, 2, 2)
+        x = (1, 1, 2, 2)
+        fillers = [(1, 10 + k, 20 + k, 30 + k) for k in range(6)]
+        fillers += [(40 + k, 50 + k, 2, 60 + k) for k in range(6)]
+        _assert_planted(Code(99, 4, [a, b, x, *fillers]), 3, x, (a, fillers[0], b))
+
+    @pytest.mark.parametrize("framed", [True, False])
+    def test_group_members_share_one_rest(self, framed):
+        # x's groups at positions 1 and 2 hold x and 20 halves, which all
+        # leave positions 3 and 4 uncovered: one distinct rest. The groups at
+        # positions 3 and 4 are as large. x is framed iff one word agrees
+        # with it on both; every other word carries a symbol no other word
+        # has at its position.
+        x = (1, 1, 1, 1)
+        halves = [(1, 1, k, k + 1) for k in range(2, 22)]
+        if framed:
+            covers = [(k, k + 1, 1, 1) for k in range(2, 22)]
+        else:
+            covers = [(k, k + 1, 1, k + 50) for k in range(2, 22)]
+            covers += [(k + 100, k + 101, k + 150, 1) for k in range(2, 22)]
+        code = Code(200, 4, [x, *halves, *covers])
+        if framed:
+            _assert_planted(code, 2, x, (halves[0], covers[0]))
+        else:
+            assert naive_frameproof(code, 2) is None
+            assert is_frameproof(code, 2) == is_cover_free(code, 2) == Verdict(True)
 
     def test_coalition_after_many_fillers(self):
         # 400 fillers sort first and share a symbol at position 1, so C(403, 3)

@@ -213,6 +213,13 @@ class TestSparsifier:
         with pytest.raises(ValueError):
             SparsifierConfig(eta=1.5, seed=0)
 
+    def test_blake2b_is_hashlibs(self):
+        # The sparsifier hashes with the very function hashlib exports, so
+        # importing it from _blake2 moves no bits.
+        import hashlib
+
+        assert fpc.packing.blake2b is hashlib.blake2b
+
 
 class TestSurvivedSet:
     def test_eta0_keeps_everything(self):
@@ -673,6 +680,14 @@ class TestValidateInduced:
         a = Candidate((1, 1, 1, 1), frozenset())
         b = Candidate((1, 1, 1, 2), frozenset())
         assert not validate_induced([a, b], 2)
+
+    def test_kept_mask_must_be_a_t_set(self):
+        # A 3-set of positions is no labeled 2-subset of the word.
+        assert not validate_induced([Candidate((1, 2, 3, 4), frozenset({0b0111}))], 2)
+
+    def test_t_below_one_refused(self):
+        with pytest.raises(ValueError, match="below 1"):
+            validate_induced([], 0)
 
 
 class TestDiagnostics:
