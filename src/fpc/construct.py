@@ -8,10 +8,12 @@ stages share the packing's (n, l) word matrix: the sparsifier gives each row
 one kept-pattern int and an int32 id per kept labeled subset, acceptance is
 decided once per distinct pattern, and the matching indexes the accepted
 rows of the id matrix without copying them. Only the selected rows become
-tuples and `Candidate` objects, sharing one pattern frozenset per distinct
-pattern. The selected transversals are the code; verification re-checks the
-frameproof property exactly rather than trusting any pipeline stage. The
-report takes t, lambda, m and the bounds from one `BoundsReport`.
+tuples and `Candidate` objects, whose patterns are read back from their id
+rows, one frozenset per distinct pattern, so that the per-word pattern
+index is freed before matching. The selected transversals are the code;
+verification re-checks the frameproof property exactly rather than trusting
+any pipeline stage. The report takes t, lambda, m and the bounds from one
+`BoundsReport`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .packing import (
     Candidate,
     SparsifierConfig,
     accept_pattern,
+    candidates_from_ids,
     check_matrix_bytes,
     greedy_packing,
     greedy_select,
@@ -168,14 +171,12 @@ def construct(
 
     with _timed(timings, "accept"):
         accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
-        accepted = np.flatnonzero(accepts[pattern_ids])
+        accepted = np.flatnonzero(accepts[pattern_ids]).astype(np.int32)
+        del pattern_ids
 
     with _timed(timings, "matching"):
         chosen = greedy_select(subset_ids, accepted, cfg.seed)
-        selected = [
-            Candidate(tuple(w), patterns[pattern_ids[k]])
-            for w, k in zip(pack.words[chosen].tolist(), chosen)
-        ]
+        selected = candidates_from_ids(pack.words, subset_ids, chosen, t)
 
     code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])
 

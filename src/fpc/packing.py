@@ -14,17 +14,21 @@ stage works on it: `sparsify`, the one ranker of labeled t-subsets, hashes
 each distinct one once and gives every word its kept pattern as one int and
 an id per kept labeled subset; acceptance is decided once per distinct
 pattern; the greedy pass walks the shuffled words in blocks, dropping in one
-numpy test every word that holds an id already used. Only the selected words
-become tuples and `Candidate` objects. A candidate carries only its
-transversal and the position pattern of its surviving subsets, and
-candidates with equal patterns share one frozenset; validation counts the
-words' projections onto each set of positions instead. `survived_set` and
-`r_membership` are the per-word reference route to the same pattern.
-`greedy_matching` takes its ids from `sparsify` at eta 0. `degree_diagnostics`
-counts every labeled t-subset over 1..q exactly from the words'
-per-combination keys, and finds the candidates whose pattern is a relabeled
-copy of the target family by membership in the cached image set,
-`pattern_images`, once per distinct pattern.
+numpy test every word that holds an id already used. The order is the one
+`random.Random(seed).shuffle` gives, replayed in numpy by
+`shuffle.shuffled_range` with no Python step per word. Only the selected
+words become tuples and `Candidate` objects, with the patterns their id
+rows keep. A candidate carries only its transversal and the position
+pattern of its surviving subsets, and candidates with equal patterns share
+one frozenset; validation counts the words' projections onto each set of
+positions instead. `survived_set` and `r_membership` are the per-word
+reference route to the same pattern. `greedy_matching` takes its ids from
+`sparsify` at eta 0. `degree_diagnostics` counts every labeled t-subset
+over 1..q exactly from the words' per-combination keys, and finds the
+candidates whose pattern is a relabeled copy of the target family by
+membership in the cached image set, `pattern_images`, once per distinct
+pattern. Words that agree in at most t positions give its largest codegree
+without counting pairs.
 
 The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
 object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
@@ -34,7 +38,6 @@ module does not import.
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import math
@@ -52,6 +55,7 @@ import numpy as np
 
 from .core import Word
 from .extremal import PositionFamily, complete_family, matching_number, position_masks
+from .shuffle import shuffled_range
 
 LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
 
@@ -211,16 +215,24 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
         )
     # In `itertools.product` order, coefficient vector i lists the base-q
     # digits of i, most significant first; coeffs[0] is the constant term.
-    # Horner's rule evaluates all vectors at once, one column per point, in
-    # place; field.mul[x] is the row of products with x, mul being symmetric.
+    # Horner's rule evaluates all vectors at once, one point at a time, in
+    # one accumulator: field.mul[x] is the row of products with x, mul being
+    # symmetric, and a + c is entry a*q + c of the raveled add table. Both
+    # takes write in place; clip mode, a no-op on these in-range indices,
+    # keeps numpy from buffering the output.
     coeffs = np.indices((q,) * (t + 1), dtype=np.int32).reshape(t + 1, -1)
     words = np.empty((coeffs.shape[1], l), dtype=np.int64)
+    add = field.add.ravel()
+    acc, index = np.empty((2, coeffs.shape[1]), dtype=np.int64)
     for x in range(l):
-        acc = words[:, x]
         acc[:] = coeffs[t]
         for c in reversed(coeffs[:t]):
-            acc[:] = field.add[field.mul[x][acc], c]
+            field.mul[x].take(acc, out=index, mode="clip")
+            index *= q
+            index += c
+            add.take(index, out=acc, mode="clip")
         acc += 1
+        words[:, x] = acc
     return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
@@ -477,6 +489,23 @@ def shared_patterns(
     return sets, ids
 
 
+def candidates_from_ids(
+    words: np.ndarray, ids: np.ndarray, rows: Sequence[int], t: int
+) -> list[Candidate]:
+    """The candidates of `rows`, each word with the pattern its `sparsify`
+    id row keeps: the masks of `position_masks(l, t)` whose slot is not
+    NOT_KEPT. Candidates with equal patterns share one frozenset."""
+    masks = position_masks(words.shape[1], t)
+    shared: dict[tuple[bool, ...], frozenset[int]] = {}
+    candidates = []
+    for word, kept in zip(words[rows].tolist(), (ids[rows] != NOT_KEPT).tolist()):
+        key = tuple(kept)
+        if key not in shared:
+            shared[key] = frozenset(itertools.compress(masks, kept))
+        candidates.append(Candidate(tuple(word), shared[key]))
+    return candidates
+
+
 def accept_pattern(pattern: frozenset[int], family: PositionFamily, lam: int) -> bool:
     """Accept a kept pattern iff its missing pattern has no lam+1 pairwise
     disjoint members, the exact condition the cover-free argument consumes."""
@@ -551,17 +580,15 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     """The rows of `ids` whose kept labeled subsets are pairwise disjoint,
     in selection order, taken from `rows` by walking a seed-shuffled order;
     `ids` is `sparsify`'s id matrix. The selection is maximal among `rows`
-    and depends only on the inputs and the seed; the shuffle depends only on
-    len(rows).
+    and depends only on the inputs and the seed. The order is the one
+    `random.Random(seed).shuffle` gives a list of len(rows) items, replayed
+    by `shuffled_range`.
 
     The order is walked in blocks of `_SELECT_BLOCK` rows. One numpy test
     drops every row that holds an id used before the block; the rest are
     resolved in order against the ids taken inside the block, so the
     selection equals the sequential greedy pass."""
-    # A compact array takes the same swaps as a list of the same length.
-    order = array.array("i", range(len(rows)))
-    random.Random(seed).shuffle(order)
-    order, rows = np.frombuffer(order, dtype=np.int32), np.asarray(rows)
+    order, rows = shuffled_range(len(rows), seed), np.asarray(rows)
     used = np.zeros(int(ids.max(initial=NOT_KEPT)) + 1, dtype=bool)
     selected: list[int] = []
     for start in range(0, len(order), _SELECT_BLOCK):
@@ -614,6 +641,29 @@ def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
 # ---------------------------------------------------------------------------
 # Degree diagnostics
 # ---------------------------------------------------------------------------
+
+
+def _agree_at_most(words: np.ndarray, t: int, radix: int) -> bool:
+    """True iff no two rows of `words` agree in more than t positions, that
+    is, iff on every t+1 positions their keys in base `radix` are distinct.
+    The keys are counted in a presence table, or by np.unique when the key
+    space is too sparse for one, by `_rank`'s rule. False, without a look,
+    when the keys would not fit an int64."""
+    n, l = words.shape
+    space = radix ** (t + 1)
+    if space >= 2**63:
+        return False
+    for combo in itertools.combinations(range(l), t + 1):
+        keys = _subset_keys(words, combo, radix)
+        if space > _DENSE_RANK_RATIO * n:
+            distinct = len(np.unique(keys))
+        else:
+            present = np.zeros(space, dtype=bool)
+            present[keys] = True
+            distinct = np.count_nonzero(present)
+        if distinct < n:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -715,21 +765,28 @@ def degree_diagnostics(
     )
 
     # The most candidates keeping one pair of labeled subsets; a pair's two
-    # subsets lie on two distinct position combinations. Each pair is one
-    # int64 key; sorted in place, equal keys form runs, and a run longer than
-    # max_co shows as a key equal to the key max_co places before it.
-    max_co = 0
-    for i, j in itertools.combinations(range(len(combos)), 2):
-        both = ids[:, i] != NOT_KEPT
-        both &= ids[:, j] != NOT_KEPT
-        if both.any():
-            pairs = ids[:, i][both].astype(np.int64)
-            pairs <<= 32
-            pairs |= ids[:, j][both]
-            pairs.sort()
-            max_co = max(max_co, 1)
-            while max_co < len(pairs) and (pairs[max_co:] == pairs[:-max_co]).any():
-                max_co += 1
+    # subsets lie on two distinct position combinations, so together they
+    # span at least t+1 positions. When no two words agree in more than t
+    # positions, as in every packing, no two candidates keep one pair, and
+    # the most is 1 iff some candidate keeps two subsets. Otherwise each
+    # pair is one int64 key; sorted in place, equal keys form runs, and a
+    # run longer than max_co shows as a key equal to the key max_co places
+    # before it.
+    if _agree_at_most(packing.words, t, radix):
+        max_co = int(any(len(pattern) >= 2 for pattern in sets))
+    else:
+        max_co = 0
+        for i, j in itertools.combinations(range(len(combos)), 2):
+            both = ids[:, i] != NOT_KEPT
+            both &= ids[:, j] != NOT_KEPT
+            if both.any():
+                pairs = ids[:, i][both].astype(np.int64)
+                pairs <<= 32
+                pairs |= ids[:, j][both]
+                pairs.sort()
+                max_co = max(max_co, 1)
+                while max_co < len(pairs) and (pairs[max_co:] == pairs[:-max_co]).any():
+                    max_co += 1
 
     return DegreeDiagnostics(
         dP_max=int(degrees.max()),

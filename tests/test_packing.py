@@ -106,6 +106,24 @@ class TestRsPacking:
             if q >= l and q ** (t + 1) <= 30_000:
                 assert rs_packing(l, t, q).transversals == reference(l, t)
 
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+    def test_matches_table_horner_for_prime_powers(self, q):
+        # Plain-Python reference: Horner's rule by 2-D lookups in the field's
+        # tables, where a + c is no sum mod q.
+        f = GF(q)
+        for l, t in [(3, 0), (4, 1), (4, 2), (5, 3)]:
+            if q >= l and q ** (t + 1) <= 30_000:
+                expected = []
+                for coeffs in itertools.product(range(q), repeat=t + 1):
+                    word = []
+                    for x in range(l):
+                        acc = 0
+                        for c in reversed(coeffs):
+                            acc = f.add[f.mul[x, acc], c]
+                        word.append(int(acc) + 1)
+                    expected.append(tuple(word))
+                assert rs_packing(l, t, q).transversals == tuple(expected)
+
     @pytest.mark.parametrize("l,t,q", [(4, 2, 13), (6, 2, 16), (3, 0, 5), (5, 3, 7)])
     def test_words_are_the_transversals(self, l, t, q):
         p = rs_packing(l, t, q)
@@ -715,6 +733,35 @@ class TestDiagnostics:
         diag = degree_diagnostics(packing, SparsifierConfig(eta=0.1, seed=6), F)
         assert diag.max_codegree <= 1
         assert diag.dP_max <= 5
+
+    def test_non_packing_codegree_two(self):
+        # The first two words agree on positions 1..3, more than t = 2, so at
+        # eta 0 both keep all three pairs of labeled subsets there.
+        words = np.array([(1, 1, 1, 1), (1, 1, 1, 2), (2, 3, 4, 5)])
+        packing = TransversalPacking(l=4, q=5, t=2, words=words)
+        assert not fpc.packing._agree_at_most(words, 2, 6)
+        diag = degree_diagnostics(packing, SparsifierConfig(eta=0.0, seed=1), complete_family(4, 2))
+        assert diag.max_codegree == 2
+
+    @pytest.mark.parametrize(
+        "packing",
+        [rs_packing(4, 2, 5), rs_packing(4, 2, 7), rs_packing(5, 3, 5), greedy_packing(4, 2, 5, seed=6)],
+        ids=["rs-4-2-5", "rs-4-2-7", "rs-5-3-5", "greedy-4-2-5"],
+    )
+    @pytest.mark.parametrize("eta", [0.05, 0.5, 0.97, 1.0])
+    def test_packing_codegree_equals_pair_counts(self, packing, eta):
+        # Packings take the agreement-bound answer; it must equal the count
+        # of candidates keeping each pair of labeled subsets.
+        assert fpc.packing._agree_at_most(packing.words, packing.t, packing.q + 1)
+        cfg = SparsifierConfig(eta=eta, seed=4)
+        family = build_extremal_complement(2, packing.l)[1]
+        diag = degree_diagnostics(packing, cfg, family)
+        codegree = collections.Counter(
+            pair
+            for w in packing.transversals
+            for pair in itertools.combinations(sorted(survived_set(w, packing.t, cfg).survived), 2)
+        )
+        assert diag.max_codegree == max(codegree.values(), default=0)
 
     @pytest.mark.parametrize("eta", [0.3, 0.45])
     def test_counts_equal_tuple_counters(self, eta):
