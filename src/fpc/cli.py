@@ -2,9 +2,9 @@
 
 At module level this imports only argparse, os, sys and typing, so
 `fpc --help` loads no other fpc module. Each command imports what it runs:
-bounds and oracle load `fpc.extremal`; verify loads `fpc.fileio` and
-`fpc.core`, and audit those two plus `fpc.extremal`; construct, sweep and
-diagnose also load the numpy pipeline (`fpc.construct`, `fpc.packing`).
+bounds and oracle load `fpc.extremal`, verify `fpc.fileio` and `fpc.core`,
+and audit those two plus `fpc.extremal`, each with `fpc.record`; construct,
+sweep and diagnose also load the numpy pipeline (`fpc.construct`, `fpc.packing`).
 A missing --seed is drawn from `os.urandom`, which loads nothing more.
 """
 
@@ -129,11 +129,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser):
 
 def _config(args, **given):
     """The config the flags name; `given` fields override or fill in theirs."""
-    import dataclasses
-
     from .construct import ConstructionConfig
 
-    flags = {f.name for f in dataclasses.fields(ConstructionConfig)} - given.keys()
+    flags = set(ConstructionConfig._fields) - given.keys()
     return ConstructionConfig(**{name: getattr(args, name) for name in flags}, **given)
 
 
@@ -307,7 +305,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    import dataclasses
     import json
 
     from .construct import build_extremal_complement
@@ -340,7 +337,7 @@ def cmd_diagnose(args) -> int:
         "seed": seed,
         "packing": args.packing,
         "packing_size": len(pack),
-        **dataclasses.asdict(diag),
+        **diag._asdict(),
     }
     if generated:
         payload["seed_generated"] = True

@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Literal, Optional
+from types import MappingProxyType
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,8 +63,7 @@ from .packing import (
 )
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
+class _ConstructionFields(NamedTuple):
     c: int
     l: int
     q: int
@@ -72,22 +71,29 @@ class ConstructionConfig:
     seed: int = 0
     packing: Literal["rs", "greedy"] = "rs"
     verify: bool = True
+
+
+class ConstructionConfig(_ConstructionFields):
+    __slots__ = ()
     # The one acceptance rule and the one matching; constants, not fields,
     # named for the reports and the code-file comment that print them.
-    mode: ClassVar[str] = "relaxed"
-    matching: ClassVar[str] = "greedy"
+    mode = "relaxed"
+    matching = "greedy"
+    # `_replace` builds through `_make`, which would skip the checks below.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.c < 2 or self.l < 2 or self.q < 2:
             raise ValueError("need c, l, q all at least 2")
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta={self.eta} outside [0, 1]")
         if self.packing not in ("rs", "greedy"):
             raise ValueError(f"unknown packing {self.packing!r}")
+        return self
 
 
-@dataclass
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     config: ConstructionConfig
     bounds: BoundsReport  # t, lambda, m and the bounds at the config's (c, l, q)
     packing_size: int
@@ -98,7 +104,7 @@ class ConstructionReport:
     verified_note: str = ""
     # Stage -> ms. "verify" is the total of the layers that ran inside it:
     # "validate_induced", "is_frameproof" and "is_cover_free".
-    timings_ms: dict = field(default_factory=dict)
+    timings_ms: dict = MappingProxyType({})
 
     def as_dict(self) -> dict:
         b = self.bounds

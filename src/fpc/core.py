@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter, ne
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .extremal import EmcValue
@@ -48,13 +49,11 @@ def validate_word(word: Sequence[int], l: int, q: int) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class Code:
-    """A set of distinct length-l words over symbols {1..q}, kept sorted."""
+class Code(Record):
+    """A set of distinct length-l words over symbols {1..q}, kept sorted.
+    Immutable; compares, hashes and prints by (q, l, words)."""
 
-    q: int
-    l: int
-    words: tuple[Word, ...]
+    __slots__ = ("q", "l", "words")
 
     def __init__(self, q: int, l: int, words: Iterable[Sequence[int]]):
         if q < 1 or l < 1:
@@ -63,30 +62,25 @@ class Code:
         if len(set(validated)) != len(validated):
             dupes = [w for w, k in Counter(validated).items() if k > 1]
             raise ValueError(f"duplicate words rejected: {dupes[:3]}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "words", tuple(sorted(validated)))
+        super().__init__(q, l, tuple(sorted(validated)))
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete violation: `word` is a descendant of `coalition`."""
 
     word: Word
     coalition: tuple[Word, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     witness: Optional[Witness] = None
 
 
-@dataclass(frozen=True)
-class OwnCounts:
+class OwnCounts(NamedTuple):
     own_t_count: int
     own_tminus1_count: int
 
@@ -412,8 +406,7 @@ def own_subset_counts(edges: Sequence[Edge], t: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     word: Word
     own_t_count: int
     own_tminus1_count: int
@@ -421,8 +414,7 @@ class AuditRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     t: int
     lam: int
     m: EmcValue

@@ -15,9 +15,10 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .record import Record
 
 EXHAUSTIVE_CAP = 20  # largest binom(l, t) m_exact will take on by default
 
@@ -36,21 +37,18 @@ def lambda_of(c: int, l: int) -> tuple[int, int]:
     return t, lam
 
 
-@dataclass(frozen=True)
-class PositionFamily:
-    """A t-uniform hypergraph on positions [l]; edges as bitmasks (bit i = position i+1)."""
+class PositionFamily(Record):
+    """A t-uniform hypergraph on positions [l]; edges as bitmasks (bit i = position i+1).
+    Immutable; compares, hashes and prints by (l, t, edges)."""
 
-    l: int
-    t: int
-    edges: frozenset[int]
+    __slots__ = ("l", "t", "edges")
 
-    def __post_init__(self):
-        limit = 1 << self.l
-        for e in self.edges:
-            if not (0 < e < limit) or e.bit_count() != self.t:
-                raise ValueError(
-                    f"edge {bin(e)} is not a {self.t}-subset of [{self.l}]"
-                )
+    def __init__(self, l: int, t: int, edges: frozenset[int]):
+        limit = 1 << l
+        for e in edges:
+            if not (0 < e < limit) or e.bit_count() != t:
+                raise ValueError(f"edge {bin(e)} is not a {t}-subset of [{l}]")
+        super().__init__(l, t, edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -113,8 +111,7 @@ def _largest_matching(edges: list[int], l: int, t: int, stop: int) -> tuple[int,
     return best
 
 
-@dataclass(frozen=True)
-class EmcValue:
+class EmcValue(NamedTuple):
     """A matching-number extremum with its epistemic status.
 
     `regime` is one of lambda0, EKR, t<=3, wide, exhaustive when proven,
@@ -278,8 +275,7 @@ def rate_limit(c: int, l: int) -> Fraction:
     return _bound_pieces(c, l)[5]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Every bound-side quantity for one (c, l, q), with m's status attached."""
 
     c: int

@@ -44,9 +44,8 @@ import math
 import random
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 # hashlib's own blake2b; `import hashlib` would also load OpenSSL's _hashlib.
 from _blake2 import blake2b
@@ -55,6 +54,7 @@ import numpy as np
 
 from .core import Word
 from .extremal import PositionFamily, complete_family, matching_number, position_masks
+from .record import Record
 from .shuffle import shuffled_range
 
 LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
@@ -163,15 +163,15 @@ class GF:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class TransversalPacking:
     """Words with pairwise coordinate agreement at most t, as the rows of an
-    (n, l) int64 matrix of 1-based symbols. Packings compare by identity."""
+    (n, l) int64 matrix of 1-based symbols. Packings are immutable and
+    compare by identity."""
 
-    l: int
-    q: int
-    t: int
-    words: np.ndarray
+    __setattr__ = __delattr__ = Record.__setattr__
+
+    def __init__(self, l: int, q: int, t: int, words: np.ndarray):
+        self.__dict__.update(l=l, q=q, t=t, words=words)
 
     @functools.cached_property
     def transversals(self) -> tuple[Word, ...]:
@@ -311,20 +311,26 @@ def shadows_disjoint(words: Iterable[Word], t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparsifierConfig:
-    """Keep each labeled t-subset independently with probability 1 - eta."""
-
+class _SparsifierFields(NamedTuple):
     eta: float
     seed: int
 
-    def __post_init__(self):
+
+class SparsifierConfig(_SparsifierFields):
+    """Keep each labeled t-subset independently with probability 1 - eta."""
+
+    __slots__ = ()
+    # `_replace` builds through `_make`, which would skip the check below.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.eta <= 1.0):
             raise ValueError(f"eta={self.eta} outside [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A transversal U and its kept pattern: the t-bit position masks of the
     labeled t-subsets of U that the sparsifier keeps. Candidates with equal
     patterns may share one frozenset, as those from `shared_patterns` do.
@@ -666,8 +672,7 @@ def _agree_at_most(words: np.ndarray, t: int, radix: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DegreeDiagnostics:
+class DegreeDiagnostics(NamedTuple):
     dP_max: int
     dP_min: int
     frac_high_degree: float

@@ -452,22 +452,29 @@ class TestDiagnoseCommand:
 def test_checking_commands_start_without_numpy(tmp_path):
     # One fresh interpreter per command. --help loads no other fpc module,
     # verify only fileio and core, and only the commands that build a
-    # packing load numpy.
+    # packing load numpy. No record is a dataclass, so no command loads
+    # dataclasses or the inspect module it imports.
     path = tmp_path / "code.fpc"
     path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
+    no_records = ("dataclasses", "inspect")
     cases = [
         (
             ["--help"],
-            ("fpc.core", "fpc.extremal", "fpc.fileio", "numpy", "secrets", "fractions", "json"),
+            ("fpc.core", "fpc.extremal", "fpc.fileio", "numpy", "secrets", "fractions", "json")
+            + no_records,
             "usage: fpc",
         ),
         (
             ["verify", "--in", str(path), "--c", "2"],
-            ("fpc.extremal", "fractions", "numpy", "secrets"),
+            ("fpc.extremal", "fractions", "numpy", "secrets") + no_records,
             "frameproof: ok (3 words, c=2)",
         ),
-        (["bounds", "2", "4", "13"], ("numpy",), "rate_limit = 2"),
-        (["audit", "--in", str(path), "--c", "2"], ("numpy",), "own-subsequence floor: ok"),
+        (["bounds", "2", "4", "13"], ("numpy",) + no_records, "rate_limit = 2"),
+        (
+            ["audit", "--in", str(path), "--c", "2"],
+            ("numpy",) + no_records,
+            "own-subsequence floor: ok",
+        ),
     ]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     for argv, unloaded, expected in cases:
@@ -506,3 +513,20 @@ assert "_hashlib" not in sys.modules, "fpc construct loaded _hashlib"
     )
     assert result.returncode == 0, result.stderr
     assert "seed_generated = True" in result.stdout
+
+
+def test_construct_leaves_dataclasses_unloaded(tmp_path):
+    # numpy imports inspect itself, so only dataclasses is checked here.
+    out = tmp_path / "code.fpc"
+    argv = ["construct", "--c", "3", "--l", "6", "--q", "16", "--seed", "7", "--out", str(out)]
+    child = f"""
+import sys
+from fpc.cli import main
+assert main({argv!r}) == 0
+assert "dataclasses" not in sys.modules, "fpc construct loaded dataclasses"
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
