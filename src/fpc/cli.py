@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="exact frameproof check of a code file")
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("audit", help="own-subsequence profile and conditional floor")
     p.add_argument("--in", dest="path", required=True)
@@ -131,7 +130,7 @@ def _config(args, **given):
     """The config the flags name; `given` fields override or fill in theirs."""
     from .construct import ConstructionConfig
 
-    flags = set(ConstructionConfig._fields) - given.keys()
+    flags = set(ConstructionConfig.__slots__) - given.keys()
     return ConstructionConfig(**{name: getattr(args, name) for name in flags}, **given)
 
 
@@ -227,8 +226,7 @@ def cmd_verify(args) -> int:
     from .core import is_frameproof
 
     code = fileio.read_code_file(args.path)
-    budget = args.budget if args.budget is not None else _env_budget()
-    verdict = is_frameproof(code, args.c, budget)
+    verdict = is_frameproof(code, args.c, _env_budget())
     if verdict.ok:
         print(f"frameproof: ok ({len(code)} words, c={args.c})")
         return 0
@@ -307,35 +305,23 @@ def cmd_sweep(args) -> int:
 def cmd_diagnose(args) -> int:
     import json
 
-    from .construct import build_extremal_complement
-    from .extremal import lambda_of
-    from .packing import (
-        SparsifierConfig,
-        check_image_cap,
-        check_matrix_bytes,
-        degree_diagnostics,
-        greedy_packing,
-        rs_packing,
-    )
+    from .construct import build_extremal_complement, build_packing
+    from .packing import SparsifierConfig, check_image_cap, degree_diagnostics
 
     check_image_cap(args.l)  # before the packing, which can be huge at large l
     seed, generated = _resolve_seed(args.seed)
-    t, _lam = lambda_of(args.c, args.l)
-    check_matrix_bytes(args.l, t, args.q)
-    _chosen, complement = build_extremal_complement(args.c, args.l)
-    if args.packing == "rs":
-        pack = rs_packing(args.l, t, args.q)
-    else:
-        pack = greedy_packing(args.l, t, args.q, seed)
-    diag = degree_diagnostics(pack, SparsifierConfig(eta=args.eta, seed=seed), complement)
+    cfg = _config(args, seed=seed, verify=False)
+    pack = build_packing(cfg)
+    _chosen, complement = build_extremal_complement(cfg.c, cfg.l)
+    diag = degree_diagnostics(pack, SparsifierConfig(eta=cfg.eta, seed=seed), complement)
     payload = {
-        "c": args.c,
-        "l": args.l,
-        "q": args.q,
-        "t": t,
-        "eta": args.eta,
+        "c": cfg.c,
+        "l": cfg.l,
+        "q": cfg.q,
+        "t": pack.t,
+        "eta": cfg.eta,
         "seed": seed,
-        "packing": args.packing,
+        "packing": cfg.packing,
         "packing_size": len(pack),
         **diag._asdict(),
     }

@@ -1,19 +1,19 @@
 """End-to-end code construction, baselines, and a ground-truth maximizer.
 
-The pipeline builds the complement family of a largest no-(lam+1)-matching
-family, lays a perfect transversal packing over the symbols, sparsifies each
+The pipeline lays a perfect transversal packing over the symbols, builds the
+complement family of a largest no-(lam+1)-matching family, sparsifies each
 transversal's labeled t-subsets, keeps candidates whose missing pattern stays
 below the matching threshold, and extracts a conflict-free selection. The
 stages share the packing's (n, l) word matrix: the sparsifier gives each row
 one kept-pattern int and an int32 id per kept labeled subset, acceptance is
 decided once per distinct pattern, and the matching indexes the accepted
 rows of the id matrix without copying them. Only the selected rows become
-tuples and `Candidate` objects, whose patterns are read back from their id
-rows, one frozenset per distinct pattern, so that the per-word pattern
-index is freed before matching. The selected transversals are the code;
-verification re-checks the frameproof property exactly rather than trusting
-any pipeline stage. The report takes t, lambda, m and the bounds from one
-`BoundsReport`.
+tuples and `Candidate` objects, each with the one frozenset that
+`shared_patterns` gives its pattern. `build_packing` sizes and builds the
+packing for `construct` and `fpc diagnose` alike. The selected transversals
+are the code; verification re-checks the frameproof property exactly rather
+than trusting any pipeline stage. The report takes t, lambda, m and the
+bounds from one `BoundsReport`.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .extremal import (
 from .packing import (
     Candidate,
     SparsifierConfig,
+    TransversalPacking,
     accept_pattern,
-    candidates_from_ids,
     check_matrix_bytes,
     greedy_packing,
     greedy_select,
@@ -61,36 +61,33 @@ from .packing import (
     sparsify,
     validate_induced,
 )
+from .record import Record
 
 
-class _ConstructionFields(NamedTuple):
-    c: int
-    l: int
-    q: int
-    eta: float = 0.05
-    seed: int = 0
-    packing: Literal["rs", "greedy"] = "rs"
-    verify: bool = True
-
-
-class ConstructionConfig(_ConstructionFields):
-    __slots__ = ()
+class ConstructionConfig(Record):
+    __slots__ = ("c", "l", "q", "eta", "seed", "packing", "verify")
     # The one acceptance rule and the one matching; constants, not fields,
     # named for the reports and the code-file comment that print them.
     mode = "relaxed"
     matching = "greedy"
-    # `_replace` builds through `_make`, which would skip the checks below.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.c < 2 or self.l < 2 or self.q < 2:
+    def __init__(
+        self,
+        c: int,
+        l: int,
+        q: int,
+        eta: float = 0.05,
+        seed: int = 0,
+        packing: Literal["rs", "greedy"] = "rs",
+        verify: bool = True,
+    ):
+        if c < 2 or l < 2 or q < 2:
             raise ValueError("need c, l, q all at least 2")
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
-        if self.packing not in ("rs", "greedy"):
-            raise ValueError(f"unknown packing {self.packing!r}")
-        return self
+        if not (0.0 <= eta <= 1.0):
+            raise ValueError(f"eta={eta} outside [0, 1]")
+        if packing not in ("rs", "greedy"):
+            raise ValueError(f"unknown packing {packing!r}")
+        super().__init__(c, l, q, eta, seed, packing, verify)
 
 
 class ConstructionReport(NamedTuple):
@@ -146,6 +143,16 @@ def build_extremal_complement(c: int, l: int) -> tuple[PositionFamily, PositionF
     return chosen, complement
 
 
+def build_packing(cfg: ConstructionConfig) -> TransversalPacking:
+    """The packing `cfg.packing` names at the config's point, once
+    `check_matrix_bytes` has let its word and id matrices through."""
+    t, _lam = lambda_of(cfg.c, cfg.l)
+    check_matrix_bytes(cfg.l, t, cfg.q)
+    if cfg.packing == "rs":
+        return rs_packing(cfg.l, t, cfg.q)
+    return greedy_packing(cfg.l, t, cfg.q, cfg.seed)
+
+
 def construct(
     cfg: ConstructionConfig, budget: int = DEFAULT_BUDGET
 ) -> tuple[Code, ConstructionReport]:
@@ -157,17 +164,15 @@ def construct(
     """
     bounds = bounds_report(cfg.c, cfg.l, cfg.q)
     t, lam = bounds.t, bounds.lam
-    check_matrix_bytes(cfg.l, t, cfg.q)
     timings: dict[str, float] = {}
+
+    # The packing goes first so that an oversized point is refused before
+    # any work, the families' included, which grows steeply with l.
+    with _timed(timings, "packing"):
+        pack = build_packing(cfg)
 
     with _timed(timings, "families"):
         _chosen, complement = build_extremal_complement(cfg.c, cfg.l)
-
-    with _timed(timings, "packing"):
-        if cfg.packing == "rs":
-            pack = rs_packing(cfg.l, t, cfg.q)
-        else:
-            pack = greedy_packing(cfg.l, t, cfg.q, cfg.seed)
 
     with _timed(timings, "candidates"):
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
@@ -178,11 +183,13 @@ def construct(
     with _timed(timings, "accept"):
         accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
         accepted = np.flatnonzero(accepts[pattern_ids]).astype(np.int32)
-        del pattern_ids
 
     with _timed(timings, "matching"):
         chosen = greedy_select(subset_ids, accepted, cfg.seed)
-        selected = candidates_from_ids(pack.words, subset_ids, chosen, t)
+        selected = [
+            Candidate(tuple(word), patterns[k])
+            for word, k in zip(pack.words[chosen].tolist(), pattern_ids[chosen].tolist())
+        ]
 
     code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])
 

@@ -17,18 +17,18 @@ pattern; the greedy pass walks the shuffled words in blocks, dropping in one
 numpy test every word that holds an id already used. The order is the one
 `random.Random(seed).shuffle` gives, replayed in numpy by
 `shuffle.shuffled_range` with no Python step per word. Only the selected
-words become tuples and `Candidate` objects, with the patterns their id
-rows keep. A candidate carries only its transversal and the position
-pattern of its surviving subsets, and candidates with equal patterns share
-one frozenset; validation counts the words' projections onto each set of
-positions instead. `survived_set` and `r_membership` are the per-word
-reference route to the same pattern. `greedy_matching` takes its ids from
-`sparsify` at eta 0. `degree_diagnostics` counts every labeled t-subset
-over 1..q exactly from the words' per-combination keys, and finds the
-candidates whose pattern is a relabeled copy of the target family by
-membership in the cached image set, `pattern_images`, once per distinct
-pattern. Words that agree in at most t positions give its largest codegree
-without counting pairs.
+words become tuples and `Candidate` objects. A candidate carries only its
+transversal and the position pattern of its surviving subsets; in the
+pipeline that is the one frozenset `shared_patterns` gives each distinct
+pattern, so candidates with equal patterns share it. Validation counts the
+words' projections onto each set of positions instead. `survived_set` and
+`r_membership` are the per-word reference route to the same pattern.
+`greedy_matching` takes its ids from `sparsify` at eta 0.
+`degree_diagnostics` counts every labeled t-subset over 1..q exactly from
+the words' per-combination keys, and finds the candidates whose pattern is
+a relabeled copy of the target family by membership in the cached image
+set, `pattern_images`, once per distinct pattern. Words that agree in at
+most t positions give its largest codegree without counting pairs.
 
 The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
 object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
@@ -95,20 +95,20 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
+def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
+    """The remainder of num / den over GF(p), lowest coefficient first, with
+    no leading zeros (zero is [0])."""
     num = num[:]
     deg_d = len(den) - 1
     inv_lead = pow(den[-1], -1, p)
-    quot = [0] * max(1, len(num) - deg_d)
     for shift in range(len(num) - deg_d - 1, -1, -1):
         coef = num[shift + deg_d] * inv_lead % p
-        quot[shift] = coef
         if coef:
             for j, dj in enumerate(den):
                 num[shift + j] = (num[shift + j] - coef * dj) % p
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -116,8 +116,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     for d in range(1, k // 2 + 1):
         for low in itertools.product(range(p), repeat=d):
             g = list(low) + [1]
-            _, rem = _poly_divmod(f, g, p)
-            if rem == [0]:
+            if _poly_mod(f, g, p) == [0]:
                 return False
     return True
 
@@ -311,31 +310,23 @@ def shadows_disjoint(words: Iterable[Word], t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _SparsifierFields(NamedTuple):
-    eta: float
-    seed: int
-
-
-class SparsifierConfig(_SparsifierFields):
+class SparsifierConfig(Record):
     """Keep each labeled t-subset independently with probability 1 - eta."""
 
-    __slots__ = ()
-    # `_replace` builds through `_make`, which would skip the check below.
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    __slots__ = ("eta", "seed")
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (0.0 <= self.eta <= 1.0):
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
-        return self
+    def __init__(self, eta: float, seed: int):
+        if not (0.0 <= eta <= 1.0):
+            raise ValueError(f"eta={eta} outside [0, 1]")
+        super().__init__(eta, seed)
 
 
 class Candidate(NamedTuple):
     """A transversal U and its kept pattern: the t-bit position masks of the
-    labeled t-subsets of U that the sparsifier keeps. Candidates with equal
-    patterns may share one frozenset, as those from `shared_patterns` do.
-    `survived` derives the subsets from U's t-shadow on each access; derive
-    them once per use."""
+    labeled t-subsets of U that the sparsifier keeps. The pipeline's
+    candidates take their patterns from `shared_patterns`, so those with
+    equal patterns share one frozenset. `survived` derives the subsets from
+    U's t-shadow on each access; derive them once per use."""
 
     transversal: Word
     pattern: frozenset[int]
@@ -493,23 +484,6 @@ def shared_patterns(
         for pattern in distinct.tolist()
     ]
     return sets, ids
-
-
-def candidates_from_ids(
-    words: np.ndarray, ids: np.ndarray, rows: Sequence[int], t: int
-) -> list[Candidate]:
-    """The candidates of `rows`, each word with the pattern its `sparsify`
-    id row keeps: the masks of `position_masks(l, t)` whose slot is not
-    NOT_KEPT. Candidates with equal patterns share one frozenset."""
-    masks = position_masks(words.shape[1], t)
-    shared: dict[tuple[bool, ...], frozenset[int]] = {}
-    candidates = []
-    for word, kept in zip(words[rows].tolist(), (ids[rows] != NOT_KEPT).tolist()):
-        key = tuple(kept)
-        if key not in shared:
-            shared[key] = frozenset(itertools.compress(masks, kept))
-        candidates.append(Candidate(tuple(word), shared[key]))
-    return candidates
 
 
 def accept_pattern(pattern: frozenset[int], family: PositionFamily, lam: int) -> bool:

@@ -1,7 +1,10 @@
 """`Record`, the base of the immutable value classes that must not be tuples:
-`Code` and `PositionFamily`, whose len() is their size. The other fpc records
-are NamedTuples. A subclass names its fields in `__slots__` and passes their
-values, in that order and once validated, to `Record.__init__`."""
+`Code` and `PositionFamily`, whose len() is their size, and
+`ConstructionConfig` and `SparsifierConfig`, whose own `__init__` validates
+its arguments under the signature that `help()` and `inspect.signature` show.
+The other fpc records are NamedTuples. A subclass names its fields in
+`__slots__` and passes their values, in that order and once validated, to
+`Record.__init__`."""
 
 
 class Record:

@@ -319,6 +319,9 @@ class TestConstructVerifyAudit:
         assert run("verify", "--in", str(good), "--c", "2") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "budget is 1.00e+01" in err
+        # FPC_BUDGET is the one budget setting; verify has no flag of its own.
+        assert run("verify", "--in", str(good), "--c", "2", "--budget", "10") == 1
+        assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
 
     def test_budget_env_skips_construct_verification(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FPC_BUDGET", "10")
@@ -439,7 +442,7 @@ class TestDiagnoseCommand:
         def rs_called(*args, **kwargs):
             raise PackingBuilt
 
-        monkeypatch.setattr("fpc.packing.rs_packing", rs_called)
+        monkeypatch.setattr("fpc.construct.rs_packing", rs_called)
         started = time.perf_counter()
         assert run("diagnose", "--c", "2", "--l", "4", "--q", "269", "--seed", "1") == 1
         assert time.perf_counter() - started < 1.0
@@ -447,6 +450,14 @@ class TestDiagnoseCommand:
         # (2,4,263) needs 0.95 GiB and reaches the packing.
         with pytest.raises(PackingBuilt):
             run("diagnose", "--c", "2", "--l", "4", "--q", "263", "--seed", "1")
+
+    @pytest.mark.parametrize("c,q", [("1", "13"), ("2", "1")])
+    def test_bad_point_refused_as_construct_refuses_it(self, tmp_path, capsys, c, q):
+        point = ("--c", c, "--l", "4", "--q", q, "--seed", "1")
+        assert run("construct", *point, "--out", str(tmp_path / "x.fpc")) == 1
+        construct_err = capsys.readouterr().err
+        assert run("diagnose", *point) == 1
+        assert capsys.readouterr().err == construct_err == "error: need c, l, q all at least 2\n"
 
 
 def test_checking_commands_start_without_numpy(tmp_path):

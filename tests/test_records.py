@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ def _report(code_size):
 # name: (field, make, other, bads). `field` is one of the record's fields;
 # make() builds a fresh record equal to every other one it builds; other()
 # builds an unequal one of the same class; each of bads must raise
-# ValueError, through `_replace` too for the configs.
+# ValueError.
 RECORDS = {
     "Code": (
         "q",
@@ -76,10 +77,7 @@ RECORDS = {
         "c",
         lambda: ConstructionConfig(2, 4, 13, seed=7),
         lambda: ConstructionConfig(2, 4, 13, seed=8),
-        (
-            lambda: ConstructionConfig(2, 4, 13, packing="bogus"),
-            lambda: ConstructionConfig(2, 4, 13)._replace(packing="bogus"),
-        ),
+        (lambda: ConstructionConfig(2, 4, 13, packing="bogus"),),
     ),
     "ConstructionReport": ("config", lambda: _report(40), lambda: _report(41), ()),
     "TransversalPacking": ("words", lambda: rs_packing(4, 1, 5), None, ()),
@@ -87,7 +85,7 @@ RECORDS = {
         "eta",
         lambda: SparsifierConfig(0.05, 7),
         lambda: SparsifierConfig(0.05, 8),
-        (lambda: SparsifierConfig(1.5, 7), lambda: SparsifierConfig(0.05, 7)._replace(eta=1.5)),
+        (lambda: SparsifierConfig(1.5, 7),),
     ),
     "Candidate": (
         "transversal",
@@ -140,3 +138,24 @@ def test_record_semantics(name):
     for bad in bads:
         with pytest.raises(ValueError):
             bad()
+
+
+REQUIRED = inspect.Parameter.empty
+
+
+@pytest.mark.parametrize(
+    "cls,defaults",
+    [
+        (
+            ConstructionConfig,
+            dict(c=REQUIRED, l=REQUIRED, q=REQUIRED, eta=0.05, seed=0, packing="rs", verify=True),
+        ),
+        (SparsifierConfig, dict(eta=REQUIRED, seed=REQUIRED)),
+    ],
+)
+def test_config_signature_lists_fields(cls, defaults):
+    # help() and editors show a config's parameters, in field order.
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls.__slots__ == tuple(defaults)
+    assert {name: p.default for name, p in params.items()} == defaults
+    assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
