@@ -5,7 +5,8 @@ complement family of a largest no-(lam+1)-matching family, sparsifies each
 transversal's labeled t-subsets, keeps candidates whose missing pattern stays
 below the matching threshold, and extracts a conflict-free selection. The
 stages share the packing's (n, l) word matrix: the sparsifier gives each row
-one kept-pattern int and an int32 id per kept labeled subset, acceptance is
+one kept-pattern int and an id per kept labeled subset, each in the
+narrowest type its bound allows, acceptance is
 decided once per distinct pattern, and the matching indexes the accepted
 rows of the id matrix without copying them. Only the selected rows become
 tuples and `Candidate` objects, each with the one frozenset that

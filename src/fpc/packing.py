@@ -9,12 +9,14 @@ maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
 sparsifier thins the labeled t-subsets, a candidate is accepted when its
 missing pattern has no lam+1 pairwise disjoint members, and one seed-shuffled
 greedy pass selects candidates with pairwise disjoint surviving subsets.
-A packing holds its words as one (n, l) int64 matrix, `words`, and every
-stage works on it: `sparsify`, the one ranker of labeled t-subsets, hashes
-each distinct one once and gives every word its kept pattern as one int and
-an id per kept labeled subset; acceptance is decided once per distinct
-pattern; the greedy pass walks the shuffled words in blocks, dropping in one
-numpy test every word that holds an id already used. The order is the one
+A packing holds its words as one (n, l) matrix, `words`, of the narrowest
+unsigned type that holds q (uint8 up to q = 255), and every stage works on
+it: `sparsify`, the one ranker of labeled t-subsets, hashes each distinct
+one once and gives every word its kept pattern as one int and an id per kept
+labeled subset, each array in the narrowest type its bound allows;
+acceptance is decided once per distinct pattern; the greedy pass walks the
+shuffled words in blocks, dropping in one numpy test every word that holds
+an id already used. The order is the one
 `random.Random(seed).shuffle` gives, replayed in numpy by
 `shuffle.shuffled_range` with no Python step per word. Only the selected
 words become tuples and `Candidate` objects. A candidate carries only its
@@ -68,7 +70,8 @@ _IMAGE_L_CAP = 9
 # Most words, q^l, that `greedy_packing` enumerates.
 _GREEDY_WORD_CAP = 2_000_000
 # Most bytes that the word and id matrices, the pipeline's largest arrays,
-# may take together.
+# may take together, as `check_matrix_bytes` estimates them: an upper bound
+# at int64 symbols and int32 ids, above what the narrowed arrays take.
 _MATRIX_BYTE_CAP = 1 << 30
 
 
@@ -164,7 +167,8 @@ class GF:
 
 class TransversalPacking:
     """Words with pairwise coordinate agreement at most t, as the rows of an
-    (n, l) int64 matrix of 1-based symbols. Packings are immutable and
+    (n, l) matrix of 1-based symbols. `rs_packing` and `greedy_packing` give
+    it the narrowest unsigned type that holds q. Packings are immutable and
     compare by identity."""
 
     __setattr__ = __delattr__ = Record.__setattr__
@@ -184,8 +188,10 @@ class TransversalPacking:
 def check_matrix_bytes(l: int, t: int, q: int) -> None:
     """Refuse, before any packing exists, a build whose word and id matrices
     would pass `_MATRIX_BYTE_CAP` at q^(t+1) words, the most any packing
-    has by the Singleton bound: 8l bytes of symbols and 4·C(l, t) of ids
-    per word."""
+    has by the Singleton bound. The estimate is an upper bound computed at
+    int64 symbols and int32 ids, 8l + 4·C(l, t) bytes per word; the
+    matrices the pipeline builds are narrower (one byte per symbol up to
+    q = 255, and ids of the type their count needs)."""
     need = q ** (t + 1) * (8 * l + 4 * math.comb(l, t))
     if need > _MATRIX_BYTE_CAP:
         raise ValueError(
@@ -215,18 +221,20 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     # In `itertools.product` order, coefficient vector i lists the base-q
     # digits of i, most significant first; coeffs[0] is the constant term.
     # Horner's rule evaluates all vectors at once, one point at a time, in
-    # one accumulator: field.mul[x] is the row of products with x, mul being
+    # one accumulator: mul[x] is the row of products with x, mul being
     # symmetric, and a + c is entry a*q + c of the raveled add table. Both
     # takes write in place; clip mode, a no-op on these in-range indices,
-    # keeps numpy from buffering the output.
-    coeffs = np.indices((q,) * (t + 1), dtype=np.int32).reshape(t + 1, -1)
-    words = np.empty((coeffs.shape[1], l), dtype=np.int64)
-    add = field.add.ravel()
-    acc, index = np.empty((2, coeffs.shape[1]), dtype=np.int64)
+    # keeps numpy from buffering the output. Symbols take the type that
+    # holds q, and the accumulator and tables the one that holds q^2.
+    symbol, lookup = np.min_scalar_type(q), np.min_scalar_type(q * q)
+    coeffs = np.indices((q,) * (t + 1), dtype=symbol).reshape(t + 1, -1)
+    words = np.empty((coeffs.shape[1], l), dtype=symbol)
+    mul, add = field.mul.astype(lookup), field.add.astype(lookup).ravel()
+    acc, index = np.empty((2, coeffs.shape[1]), dtype=lookup)
     for x in range(l):
         acc[:] = coeffs[t]
         for c in reversed(coeffs[:t]):
-            field.mul[x].take(acc, out=index, mode="clip")
+            mul[x].take(acc, out=index, mode="clip")
             index *= q
             index += c
             add.take(index, out=acc, mode="clip")
@@ -259,7 +267,7 @@ def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
         if all(s not in claimed for s in shadows):
             kept.append(w)
             claimed.update(shadows)
-    matrix = np.array(sorted(kept), dtype=np.int64).reshape(len(kept), l)
+    matrix = np.array(sorted(kept), dtype=np.min_scalar_type(q)).reshape(len(kept), l)
     return TransversalPacking(l=l, q=q, t=t, words=matrix)
 
 
@@ -372,26 +380,38 @@ NOT_KEPT = 0
 _DENSE_RANK_RATIO = 4
 
 
-def _rank(values: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(values, return_inverse=True) for values in 0..space-1, with
-    the inverse as int32. A key space of at most `_DENSE_RANK_RATIO` times
-    len(values) is ranked by a presence table and its running count, so no
-    copy of `values` is sorted."""
+def _rank(values: np.ndarray, space: int, inverse: np.ndarray) -> np.ndarray:
+    """np.unique(values, return_inverse=True) for values in 0..space-1: the
+    distinct values are returned, in the dtype of `values`, and the inverse
+    is written into `inverse`, whose dtype must hold their count. A key
+    space of at most `_DENSE_RANK_RATIO` times len(values) is ranked by a
+    presence table and its running count, so no copy of `values` is
+    sorted."""
     if space > _DENSE_RANK_RATIO * len(values):
-        distinct, inverse = np.unique(values, return_inverse=True)
-        return distinct, inverse.astype(np.int32, copy=False)
+        distinct, inverse[:] = np.unique(values, return_inverse=True)
+        return distinct
     present = np.zeros(space, dtype=bool)
     present[values] = True
-    rank = np.cumsum(present, dtype=np.int32)
-    rank -= 1
-    return np.flatnonzero(present), rank[values]
+    rank = np.cumsum(present, dtype=inverse.dtype)
+    rank -= 1  # wraps below the least value present, where no value looks
+    rank.take(values, out=inverse, mode="clip")
+    return np.flatnonzero(present).astype(values.dtype)
 
 
-def _subset_keys(symbols: np.ndarray, combo: Sequence[int], radix: int) -> np.ndarray:
+def _key_buffer(n: int, radix: int, k: int) -> np.ndarray:
+    """An empty array for n `_subset_keys` keys on k positions: int32 when
+    radix**k < 2^31, int64 otherwise."""
+    return np.empty(n, dtype=np.int32 if radix**k < 2**31 else np.int64)
+
+
+def _subset_keys(
+    symbols: np.ndarray, combo: Sequence[int], radix: int, keys: np.ndarray
+) -> np.ndarray:
     """Each word's labeled subset on the 0-based positions `combo` as one
-    int64 key whose base-`radix` digits are its symbols, the first position
-    lowest: Horner's rule from the last position down, in one array."""
-    keys = symbols[:, combo[-1]].copy()
+    key whose base-`radix` digits are its symbols, the first position
+    lowest, written into `keys` from `_key_buffer` and returned: Horner's
+    rule from the last position down, in one array."""
+    keys[:] = symbols[:, combo[-1]]
     for p in reversed(combo[:-1]):
         keys *= radix
         keys += symbols[:, p]
@@ -432,17 +452,23 @@ def _kept(
 
 def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarray]:
     """Each word's kept pattern as an int, and the ids of its kept labeled
-    t-subsets. `words` is an (n, l) symbol matrix, or anything np.asarray
-    turns into one.
+    t-subsets. `words` is an (n, l) symbol matrix, used as it is when its
+    dtype is an integer one, or anything np.asarray turns into one, which is
+    converted to int64.
 
     Bit i of a pattern is set iff the sparsifier keeps the word's labeled
     t-subset on combination i of `position_masks(l, t)`; the patterns equal
     `survived_set`'s. ids[k, i] is that subset's id when it is kept and
     NOT_KEPT otherwise; equal subsets share an id. Each distinct labeled
     subset is hashed once, byte for byte as `r_membership` hashes it.
-    Symbols must lie in 0..2^32-1, as `r_membership`'s encoding needs. The
-    pattern dtype is int64, or object when C(l, t) >= 64; ids are int32."""
-    symbols = np.asarray(words, dtype=np.int64)
+    Symbols must lie in 0..2^32-1, as `r_membership`'s encoding needs.
+    Patterns take the narrowest unsigned type that holds C(l, t) bits, or
+    object when C(l, t) >= 64; ids the one that holds C(l, t) times the
+    most distinct labeled subsets on one combination, min(n, radix**t).
+    One keys buffer and one inverse buffer serve every combination."""
+    symbols = np.asarray(words)
+    if symbols.dtype.kind not in "iu":
+        symbols = np.asarray(words, dtype=np.int64)
     if symbols.size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int32)
     radix = int(symbols.max()) + 1
@@ -452,22 +478,20 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
         raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
     n, l = symbols.shape
     slots = math.comb(l, t)
-    if n * slots >= 2**31:
-        raise ValueError(f"{n} words x {slots} subsets overflow int32 labeled-subset ids")
-    dtype = np.int64 if slots < 64 else object
-    patterns = np.zeros(n, dtype=dtype)
-    ids = np.empty((n, slots), dtype=np.int32)
+    distinct = min(n, radix**t)
+    patterns = np.zeros(n, dtype=np.min_scalar_type((1 << slots) - 1) if slots < 64 else object)
+    ids = np.empty((n, slots), dtype=np.min_scalar_type(slots * distinct))
+    buffer, inverse = _key_buffer(n, radix, t), np.empty(n, np.min_scalar_type(distinct))
     # Ids run on from NOT_KEPT + 1 across the combinations, so distinct
     # labeled subsets get distinct ids.
     first = NOT_KEPT + 1
     for i, combo in enumerate(itertools.combinations(range(l), t)):
-        keys, inverse = _rank(_subset_keys(symbols, combo, radix), radix**t)
+        keys = _rank(_subset_keys(symbols, combo, radix, buffer), radix**t, inverse)
         kept = _kept(combo, keys, radix, cfg)
-        key_ids = np.arange(first, first + len(keys), dtype=np.int32)
+        key_ids = np.arange(first, first + len(keys), dtype=ids.dtype)
         ids[:, i] = np.where(kept, key_ids, NOT_KEPT)[inverse]
-        np.bitwise_or(patterns, 1 << i, out=patterns, where=kept[inverse])
+        np.bitwise_or(patterns, patterns.dtype.type(1 << i), out=patterns, where=kept[inverse])
         first += len(keys)
-        del inverse  # freed before the next combination's keys are ranked
     return patterns, ids
 
 
@@ -476,9 +500,12 @@ def shared_patterns(
 ) -> tuple[list[frozenset[int]], np.ndarray]:
     """The distinct patterns of `sparsify`, each as one frozenset of position
     masks that every candidate with that pattern shares, and each word's
-    index into that list."""
+    index into that list, in the narrowest unsigned type that holds the
+    most distinct patterns there can be."""
     masks = position_masks(l, t)
-    distinct, ids = _rank(patterns, 1 << len(masks))
+    space = 1 << len(masks)
+    ids = np.empty(len(patterns), dtype=np.min_scalar_type(min(len(patterns), space)))
+    distinct = _rank(patterns, space, ids)
     sets = [
         frozenset(m for i, m in enumerate(masks) if int(pattern) >> i & 1)
         for pattern in distinct.tolist()
@@ -633,8 +660,9 @@ def _agree_at_most(words: np.ndarray, t: int, radix: int) -> bool:
     space = radix ** (t + 1)
     if space >= 2**63:
         return False
+    buffer = _key_buffer(n, radix, t + 1)
     for combo in itertools.combinations(range(l), t + 1):
-        keys = _subset_keys(words, combo, radix)
+        keys = _subset_keys(words, combo, radix, buffer)
         if space > _DENSE_RANK_RATIO * n:
             distinct = len(np.unique(keys))
         else:
@@ -722,12 +750,13 @@ def degree_diagnostics(
     radix = max(q, int(packing.words.max())) + 1
     grid_keys = (np.indices((q,) * t).reshape(t, -1).T + 1) @ radix ** np.arange(t)
     degrees, dH, in_r = [], [], []
+    buffer = _key_buffer(len(packing), radix, t)
     for combo in combos:
-        keys = _subset_keys(packing.words, combo, radix)
+        keys = _subset_keys(packing.words, combo, radix, buffer)
         degrees.append(np.bincount(keys, minlength=radix**t)[grid_keys])
         dH.append(np.bincount(keys[copies], minlength=radix**t)[grid_keys])
         in_r.append(_kept(combo, grid_keys, radix, cfg))
-    del keys
+    del keys, buffer
     degrees, dH, in_r = (np.concatenate(counts) for counts in (degrees, dH, in_r))
 
     delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))

@@ -124,10 +124,14 @@ class TestRsPacking:
                     expected.append(tuple(word))
                 assert rs_packing(l, t, q).transversals == tuple(expected)
 
-    @pytest.mark.parametrize("l,t,q", [(4, 2, 13), (6, 2, 16), (3, 0, 5), (5, 3, 7)])
+    @pytest.mark.parametrize(
+        "l,t,q", [(4, 2, 13), (6, 2, 16), (3, 0, 5), (5, 3, 7), (3, 0, 251), (3, 0, 257)]
+    )
     def test_words_are_the_transversals(self, l, t, q):
+        # Symbols take the narrowest type that holds q: uint8 up to 255.
         p = rs_packing(l, t, q)
-        assert p.words.dtype == np.int64 and p.words.shape == (q ** (t + 1), l)
+        assert p.words.dtype == np.min_scalar_type(q) == (np.uint8 if q <= 255 else np.uint16)
+        assert p.words.shape == (q ** (t + 1), l)
         assert [tuple(row) for row in p.words.tolist()] == list(p.transversals)
 
     def test_prime_power_field(self):
@@ -168,6 +172,7 @@ class TestGreedyPacking:
 
     def test_words_are_the_sorted_transversals(self):
         p = greedy_packing(4, 2, 5, seed=3)
+        assert p.words.dtype == np.uint8
         assert [tuple(row) for row in p.words.tolist()] == list(p.transversals)
         assert list(p.transversals) == sorted(p.transversals)
 
@@ -303,7 +308,13 @@ class TestSparsify:
         assert patterns.tolist() == expected
         if eta == 0.0:
             assert set(expected) == {2 ** math.comb(pack.l, pack.t) - 1}
-        assert ids.dtype == np.int32 and ids.shape == (len(pack), math.comb(pack.l, pack.t))
+        # Ids take the narrowest type that holds C(l, t) times the most
+        # distinct labeled subsets on one combination; patterns the one
+        # that holds C(l, t) bits.
+        slots, radix = math.comb(pack.l, pack.t), int(pack.words.max()) + 1
+        assert ids.dtype == np.min_scalar_type(slots * min(len(pack), radix**pack.t))
+        assert ids.shape == (len(pack), slots)
+        assert patterns.dtype == np.min_scalar_type(2**slots - 1)
         _assert_ids_name_kept_subsets(pack.transversals, pack.t, patterns, ids)
 
     @pytest.mark.parametrize("seed", [2**64, 2**64 + 7, 2**70 + 3, -1, -(2**40) - 9])
@@ -348,16 +359,16 @@ class TestSparsify:
         ids=["sparsify", "greedy_matching", "degree_diagnostics"],
     )
     def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks):
-        # Each combination's word-sized inverse must be freed before the next
-        # combination's keys are ranked, or the loop holds two of them.
+        # The combinations share one word-sized inverse buffer, and any other
+        # inverse is freed before the next ranking, or two of them are held.
         rank = fpc.packing._rank
         inverses = []
 
-        def tracked(values, space):
-            assert all(ref() is None for ref in inverses), "an earlier inverse is alive"
-            distinct, inverse = rank(values, space)
+        def tracked(values, space, inverse):
+            alive = [ref() for ref in inverses]
+            assert all(a is None or a is inverse for a in alive), "an earlier inverse is alive"
             inverses.append(weakref.ref(inverse))
-            return distinct, inverse
+            return rank(values, space, inverse)
 
         pack = rs_packing(4, 2, 7)
         monkeypatch.setattr(fpc.packing, "_rank", tracked)
@@ -384,11 +395,13 @@ class TestSparsify:
     def _subset_ranks(monkeypatch, symbols, t, ratio):
         # ratio 0 sends every key space to np.unique; a huge one to the table.
         monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
-        radix = int(symbols.max()) + 1
+        radix, n = int(symbols.max()) + 1, len(symbols)
         ranks, first = [], fpc.packing.NOT_KEPT + 1
+        buffer = fpc.packing._key_buffer(n, radix, t)
         for combo in itertools.combinations(range(symbols.shape[1]), t):
-            keys, inverse = fpc.packing._rank(
-                fpc.packing._subset_keys(symbols, combo, radix), radix**t
+            inverse = np.empty(n, np.min_scalar_type(min(n, radix**t)))
+            keys = fpc.packing._rank(
+                fpc.packing._subset_keys(symbols, combo, radix, buffer), radix**t, inverse
             )
             ranks.append((keys, inverse, first))
             first += len(keys)
@@ -404,8 +417,10 @@ class TestSparsify:
         for combo, (keys, inverse, first), (ukeys, uinverse, ufirst) in zip(
             itertools.combinations(range(5), t), dense, unique
         ):
-            assert keys.dtype == ukeys.dtype == np.int64
-            assert inverse.dtype == uinverse.dtype == np.int32
+            # Keys below 2^31 are int32, and either route ranks into the
+            # inverse that the caller sized for the most distinct keys.
+            assert keys.dtype == ukeys.dtype == np.int32
+            assert inverse.dtype == uinverse.dtype == np.min_scalar_type(min(n, radix**t))
             assert np.array_equal(keys, ukeys) and np.array_equal(inverse, uinverse)
             assert first == ufirst
             assert np.array_equal(keys[inverse], symbols[:, combo] @ radix ** np.arange(t))
@@ -426,10 +441,33 @@ class TestSparsify:
                     wkeys // wide_radix**j % wide_radix - (top - 9), keys // radix**j % radix
                 )
 
+    @pytest.mark.parametrize("l,t,q", [(4, 2, 13), (6, 2, 16)])
+    def test_symbol_dtype_leaves_the_output_alone(self, l, t, q):
+        # The packing's uint8 matrix, the same words widened, and its tuples
+        # give equal patterns, ids and selections.
+        pack = rs_packing(l, t, q)
+        assert pack.words.dtype == np.uint8
+        cfg = SparsifierConfig(eta=0.05, seed=7)
+        forms = [
+            pack.words,
+            pack.words.astype(np.uint16),
+            pack.words.astype(np.int64),
+            list(pack.transversals),
+        ]
+        runs = [sparsify(words, t, cfg) for words in forms]
+        rows = np.arange(0, len(pack), 3)
+        (patterns, ids), selected = runs[0], greedy_select(runs[0][1], rows, seed=5)
+        assert len(selected) > 1
+        for other_patterns, other_ids in runs[1:]:
+            assert np.array_equal(other_patterns, patterns)
+            assert np.array_equal(other_ids, ids)
+            assert greedy_select(other_ids, rows, seed=5) == selected
+
     def test_shared_patterns(self):
         pack = rs_packing(4, 2, 7)
         cfg = SparsifierConfig(eta=0.3, seed=2)
         sets, ids = shared_patterns(sparsify(pack.words, 2, cfg)[0], 4, 2)
+        assert ids.dtype == np.uint8  # at most 2^C(4, 2) = 64 patterns
         assert len(set(sets)) == len(sets)
         for U, k in zip(pack.transversals, ids.tolist()):
             assert sets[k] == survived_set(U, 2, cfg).pattern
