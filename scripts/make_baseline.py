@@ -32,8 +32,10 @@ POLICY = {
 
 def main() -> int:
     rates = {}
+    point = {k: v for k, v in POLICY.items() if k != "packing"}  # q picks the packing
     for q in RATE_TREND_QS:
-        cfg = ConstructionConfig(q=q, verify=False, **POLICY)
+        cfg = ConstructionConfig(q=q, verify=False, **point)
+        assert cfg.packing == POLICY["packing"], (q, cfg.packing)
         _code, report = construct(cfg)
         rates[str(q)] = {
             "code_size": report.code_size,

@@ -107,7 +107,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", help="degree diagnostics of a packing")
     _add_point_flags(p)
-    p.add_argument("--packing", choices=["rs", "greedy"], default="rs")
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -122,7 +121,6 @@ def _add_point_flags(p: argparse.ArgumentParser):
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser):
-    p.add_argument("--packing", choices=["rs", "greedy"], default="rs")
     p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True)
 
 

@@ -1,13 +1,13 @@
 """End-to-end code construction, baselines, and a ground-truth maximizer.
 
-The pipeline lays a perfect transversal packing over the symbols, builds the
-complement family of a largest no-(lam+1)-matching family, sparsifies each
-transversal's labeled t-subsets, keeps candidates whose missing pattern stays
-below the matching threshold, and extracts a conflict-free selection. The
-stages share the packing's (n, l) word matrix: the sparsifier gives each row
-one kept-pattern int and an id per kept labeled subset, each in the
-narrowest type its bound allows, acceptance is
-decided once per distinct pattern, and the matching indexes the accepted
+The pipeline lays a transversal packing over the symbols (Reed-Solomon where
+`rs_applies`, else greedy), builds the complement family of a largest
+no-(lam+1)-matching family, sparsifies each transversal's labeled t-subsets,
+keeps candidates whose missing pattern stays below the matching threshold,
+and extracts a conflict-free selection. The stages share the packing's (n, l)
+word matrix: the sparsifier gives each row one kept-pattern int and an id per
+kept labeled subset, each in the narrowest type its bound allows, acceptance
+is decided once per distinct pattern, and the matching indexes the accepted
 rows of the id matrix without copying them. Only the selected rows become
 tuples and `Candidate` objects, each with the one frozenset that
 `shared_patterns` gives its pattern. `build_packing` sizes and builds the
@@ -24,7 +24,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Literal, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .packing import (
     check_matrix_bytes,
     greedy_packing,
     greedy_select,
+    rs_applies,
     rs_packing,
     shared_patterns,
     sparsify,
@@ -66,7 +67,7 @@ from .record import Record
 
 
 class ConstructionConfig(Record):
-    __slots__ = ("c", "l", "q", "eta", "seed", "packing", "verify")
+    __slots__ = ("c", "l", "q", "eta", "seed", "verify")
     # The one acceptance rule and the one matching; constants, not fields,
     # named for the reports and the code-file comment that print them.
     mode = "relaxed"
@@ -79,16 +80,18 @@ class ConstructionConfig(Record):
         q: int,
         eta: float = 0.05,
         seed: int = 0,
-        packing: Literal["rs", "greedy"] = "rs",
         verify: bool = True,
     ):
         if c < 2 or l < 2 or q < 2:
             raise ValueError("need c, l, q all at least 2")
         if not (0.0 <= eta <= 1.0):
             raise ValueError(f"eta={eta} outside [0, 1]")
-        if packing not in ("rs", "greedy"):
-            raise ValueError(f"unknown packing {packing!r}")
-        super().__init__(c, l, q, eta, seed, packing, verify)
+        super().__init__(c, l, q, eta, seed, verify)
+
+    @property
+    def packing(self) -> str:
+        """The packing `build_packing` lays: "rs" where `rs_packing` builds, else "greedy"."""
+        return "rs" if rs_applies(self.l, self.q) else "greedy"
 
 
 class ConstructionReport(NamedTuple):
@@ -105,20 +108,13 @@ class ConstructionReport(NamedTuple):
     timings_ms: dict = MappingProxyType({})
 
     def as_dict(self) -> dict:
-        b = self.bounds
         return {
-            "c": self.config.c,
-            "l": self.config.l,
-            "q": self.config.q,
+            **self.bounds.as_dict(),  # c, l, q, t, lambda, m and the bounds
             "eta": self.config.eta,
             "seed": self.config.seed,
             "mode": self.config.mode,
             "packing": self.config.packing,
             "matching": self.config.matching,
-            "t": b.t,
-            "lambda": b.lam,
-            "m": b.m.value,
-            "m_status": b.m.status,
             "packing_size": self.packing_size,
             # Every packing word is a candidate; every selected one a codeword.
             "candidate_count": self.packing_size,
@@ -126,9 +122,6 @@ class ConstructionReport(NamedTuple):
             "selected_count": self.code_size,
             "code_size": self.code_size,
             "rate": str(self.rate),
-            "rate_limit": str(b.rate_limit),
-            "blackburn": b.blackburn,
-            "improved": b.improved,
             "verified": None if self.verified is None else self.verified.ok,
             "verified_note": self.verified_note,
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
@@ -193,6 +186,9 @@ def construct(
         ]
 
     code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])
+    # Verification needs none of the pipeline's arrays; free them first.
+    packing_size, accepted_count = len(pack), len(accepted)
+    del pack, subset_ids, pattern_ids, accepts, accepted
 
     verified: Optional[Verdict] = None
     note = ""
@@ -213,8 +209,8 @@ def construct(
     report = ConstructionReport(
         config=cfg,
         bounds=bounds,
-        packing_size=len(pack),
-        accepted_count=len(accepted),
+        packing_size=packing_size,
+        accepted_count=accepted_count,
         code_size=len(code),
         rate=Fraction(len(code), cfg.q**t),
         verified=verified,

@@ -200,24 +200,30 @@ def check_matrix_bytes(l: int, t: int, q: int) -> None:
         )
 
 
+def rs_applies(l: int, q: int) -> bool:
+    """Whether `rs_packing` builds words of length l over q symbols: q is a
+    prime power of at least l, and a prime if above `_GF_TABLE_CAP`."""
+    try:
+        _p, k = _prime_power(q)
+    except NotPrimePowerError:
+        return False
+    return q >= l and (k == 1 or q <= _GF_TABLE_CAP)
+
+
 def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     """All q^(t+1) evaluation vectors of degree-<=t polynomials over GF(q).
 
     Distinct polynomials of degree <= t agree on at most t of the l >= t+1
-    evaluation points, so the packing is perfect. Requires prime-power q >= l.
+    evaluation points, so the packing is perfect. Requires `rs_applies(l, q)`.
     """
     if t + 1 > l:
         raise ValueError(f"need t+1 <= l, got t={t}, l={l}")
-    try:
-        field = GF(q)
-    except NotPrimePowerError:
+    if not rs_applies(l, q):
         raise ValueError(
-            f"q={q} is not a prime power; greedy_packing works for any q"
-        ) from None
-    if q < l:
-        raise ValueError(
-            f"q={q} < l={l}: not enough evaluation points; greedy_packing works for any q"
+            f"no Reed-Solomon packing at l={l}, q={q}: it needs a prime power q >= l, "
+            f"a prime above {_GF_TABLE_CAP}; greedy_packing works for any q"
         )
+    field = GF(q)
     # In `itertools.product` order, coefficient vector i lists the base-q
     # digits of i, most significant first; coeffs[0] is the constant term.
     # Horner's rule evaluates all vectors at once, one point at a time, in

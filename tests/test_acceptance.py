@@ -131,9 +131,9 @@ def test_criterion_6_rate_trend(baseline):
             q=int(q_str),
             eta=policy["eta"],
             seed=policy["seed"],
-            packing=policy["packing"],
             verify=False,
         )
+        assert cfg.packing == policy["packing"]
         _code, report = construct(cfg)
         rate = float(report.rate)
         assert rate >= 0.95 * expected["rate_float"], (q_str, rate, expected)

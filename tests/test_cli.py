@@ -111,6 +111,15 @@ class TestOracleCommand:
         assert run("oracle", "9", "3", "2", "--method", "formula") == 0
         assert "56" in capsys.readouterr().out
 
+    def test_json(self, capsys):
+        assert run("oracle", "4", "2", "1", "--json") == 0
+        payload, agreement = capsys.readouterr().out.splitlines()
+        assert json.loads(payload) == {
+            "exhaustive": {"status": "proven(exhaustive)", "value": 3},
+            "formula": {"status": "proven(EKR)", "value": 3},
+        }
+        assert agreement == "agreement"
+
 
 class TestConstructVerifyAudit:
     def test_end_to_end(self, tmp_path, capsys):
@@ -151,8 +160,8 @@ class TestConstructVerifyAudit:
         built = json.loads(capsys.readouterr().out)
         assert run("bounds", "3", "5", "11", "--json") == 0
         bounds = json.loads(capsys.readouterr().out)
-        keys = ["t", "lambda", "m", "m_status", "blackburn", "improved", "rate_limit"]
-        assert {k: built[k] for k in keys} == {k: bounds[k] for k in keys}
+        assert {k: built[k] for k in bounds} == bounds
+        assert "improved_threshold" in bounds
 
     def test_construct_json_times_verify_layers(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
@@ -186,15 +195,40 @@ class TestConstructVerifyAudit:
             ["construct", "--mode", "strict"],
             ["construct", "--matching", "nibble"],
             ["sweep", "--q-list", "13", "--seeds", "7", "--matching", "nibble"],
+            # q picks the packing.
+            ["construct", "--packing", "rs"],
+            ["sweep", "--q-list", "13", "--seeds", "7", "--packing", "greedy"],
+            ["diagnose", "--packing", "rs"],
         ],
     )
     def test_mode_and_matching_flags_are_gone(self, tmp_path, capsys, flags):
         command, *rest = flags
-        point = ["--c", "2", "--l", "4"] + (["--q", "13"] if command == "construct" else [])
+        point = ["--c", "2", "--l", "4"] + (["--q", "13"] if command != "sweep" else [])
         out = tmp_path / "out"
-        assert run(command, *point, *rest, "--out", str(out)) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        to_out = [] if command == "diagnose" else ["--out", str(out)]
+        assert run(command, *point, *rest, *to_out) == 1
+        assert f"unrecognized arguments: {' '.join(rest[-2:])}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "c,l,q,sha256",
+        [
+            (2, 4, 6, "a451c4e4d4dc84616c2eb13265e996c04991547ebdc2e5559cb6b69ad429ef2d"),
+            (3, 6, 5, "1877753a01a49bcef4057fb96e8439b3a3491feca3a8bd0c46dd86acaf75a227"),
+            (2, 5, 4, "b22b6540ee7aa1d05a4621d449686bff02b3d2b3283e0eb51cc8ae4feb5e3c41"),
+        ],
+    )
+    def test_greedy_packing_where_rs_has_no_field(self, tmp_path, capsys, c, l, q, sha256):
+        # A composite q, or a q below l, builds with no flag: the same file
+        # that a --packing greedy flag wrote before the packing followed q.
+        out = tmp_path / "code.fpc"
+        point = ["--c", str(c), "--l", str(l), "--q", str(q), "--seed", "7"]
+        assert run("construct", *point, "--out", str(out), "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["packing"], payload["verified"]) == ("greedy", True)
+        assert "# mode=relaxed packing=greedy matching=greedy\n" in out.read_text()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        assert run("verify", "--in", str(out), "--c", str(c)) == 0
 
     @pytest.mark.parametrize(
         "command,point",
@@ -323,6 +357,13 @@ class TestConstructVerifyAudit:
         assert run("verify", "--in", str(good), "--c", "2", "--budget", "10") == 1
         assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
 
+    def test_budget_env_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FPC_BUDGET", "1e6")
+        out = tmp_path / "c.fpc"
+        point = ["--c", "2", "--l", "4", "--q", "5", "--seed", "1"]
+        assert run("construct", *point, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: FPC_BUDGET must be an integer, got '1e6'\n"
+
     def test_budget_env_skips_construct_verification(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FPC_BUDGET", "10")
         out = tmp_path / "c.fpc"
@@ -374,6 +415,15 @@ class TestSweepCommand:
         assert rc == 0
         assert parse_sweep_csv(out.read_text())[0]["verified"] == "skipped"
 
+    def test_generated_seed_is_printed(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--c", "2", "--l", "4", "--q-list", "5", "--out", str(out)) == 0
+        first, wrote = capsys.readouterr().out.splitlines()
+        seed = int(first.removeprefix("seed = ").removesuffix(" (generated)"))
+        assert first == f"seed = {seed} (generated)"
+        assert wrote == f"wrote 1 rows to {out}"
+        assert parse_sweep_csv(out.read_text())[0]["seed"] == str(seed)
+
     def test_bad_q_list(self, capsys):
         assert run("sweep", "--c", "2", "--l", "4", "--q-list", "13,x", "--out", "/tmp/x.csv") == 1
 
@@ -415,11 +465,17 @@ class TestDiagnoseCommand:
         assert run("diagnose", "--c", "2", *point, "--seed", "7", "--json") == 0
         assert json.loads(capsys.readouterr().out)["dH_mean"] == dh_mean
 
+    def test_plain_text_lists_the_json_fields(self, capsys):
+        point = ["--c", "2", "--l", "4", "--q", "5", "--seed", "3"]
+        assert run("diagnose", *point, "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run("diagnose", *point) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(lines) == sorted(f"{k} = {v}" for k, v in payload.items())
+        assert lines[:3] == ["c = 2", "l = 4", "q = 5"]
+
     def test_greedy_packing(self, capsys):
-        rc = run(
-            "diagnose", "--c", "2", "--l", "4", "--q", "6", "--seed", "3",
-            "--packing", "greedy", "--json",
-        )
+        rc = run("diagnose", "--c", "2", "--l", "4", "--q", "6", "--seed", "3", "--json")
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["packing"] == "greedy"

@@ -10,6 +10,7 @@ from fpc.construct import (
     ConstructionConfig,
     ConstructionError,
     build_extremal_complement,
+    build_packing,
     construct,
     search_max,
     trivial_code,
@@ -24,6 +25,7 @@ from fpc.packing import (
     SparsifierConfig,
     accept_candidate,
     accept_pattern,
+    greedy_packing,
     rs_packing,
     survived_set,
 )
@@ -65,14 +67,15 @@ class TestConstruct:
 
     def test_code_files_byte_stable(self, built_2_4_13):
         # Seed-7 code files, rs packing at (2,4,13) and over the prime-power
-        # field GF(9), greedy at (2,4,5): a change that moves any output bit
-        # must say so and update these.
-        greedy_cfg = ConstructionConfig(c=2, l=4, q=5, seed=7, packing="greedy", verify=False)
+        # field GF(9), greedy at the composite q of (2,4,6): a change that
+        # moves any output bit must say so and update these.
+        greedy_cfg = ConstructionConfig(c=2, l=4, q=6, seed=7, verify=False)
         gf9_cfg = ConstructionConfig(c=2, l=4, q=9, seed=7, verify=False)
+        assert (greedy_cfg.packing, gf9_cfg.packing) == ("greedy", "rs")
         codes = [built_2_4_13[1], construct(greedy_cfg)[0], construct(gf9_cfg)[0]]
         assert [hashlib.sha256(format_code_file(c).encode()).hexdigest() for c in codes] == [
             "f9bc38f1baa4afc7e141f8f573e75ec888bc09c0d5d97f46ac21a0047f9d11eb",
-            "2d395adb772068f4646188a60befc1d4b05ad11e9abeb545a0f6b105164b8bd7",
+            "f6baccbe4b068496ddfa151387ca51ec174282d77225edc07d6155f19a260a95",
             "6011bd4ba6bd45b9d6a9e9f4dea71e789eaff66ed9ff1a749c1d31f5071dc1f5",
         ]
 
@@ -95,19 +98,15 @@ class TestConstruct:
         assert report.verified.ok
 
     def test_greedy_packing_for_composite_q(self):
-        code, report = construct(
-            ConstructionConfig(c=2, l=4, q=6, eta=0.05, seed=2, packing="greedy")
-        )
+        code, report = construct(ConstructionConfig(c=2, l=4, q=6, eta=0.05, seed=2))
+        assert report.as_dict()["packing"] == "greedy"
+        assert report.packing_size == len(greedy_packing(4, 2, 6, seed=2))
         assert report.verified.ok
 
     def test_prime_power_field_end_to_end(self):
         code, report = construct(ConstructionConfig(c=2, l=4, q=9, eta=0.05, seed=5))
         assert report.packing_size == 9**3
         assert report.verified.ok
-
-    def test_rs_rejects_composite_q(self):
-        with pytest.raises(ValueError, match="greedy_packing"):
-            construct(ConstructionConfig(c=2, l=4, q=6, eta=0.05, seed=2))
 
     def test_verify_disabled(self):
         _code, report = construct(
@@ -140,13 +139,30 @@ class TestConstruct:
             ConstructionConfig(c=1, l=4, q=13)
         with pytest.raises(ValueError):
             ConstructionConfig(c=2, l=4, q=13, eta=2.0)
-        with pytest.raises(ValueError, match="unknown packing"):
-            ConstructionConfig(c=2, l=4, q=13, packing="bogus")
-        # Acceptance and matching each have one rule, so neither is a field.
-        for name, value in (("mode", "relaxed"), ("matching", "greedy")):
+        # Acceptance and matching each have one rule, and q picks the
+        # packing, so none of the three is a field.
+        for name, value in (("mode", "relaxed"), ("matching", "greedy"), ("packing", "rs")):
             with pytest.raises(TypeError):
                 ConstructionConfig(c=2, l=4, q=13, **{name: value})
         assert (ConstructionConfig.mode, ConstructionConfig.matching) == ("relaxed", "greedy")
+
+    def test_packing_follows_from_q(self):
+        def prime_divisors(q):
+            return [d for d in range(2, q + 1) if q % d == 0 and all(d % e for e in range(2, d))]
+
+        for l in range(2, 9):
+            for q in range(2, 50):
+                rs = len(prime_divisors(q)) == 1 and q >= l
+                assert ConstructionConfig(c=2, l=l, q=q).packing == ("rs" if rs else "greedy")
+        # Above GF's table cap of 512 only a prime q has a field; a prime
+        # power such as 529 = 23^2 or 1024 takes the greedy packing instead.
+        assert ConstructionConfig(c=2, l=2, q=512).packing == "rs"
+        assert ConstructionConfig(c=2, l=2, q=521).packing == "rs"
+        assert ConstructionConfig(c=2, l=2, q=1024).packing == "greedy"
+        cfg = ConstructionConfig(c=2, l=2, q=529, seed=7)
+        assert cfg.packing == "greedy"
+        # At l = t + 1 = 2 no two distinct words agree in 2 places: all q^2 stay.
+        assert len(build_packing(cfg)) == 529**2
 
 
 def test_pipeline_peak_memory_stays_near_its_matrices():

@@ -143,6 +143,10 @@ class TestRsPacking:
         with pytest.raises(ValueError, match="greedy_packing"):
             rs_packing(4, 2, 6)
 
+    def test_prime_power_above_table_cap_suggests_greedy(self):
+        with pytest.raises(ValueError, match="a prime above 512; greedy_packing"):
+            rs_packing(2, 1, 1024)
+
     def test_q_below_l_rejected(self):
         with pytest.raises(ValueError, match="greedy_packing"):
             rs_packing(7, 2, 5)

@@ -77,7 +77,7 @@ RECORDS = {
         "c",
         lambda: ConstructionConfig(2, 4, 13, seed=7),
         lambda: ConstructionConfig(2, 4, 13, seed=8),
-        (lambda: ConstructionConfig(2, 4, 13, packing="bogus"),),
+        (lambda: ConstructionConfig(2, 4, 13, eta=2.0),),
     ),
     "ConstructionReport": ("config", lambda: _report(40), lambda: _report(41), ()),
     "TransversalPacking": ("words", lambda: rs_packing(4, 1, 5), None, ()),
@@ -148,7 +148,7 @@ REQUIRED = inspect.Parameter.empty
     [
         (
             ConstructionConfig,
-            dict(c=REQUIRED, l=REQUIRED, q=REQUIRED, eta=0.05, seed=0, packing="rs", verify=True),
+            dict(c=REQUIRED, l=REQUIRED, q=REQUIRED, eta=0.05, seed=0, verify=True),
         ),
         (SparsifierConfig, dict(eta=REQUIRED, seed=REQUIRED)),
     ],
@@ -159,3 +159,12 @@ def test_config_signature_lists_fields(cls, defaults):
     assert tuple(params) == cls.__slots__ == tuple(defaults)
     assert {name: p.default for name, p in params.items()} == defaults
     assert {p.kind for p in params.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+
+
+def test_record_repr_lists_fields_in_order():
+    # A derived value such as ConstructionConfig.packing is not a field.
+    assert repr(ConstructionConfig(2, 4, 13, seed=7)) == (
+        "ConstructionConfig(c=2, l=4, q=13, eta=0.05, seed=7, verify=True)"
+    )
+    assert repr(SparsifierConfig(0.05, 7)) == "SparsifierConfig(eta=0.05, seed=7)"
+    assert repr(Code(3, 2, SMALL[:1])) == "Code(q=3, l=2, words=((1, 2),))"
