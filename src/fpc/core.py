@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from itertools import compress
-from operator import itemgetter, ne
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .record import Record
@@ -128,17 +127,21 @@ def desc_size(coalition: Sequence[Word]) -> int:
 # so results never depend on evaluation order.
 #
 # One route, victim by victim, which never enumerates coalitions. Word indices
-# are grouped by (position, symbol). For each word x in sorted order, a search
-# asks whether s other words can cover x's positions, a word covering the
-# positions where it agrees with x:
+# are grouped by (position, symbol) into sets. For each word x in sorted order,
+# a search asks whether s other words can cover x's positions, a word covering
+# the positions where it agrees with x:
 #   - it branches over the words in the smallest group among x's uncovered
 #     positions, since one of them must cover that position; members that
 #     leave x the same positions uncovered make one branch, since an OR
 #     does not change when a repeated question is dropped;
+#   - it learns what each member covers by intersecting that group with x's
+#     groups at the other uncovered positions, so a member that agrees with x
+#     at the group's position only is counted, never visited;
 #   - with one slot left, one lookup in a labeled-subset index says whether
 #     another word agrees with x on every uncovered position. Per distinct
-#     uncovered set, the index counts the words by their symbols there; it is
-#     built lazily, with one pass over the words per set;
+#     uncovered set, the index holds the symbol tuples there that two or more
+#     words share; it is built lazily, with one count over the words per set,
+#     and keeps no count;
 #   - with no uncovered position left, spare words fill the free slots.
 # A word picked by the search agrees with x where no earlier pick does, so the
 # picks are distinct and never x. As n-1 >= s, spare words always suffice.
@@ -169,51 +172,78 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     if n <= 1:
         return Verdict(True)
     s = min(c, n - 1)
-    groups: list[dict[int, list[int]]] = [{} for _ in range(l)]
+    # own[j][k] is the set of words that carry word j's symbol at position k;
+    # the words sharing a symbol there share the one set.
+    groups: list[dict[int, set[int]]] = [{} for _ in range(l)]
+    own = []
     for j, w in enumerate(words):
-        for k, sym in enumerate(w):
-            groups[k].setdefault(sym, []).append(j)
-    # A search for x branches s-1 times over at most x's largest group and
-    # compares up to l symbols per branch and lookup. Each distinct uncovered
-    # set the lookups meet, at most one per lookup and at most 2^l - 1, costs
-    # one pass over the n words. The least coalition then takes at most n
-    # searches with fewer slots, for one word only, which this does not count.
-    largest = [max(len(groups[k][sym]) for k, sym in enumerate(w)) for w in words]
-    leaves = sum(g ** (s - 1) for g in largest)
-    estimate = l * leaves + n * l * min(2**l - 1, leaves)
+        mine = []
+        for by_symbol, sym in zip(groups, w):
+            group = by_symbol.get(sym)
+            if group is None:
+                group = by_symbol[sym] = set()
+            group.add(j)
+            mine.append(group)
+        own.append(mine)
+    del groups
+    # A branching step over a group of g words intersects it with up to l-1
+    # other groups and sets a bit per member found there: l*g comparisons. A
+    # search for x branches once over x's smallest group g_x and then, while
+    # slots remain, over groups no larger than x's largest G_x. Its at most
+    # s-1 levels of steps cost at most l*g_x*G_x^(s-2) comparisons each, and
+    # it makes at most g_x*G_x^(s-2) lookups. Each distinct uncovered set the
+    # lookups meet, at most one per lookup and at most 2^l - 1, costs one pass
+    # over the n words. The least coalition then takes at most n searches
+    # with fewer slots, for one word only, which this does not count.
+    lookups = 0
+    for mine in own:
+        sizes = sorted(map(len, mine))
+        lookups += sizes[0] * sizes[-1] ** (s - 2)
+    estimate = l * (s - 1) * lookups + n * l * min(2**l - 1, lookups)
     if estimate > budget:
         raise BudgetExceededError(
             f"frameproof check needs ~{estimate:.2e} comparisons, "
             f"budget is {budget:.2e}"
         )
-    index: dict[tuple[int, ...], Counter] = {}
+    index: dict[tuple[int, ...], set] = {}
 
     def reach(x: int, uncovered: tuple[int, ...], left: int) -> bool:
         """Can `left` words other than x cover x on `uncovered`?"""
-        # On all l positions the projection is the word itself.
-        get = tuple if len(uncovered) == l else itemgetter(*uncovered)
         if left == 1:
-            counts = index.get(uncovered)
-            if counts is None:
-                counts = index[uncovered] = Counter(map(get, words))
-            return counts[get(words[x])] > 1
+            # On all l positions the projection is the word itself.
+            get = tuple if len(uncovered) == l else itemgetter(*uncovered)
+            shared = index.get(uncovered)
+            if shared is None:
+                counts = Counter(map(get, words))
+                shared = index[uncovered] = {p for p, k in counts.items() if k > 1}
+            return get(words[x]) in shared
         # Every member of the group agrees with x at one uncovered position,
         # so one uncovered position leaves nothing to another member.
-        w = words[x]
-        group = min((groups[k][w[k]] for k in uncovered), key=len)
+        mine = own[x]
+        group = min([mine[k] for k in uncovered], key=len)
         if len(uncovered) == 1:
             return len(group) > 1
+        # Bit i of a member's mask says it agrees with x at others[i] too.
         # Members that leave x the same positions uncovered answer alike, so
-        # each distinct rest is asked once; a member that leaves none frames x.
-        wx = get(w)
-        rests = set()
-        for j in group:
-            if j != x:
-                rest = tuple(compress(uncovered, map(ne, get(words[j]), wx)))
-                if not rest:
-                    return True
-                rests.add(rest)
-        return any(reach(x, rest, left - 1) for rest in rests)
+        # each distinct mask is asked once; one that leaves none frames x. A
+        # member found in no intersection agrees at the group's position only.
+        others = [k for k in uncovered if mine[k] is not group]
+        masks: dict[int, int] = {}
+        get = masks.get
+        for i, k in enumerate(others):
+            bit = 1 << i
+            for j in group & mine[k]:
+                masks[j] = get(j, 0) | bit
+        del masks[x]
+        rests = set(masks.values())
+        if (1 << len(others)) - 1 in rests:
+            return True
+        if len(masks) < len(group) - 1:
+            rests.add(0)
+        return any(
+            reach(x, tuple(k for i, k in enumerate(others) if not m >> i & 1), left - 1)
+            for m in rests
+        )
 
     everywhere = tuple(range(l))
     for x in range(n):
@@ -286,30 +316,60 @@ def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
         return Verdict(True)
     l = code.l
     s = min(c, n - 1)
-    vertex_edges: dict[tuple[int, int], list[int]] = {}
+    # edges_at[i][k] is the set of edges through edge i's vertex at position
+    # k+1; the edges through one vertex share the one set.
+    vertex_edges: dict[tuple[int, int], set[int]] = {}
+    edges_at = []
     for j, w in enumerate(words):
-        for k, sym in enumerate(w):
-            vertex_edges.setdefault((k, sym), []).append(j)
-    # Each victim visits every edge through each of its vertices, Σ|G|² visits
-    # in all; its closure unions at most 2^l reached masks with 2^l values s
+        through = []
+        for vertex in enumerate(w):
+            edges = vertex_edges.get(vertex)
+            if edges is None:
+                edges = vertex_edges[vertex] = set()
+            edges.add(j)
+            through.append(edges)
+        edges_at.append(through)
+    del vertex_edges
+    # A victim intersects its vertices' edge sets pairwise, each intersection
+    # costing its smaller set, and sets two mask bits on each member found
+    # there. Its closure unions at most 2^l reached masks with 2^l values s
     # times.
-    estimate = sum(len(g) ** 2 for g in vertex_edges.values()) + n * (4**l) * s
+    pairs = [(a, b, 1 << a | 1 << b) for a, b in itertools.combinations(range(l), 2)]
+    intersections = 0
+    for through in edges_at:
+        sizes = sorted(map(len, through))
+        intersections += sum(map(mul, sizes, range(l - 1, -1, -1)))
+    estimate = 2 * intersections + n * (4**l) * s
     if estimate > budget:
         raise BudgetExceededError(
             f"cover-free check needs ~{estimate:.2e} comparisons, budget is {budget:.2e}"
         )
     full = (1 << l) - 1
+    bits = [1 << k for k in range(l)]
     for i0, w in enumerate(words):
         # Bit k of a neighbour's mask says it agrees with the victim at
-        # position k+1; only the victim itself agrees everywhere.
+        # position k+1; only the victim itself agrees everywhere. A neighbour
+        # found in two of the victim's vertex sets gets its exact mask from
+        # the pairs it lies in; any other edge in the set at position k+1 has
+        # the mask of bit k alone.
+        through = edges_at[i0]
         masks: dict[int, int] = {}
         get = masks.get
-        for k, sym in enumerate(w):
-            bit = 1 << k
-            for j in vertex_edges[k, sym]:
-                masks[j] = get(j, 0) | bit
-        del masks[i0]
-        if not _unions_reach(set(masks.values()), full, s):
+        for a, b, ab in pairs:
+            for j in through[a] & through[b]:
+                masks[j] = get(j, 0) | ab
+        masks.pop(i0, None)
+        values = set(masks.values())
+        for bit, edges in zip(bits, through):
+            # An edge here found in no intersection agrees at position k+1
+            # only; there is one unless masked neighbours, at most len(masks)
+            # of them, fill the set.
+            members = len(edges) - 1
+            if members > len(masks) or members > len(masks.keys() & edges):
+                values.add(bit)
+        # s masks cover at most as many positions as their sizes sum to.
+        widest = sorted(map(int.bit_count, values))[-s:]
+        if sum(widest) < l or not _unions_reach(values, full, s):
             continue
         # Rare path: the least coalition, index by index. j joins when the
         # other masks, cut to the bits j leaves uncovered, reach them in the
@@ -322,10 +382,11 @@ def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
         for j in range(n):
             if j == i0:
                 continue
-            rest = need & ~masks.get(j, 0)
+            mask = sum(bit for bit, edges in zip(bits, through) if j in edges)
+            rest = need & ~mask
             left = s - len(coalition) - 1
             if rest:
-                cut = {m & rest for m in masks.values()} - {0}
+                cut = {m & rest for m in values} - {0}
                 if not (left and _unions_reach(cut, rest, left)):
                     continue
             coalition.append(j)

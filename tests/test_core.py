@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpc.construct import ConstructionConfig, construct
+from fpc.construct import ConstructionConfig, construct, trivial_code
 from fpc.core import (
     BudgetExceededError,
     Code,
@@ -161,10 +161,16 @@ class TestFrameproof:
         code, _report = construct(ConstructionConfig(c=3, l=6, q=16, seed=7, verify=False))
         assert len(code) == 85
         assert is_frameproof(code, 3, budget=10**6).ok
-        # is_cover_free counts only the neighbour pairs it masks: about 1.03e6
-        # at the seed-7 (2,4,47) build, where all n*n*l pairs would be 1.1e7.
+        # is_cover_free charges the pairwise intersections of each word's
+        # groups and its mask closure: about 1.45e6 at the seed-7 (2,4,47)
+        # build, where all n*n*l pairs would be 1.1e7.
         code, _report = construct(ConstructionConfig(c=2, l=4, q=47, seed=7, verify=False))
         assert is_cover_free(code, 2, budget=2 * 10**6).ok
+
+    def test_budget_follows_the_smallest_group(self):
+        # Every word of the trivial code lies in three groups of 597 words
+        # and one of a single word, so each search branches over one word.
+        assert is_frameproof(trivial_code(4, 200), 2, budget=10**5).ok
 
     def test_matches_naive_oracle(self):
         rng = random.Random(555)
@@ -230,6 +236,77 @@ class TestFrameproof:
         verdict = is_frameproof(code, 3)
         assert not verdict.ok
         assert verdict == is_cover_free(code, 3)
+
+
+def agreeing_code(rng: random.Random) -> Code:
+    """A random code whose words are copies of a few seed words with some
+    positions redrawn, so many pairs agree at two or more positions."""
+    q = rng.randint(2, 6)
+    l = rng.randint(2, 7)
+    seeds = [[rng.randint(1, q) for _ in range(l)] for _ in range(rng.randint(1, 4))]
+    words = set()
+    for _ in range(rng.randint(2, 16)):
+        w = list(rng.choice(seeds))
+        for k in rng.sample(range(l), rng.randint(1, l)):
+            w[k] = rng.randint(1, q)
+        words.add(tuple(w))
+    return Code(q, l, words)
+
+
+def test_checkers_agree_on_codes_with_multi_position_agreement():
+    rng = random.Random(2323)
+    violations = oracle_checked = 0
+    for _ in range(2000):
+        code = agreeing_code(rng)
+        c = rng.randint(2, 4)
+        verdict = is_frameproof(code, c)
+        assert verdict == is_cover_free(code, c)
+        if len(code) <= 8:
+            oracle_checked += 1
+            expected = naive_frameproof(code, c)
+            assert verdict.ok == (expected is None)
+            assert verdict.witness == (expected and Witness(*expected))
+        violations += not verdict.ok
+    assert oracle_checked > 500
+    assert 200 < violations < 1800
+
+
+MASTER_2_4 = (
+    ((0, 0), (1, 0), (2, 0)),
+    ((0, 0), (1, 1), (3, 0)),
+    ((0, 0), (2, 1), (3, 1)),
+    ((0, 1), (1, 0), (3, 1)),
+    ((0, 1), (1, 1), (2, 1)),
+    ((0, 1), (2, 0), (3, 0)),
+    ((1, 0), (2, 1), (3, 0)),
+    ((1, 1), (2, 0), (3, 1)),
+)
+
+
+@pytest.fixture(params=[13, 31])
+def design_code(request) -> Code:
+    """The 8-block 3-GDD of type 2^4 over (group, point), inflated by a
+    transversal design TD(3, m) over Z_m with m = (q-1)//2: block b and
+    (u, v) give the word with 2 + a*m + v at the block's first group,
+    2 + a*m + (u + (j-1)*v mod m) at its j-th, and 1 at the group it misses.
+    No two words share a symbol pair off the 1s, so the code is
+    2-frameproof, and every word lies in the 1-group of 2*m*m words at its
+    missing position."""
+    q = request.param
+    m = (q - 1) // 2
+    words = []
+    for block in MASTER_2_4:
+        for u, v in itertools.product(range(m), repeat=2):
+            w = [1] * 4
+            for j, (g, a) in enumerate(block):
+                w[g] = 2 + a * m + (v if j == 0 else (u + (j - 1) * v) % m)
+            words.append(w)
+    return Code(q, 4, words)
+
+
+def test_design_codes_pass_both_checkers(design_code):
+    assert len(design_code) == 8 * ((design_code.q - 1) // 2) ** 2
+    assert is_frameproof(design_code, 2) == is_cover_free(design_code, 2) == Verdict(True)
 
 
 def _assert_planted(code: Code, c: int, word, coalition):
