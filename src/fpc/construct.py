@@ -139,9 +139,10 @@ def build_extremal_complement(c: int, l: int) -> tuple[PositionFamily, PositionF
 
 def build_packing(cfg: ConstructionConfig) -> TransversalPacking:
     """The packing `cfg.packing` names at the config's point, once
-    `check_matrix_bytes` has let its word and id matrices through."""
+    `check_matrix_bytes` has let through the q^(t+1) words that bound any
+    packing and their labeled t-subset ids."""
     t, _lam = lambda_of(cfg.c, cfg.l)
-    check_matrix_bytes(cfg.l, t, cfg.q)
+    check_matrix_bytes(cfg.q ** (t + 1), cfg.l, t)
     if cfg.packing == "rs":
         return rs_packing(cfg.l, t, cfg.q)
     return greedy_packing(cfg.l, t, cfg.q, cfg.seed)

@@ -4,11 +4,13 @@ A packing here is a set of words any two of which agree in at most t
 coordinates; equivalently their labeled (t+1)-subsets are pairwise distinct.
 `rs_packing` realizes the perfect case (q^(t+1) words) by evaluating all
 polynomials of degree <= t over GF(q), whose add and mul are q x q lookup
-tables for every prime power q; `greedy_packing` is the
-maximal-by-inclusion fallback for any q. On top of a packing, a pseudorandom
-sparsifier thins the labeled t-subsets, a candidate is accepted when its
-missing pattern has no lam+1 pairwise disjoint members, and one seed-shuffled
-greedy pass selects candidates with pairwise disjoint surviving subsets.
+tables for every prime power q; `greedy_packing` is the maximal-by-inclusion
+fallback for any q, the matching's own greedy pass over all q^l words at
+t+1. One byte estimate, `check_matrix_bytes`, refuses either packing before
+it is built. On top of a packing, a pseudorandom sparsifier thins the
+labeled t-subsets, a candidate is accepted when its missing pattern has no
+lam+1 pairwise disjoint members, and one seed-shuffled greedy pass selects
+candidates with pairwise disjoint surviving subsets.
 A packing holds its words as one (n, l) matrix, `words`, of the narrowest
 unsigned type that holds q (uint8 up to q = 255), and every stage works on
 it: `sparsify`, the one ranker of labeled t-subsets, hashes each distinct
@@ -43,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import struct
 from collections import Counter
 from operator import itemgetter
@@ -67,11 +68,10 @@ LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-base
 _GF_TABLE_CAP = 512
 # Largest l whose l! position relabelings `pattern_images` enumerates.
 _IMAGE_L_CAP = 9
-# Most words, q^l, that `greedy_packing` enumerates.
-_GREEDY_WORD_CAP = 2_000_000
-# Most bytes that the word and id matrices, the pipeline's largest arrays,
-# may take together, as `check_matrix_bytes` estimates them: an upper bound
-# at int64 symbols and int32 ids, above what the narrowed arrays take.
+# Most bytes that a word matrix and its labeled-subset ids, the largest
+# arrays of the pipeline and of `greedy_packing`, may take together, as
+# `check_matrix_bytes` estimates them: an upper bound at int64 symbols and
+# int32 ids, above what the narrowed arrays take.
 _MATRIX_BYTE_CAP = 1 << 30
 
 
@@ -185,18 +185,18 @@ class TransversalPacking:
         return len(self.words)
 
 
-def check_matrix_bytes(l: int, t: int, q: int) -> None:
-    """Refuse, before any packing exists, a build whose word and id matrices
-    would pass `_MATRIX_BYTE_CAP` at q^(t+1) words, the most any packing
-    has by the Singleton bound. The estimate is an upper bound computed at
-    int64 symbols and int32 ids, 8l + 4·C(l, t) bytes per word; the
-    matrices the pipeline builds are narrower (one byte per symbol up to
-    q = 255, and ids of the type their count needs)."""
-    need = q ** (t + 1) * (8 * l + 4 * math.comb(l, t))
+def check_matrix_bytes(n: int, l: int, k: int) -> None:
+    """Refuse, before it is built, an (n, l) word matrix whose ids of the
+    labeled k-subsets would take it past `_MATRIX_BYTE_CAP`. The estimate
+    is an upper bound computed at int64 symbols and int32 ids, 8l +
+    4·C(l, k) bytes per word; the matrices the pipeline builds are narrower
+    (one byte per symbol up to q = 255, and ids of the type their count
+    needs)."""
+    need = n * (8 * l + 4 * math.comb(l, k))
     if need > _MATRIX_BYTE_CAP:
         raise ValueError(
-            f"the word and id matrices at (l, t, q) = ({l}, {t}, {q}) need an estimated "
-            f"{need / 2**30:.2f} GiB, above the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
+            f"{n} words of length {l} and the ids of their labeled {k}-subsets need an "
+            f"estimated {need / 2**30:.2f} GiB, above the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
         )
 
 
@@ -253,38 +253,28 @@ def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
     """Maximal-by-inclusion packing over a seed-shuffled word order.
 
     Keeps a word iff none of its labeled (t+1)-subsets was claimed before,
-    which is exactly the agreement-<=t condition. No size guarantee.
+    which is exactly the agreement-<=t condition. No size guarantee. The
+    q^l words, one matrix in `itertools.product` order that the byte cap
+    must hold, get their labeled (t+1)-subset ids from `sparsify` at eta 0;
+    `greedy_select` walks them in the order `random.Random(seed).shuffle`
+    gives, and the packing is the kept rows, sorted.
     """
     if t + 1 > l:
         raise ValueError(f"need t+1 <= l, got t={t}, l={l}")
     if q < 2:
         raise ValueError("q must be at least 2")
-    if q**l > _GREEDY_WORD_CAP:
-        raise ValueError(
-            f"greedy packing enumerates q^l = {q**l} words, above cap {_GREEDY_WORD_CAP}"
-        )
-    rng = random.Random(seed)
-    words = list(itertools.product(range(1, q + 1), repeat=l))
-    rng.shuffle(words)
-    claimed: set[LabeledSubset] = set()
-    kept = []
-    for w in words:
-        shadows = _labeled_subsets(w, t + 1)
-        if all(s not in claimed for s in shadows):
-            kept.append(w)
-            claimed.update(shadows)
-    matrix = np.array(sorted(kept), dtype=np.min_scalar_type(q)).reshape(len(kept), l)
-    return TransversalPacking(l=l, q=q, t=t, words=matrix)
-
-
-def _labeled_subsets(w: Word, k: int) -> list[LabeledSubset]:
-    """The labeled k-subsets of w, in combination order."""
-    return list(itertools.combinations([(p + 1, s) for p, s in enumerate(w)], k))
+    check_matrix_bytes(q**l, l, t + 1)
+    words = np.indices((q,) * l, dtype=np.min_scalar_type(q)).reshape(l, -1).T
+    words += 1
+    ids = sparsify(words, t + 1, SparsifierConfig(eta=0.0, seed=0))[1]
+    kept = np.sort(greedy_select(ids, np.arange(len(words)), seed))
+    return TransversalPacking(l=l, q=q, t=t, words=words[kept])
 
 
 def _shadow(w: Word, k: int) -> Iterable[tuple[LabeledSubset, int]]:
     """Each labeled k-subset of w with its position bitmask."""
-    return zip(_labeled_subsets(w, k), position_masks(len(w), k))
+    labeled = [(p + 1, s) for p, s in enumerate(w)]
+    return zip(itertools.combinations(labeled, k), position_masks(len(w), k))
 
 
 def _agreement(u: Word, v: Word) -> int:

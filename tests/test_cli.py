@@ -273,6 +273,22 @@ class TestConstructVerifyAudit:
         with pytest.raises(PackingBuilt):
             construct(ConstructionConfig(2, 4, 127, verify=False))
 
+    def test_oversized_greedy_packing_refused_before_building(self, tmp_path, monkeypatch, capsys):
+        # (2,16,2) takes the greedy packing. Its 2^9 words x (8 * 16 + 4 *
+        # C(16, 8)) bytes pass the cap, but the 2^16 words it lays, with
+        # their labeled 9-subset ids, need 2^16 x (8 * 16 + 4 * C(16, 9))
+        # bytes, 2.80 GiB.
+        def sparsify_called(*args, **kwargs):
+            raise AssertionError("sparsify ran before the byte cap was checked")
+
+        monkeypatch.setattr("fpc.packing.sparsify", sparsify_called)
+        out = tmp_path / "x.fpc"
+        started = time.perf_counter()
+        assert run("construct", "--c", "2", "--l", "16", "--q", "2", "--no-verify", "--out", str(out)) == 1
+        assert time.perf_counter() - started < 1.0
+        assert "estimated 2.80 GiB, above the 1 GiB cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generated_seed_is_printed(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
         rc = run("construct", "--c", "2", "--l", "4", "--q", "5", "--out", str(out))

@@ -184,6 +184,52 @@ class TestGreedyPacking:
         with pytest.raises(ValueError, match="cap"):
             greedy_packing(8, 2, 9, seed=0)
 
+    def test_builds_above_two_million_words(self):
+        # 38^4 = 2,085,136 words, with ids of their labeled 3-subsets, are
+        # within the byte cap. The packing has tens of thousands of words,
+        # so its validity is checked by the equivalent projection criterion
+        # rather than by validate_packing's pairwise loop.
+        assert 38**4 > 2_000_000
+        p = greedy_packing(4, 2, 38, seed=1)
+        assert p.words.dtype == np.uint8 and p.words.flags.c_contiguous
+        assert shadows_disjoint(p.transversals, 2)
+        assert len(p) >= 0.5 * 38**3
+
+
+def _claimed_set_packing(l, t, q, seed):
+    """The greedy packing as one Python loop: shuffle all q^l words with
+    random.Random(seed), keep a word iff none of its labeled
+    (t+1)-subsets is claimed, and claim the subsets of every kept word."""
+    words = list(itertools.product(range(1, q + 1), repeat=l))
+    random.Random(seed).shuffle(words)
+    claimed, kept = set(), []
+    for w in words:
+        shadow = list(itertools.combinations(enumerate(w), t + 1))
+        if claimed.isdisjoint(shadow):
+            kept.append(w)
+            claimed.update(shadow)
+    return sorted(kept)
+
+
+class TestGreedyPackingReference:
+    # (l, t, q): t+1 = l, q = 2, composite q, q < l and t = 0; seeds 0, 1, 7.
+    POINTS = [
+        (3, 2, 3), (4, 3, 2), (2, 1, 5),
+        (5, 2, 2), (6, 3, 2), (4, 1, 2),
+        (4, 2, 6), (3, 1, 10), (4, 1, 4),
+        (5, 2, 3), (6, 2, 4), (7, 3, 2),
+        (3, 0, 4),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("l,t,q", POINTS)
+    def test_words_equal_the_claimed_set_loop(self, l, t, q, seed):
+        expected = np.array(_claimed_set_packing(l, t, q, seed), dtype=np.min_scalar_type(q))
+        words = greedy_packing(l, t, q, seed).words
+        assert words.dtype == expected.dtype
+        assert words.shape == expected.shape
+        assert np.array_equal(words, expected)
+
 
 class TestValidatePacking:
     def test_bare_collections(self):
