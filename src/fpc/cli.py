@@ -184,8 +184,10 @@ def cmd_oracle(args) -> int:
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse, before any work, an output path that is a directory or whose
-    directory is missing."""
+    """Refuse, before any work, an output path that is empty, a directory,
+    or in a missing directory."""
+    if not path:
+        raise CliError("--out is empty")
     if os.path.isdir(path):
         raise CliError(f"--out {path!r} is a directory")
     parent = os.path.dirname(path) or "."
@@ -276,25 +278,24 @@ def cmd_sweep(args) -> int:
     else:
         seeds = _parse_list(args.seeds, "--seeds", int)
     budget = _env_budget()
+    # Every grid point's config first, so a bad point is refused before any build.
+    configs = [_config(args, q=q, eta=eta, seed=seed) for q in qs for eta in etas for seed in seeds]
     rows = []
-    for q in qs:
-        for eta in etas:
-            for seed in seeds:
-                cfg = _config(args, q=q, eta=eta, seed=seed)
-                started = time.perf_counter()
-                _code, report = construct(cfg, budget=budget)
-                elapsed_ms = int((time.perf_counter() - started) * 1000)
-                # A failed verification raises ConstructionError instead.
-                verified = "skipped" if report.verified is None else "true"
-                rows.append(
-                    {
-                        **report.as_dict(),
-                        "accepted": report.accepted_count,
-                        "rate": report.rate,
-                        "verified": verified,
-                        "elapsed_ms": elapsed_ms,
-                    }
-                )
+    for cfg in configs:
+        started = time.perf_counter()
+        _code, report = construct(cfg, budget=budget)
+        elapsed_ms = int((time.perf_counter() - started) * 1000)
+        # A failed verification raises ConstructionError instead.
+        verified = "skipped" if report.verified is None else "true"
+        rows.append(
+            {
+                **report.as_dict(),
+                "accepted": report.accepted_count,
+                "rate": report.rate,
+                "verified": verified,
+                "elapsed_ms": elapsed_ms,
+            }
+        )
     fileio.write_sweep_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

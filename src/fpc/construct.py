@@ -5,16 +5,17 @@ The pipeline lays a transversal packing over the symbols (Reed-Solomon where
 no-(lam+1)-matching family, sparsifies each transversal's labeled t-subsets,
 keeps candidates whose missing pattern stays below the matching threshold,
 and extracts a conflict-free selection. The stages share the packing's (n, l)
-word matrix: the sparsifier gives each row one kept-pattern int and an id per
-kept labeled subset, each in the narrowest type its bound allows, acceptance
-is decided once per distinct pattern, and the matching indexes the accepted
-rows of the id matrix without copying them. Only the selected rows become
-tuples and `Candidate` objects, each with the one frozenset that
-`shared_patterns` gives its pattern. `build_packing` sizes and builds the
-packing for `construct` and `fpc diagnose` alike. The selected transversals
-are the code; verification re-checks the frameproof property exactly rather
-than trusting any pipeline stage. The report takes t, lambda, m and the
-bounds from one `BoundsReport`.
+word matrix: the sparsifier gives each row an id per labeled subset, NOT_KEPT
+where the subset is dropped, in the narrowest type its bound allows;
+`shared_patterns` reads each row's kept pattern off those ids; acceptance is
+decided once per distinct pattern, and the matching indexes the accepted rows
+of the id matrix without copying them. Only the selected rows become tuples
+and `Candidate` objects, each with the one frozenset that `shared_patterns`
+gives its pattern. `build_packing` sizes and builds the packing for
+`construct` and `fpc diagnose` alike. The selected transversals are the
+code; verification re-checks the frameproof property exactly rather than
+trusting any pipeline stage. The report takes t, lambda, m and the bounds
+from one `BoundsReport`.
 """
 
 from __future__ import annotations
@@ -171,9 +172,8 @@ def construct(
 
     with _timed(timings, "candidates"):
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-        pattern_ints, subset_ids = sparsify(pack.words, t, sparsifier)
-        patterns, pattern_ids = shared_patterns(pattern_ints, cfg.l, t)
-        del pattern_ints
+        subset_ids = sparsify(pack.words, t, sparsifier)
+        patterns, pattern_ids = shared_patterns(subset_ids, cfg.l, t)
 
     with _timed(timings, "accept"):
         accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)

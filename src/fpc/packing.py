@@ -14,20 +14,22 @@ candidates with pairwise disjoint surviving subsets.
 A packing holds its words as one (n, l) matrix, `words`, of the narrowest
 unsigned type that holds q (uint8 up to q = 255), and every stage works on
 it: `sparsify`, the one ranker of labeled t-subsets, hashes each distinct
-one once and gives every word its kept pattern as one int and an id per kept
-labeled subset, each array in the narrowest type its bound allows;
-acceptance is decided once per distinct pattern; the greedy pass walks the
-shuffled words in blocks, dropping in one numpy test every word that holds
-an id already used. The order is the one
-`random.Random(seed).shuffle` gives, replayed in numpy by
+one once and gives every word an id per labeled subset, NOT_KEPT where the
+subset is dropped, in the narrowest type its bound allows. A word's kept
+pattern is the set of its slots whose id is not NOT_KEPT; `shared_patterns`
+reads it off the ids and gives each distinct pattern one frozenset, which
+candidates with equal patterns share. Acceptance is decided once per
+distinct pattern; the greedy pass walks the shuffled words in blocks,
+dropping in one numpy test every word that holds an id already used. The
+order is the one `random.Random(seed).shuffle` gives, replayed in numpy by
 `shuffle.shuffled_range` with no Python step per word. Only the selected
 words become tuples and `Candidate` objects. A candidate carries only its
-transversal and the position pattern of its surviving subsets; in the
-pipeline that is the one frozenset `shared_patterns` gives each distinct
-pattern, so candidates with equal patterns share it. Validation counts the
-words' projections onto each set of positions instead. `survived_set` and
-`r_membership` are the per-word reference route to the same pattern.
-`greedy_matching` takes its ids from `sparsify` at eta 0.
+transversal and the position pattern of its surviving subsets.
+`validate_packing` is the one agreement test: words agree in at most t
+positions iff their projections onto every t+1 positions are distinct.
+`validate_induced` counts the words' projections onto each set of positions
+too. `survived_set` and `r_membership` are the per-word reference route to
+the same pattern. `greedy_matching` takes its ids from `sparsify` at eta 0.
 `degree_diagnostics` counts every labeled t-subset over 1..q exactly from
 the words' per-combination keys, and finds the candidates whose pattern is
 a relabeled copy of the target family by membership in the cached image
@@ -266,7 +268,7 @@ def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
     check_matrix_bytes(q**l, l, t + 1)
     words = np.indices((q,) * l, dtype=np.min_scalar_type(q)).reshape(l, -1).T
     words += 1
-    ids = sparsify(words, t + 1, SparsifierConfig(eta=0.0, seed=0))[1]
+    ids = sparsify(words, t + 1, SparsifierConfig(eta=0.0, seed=0))
     kept = np.sort(greedy_select(ids, np.arange(len(words)), seed))
     return TransversalPacking(l=l, q=q, t=t, words=words[kept])
 
@@ -277,33 +279,23 @@ def _shadow(w: Word, k: int) -> Iterable[tuple[LabeledSubset, int]]:
     return zip(itertools.combinations(labeled, k), position_masks(len(w), k))
 
 
-def _agreement(u: Word, v: Word) -> int:
-    return sum(a == b for a, b in zip(u, v))
-
-
 def validate_packing(packing, t: Optional[int] = None) -> bool:
-    """True iff every pair of distinct words agrees in at most t coordinates."""
+    """True iff no two words agree in more than t coordinates, that is, iff
+    on every t+1 positions the words' projections are distinct. `packing`
+    is a `TransversalPacking`, whose t is the default, or a collection of
+    equal-length words with t given; words of unequal length raise
+    ValueError."""
     if isinstance(packing, TransversalPacking):
         words = packing.transversals
         t = packing.t if t is None else t
     else:
-        words = tuple(map(tuple, packing))
+        words = list(map(tuple, packing))
         if t is None:
             raise ValueError("t is required for a bare word collection")
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            if _agreement(u, v) > t:
-                return False
-    return True
-
-
-def shadows_disjoint(words: Iterable[Word], t: int) -> bool:
-    """Equivalent packing criterion: labeled (t+1)-subsets never repeat, that
-    is, on each set of t+1 positions the words' projections are distinct."""
-    words = list(words)
-    if not words:
-        return True
-    for combo in itertools.combinations(range(len(words[0])), t + 1):
+    lengths = set(map(len, words))
+    if len(lengths) > 1:
+        raise ValueError(f"words of unequal lengths {sorted(lengths)}")
+    for combo in itertools.combinations(range(max(lengths, default=0)), t + 1):
         if len(set(map(itemgetter(*combo), words))) < len(words):
             return False
     return True
@@ -446,27 +438,26 @@ def _kept(
     return np.frombuffer(b"".join(digests), dtype=">u8") <= np.uint64(threshold - 1)
 
 
-def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Each word's kept pattern as an int, and the ids of its kept labeled
-    t-subsets. `words` is an (n, l) symbol matrix, used as it is when its
-    dtype is an integer one, or anything np.asarray turns into one, which is
-    converted to int64.
+def sparsify(words, t: int, cfg: SparsifierConfig) -> np.ndarray:
+    """The ids of each word's labeled t-subsets, NOT_KEPT where the
+    sparsifier drops the subset. `words` is an (n, l) symbol matrix, used
+    as it is when its dtype is an integer one, or anything np.asarray turns
+    into one, which is converted to int64.
 
-    Bit i of a pattern is set iff the sparsifier keeps the word's labeled
-    t-subset on combination i of `position_masks(l, t)`; the patterns equal
-    `survived_set`'s. ids[k, i] is that subset's id when it is kept and
-    NOT_KEPT otherwise; equal subsets share an id. Each distinct labeled
-    subset is hashed once, byte for byte as `r_membership` hashes it.
-    Symbols must lie in 0..2^32-1, as `r_membership`'s encoding needs.
-    Patterns take the narrowest unsigned type that holds C(l, t) bits, or
-    object when C(l, t) >= 64; ids the one that holds C(l, t) times the
-    most distinct labeled subsets on one combination, min(n, radix**t).
-    One keys buffer and one inverse buffer serve every combination."""
+    ids[k, i] belongs to word k's labeled t-subset on combination i of
+    `position_masks(l, t)`; equal subsets share an id. A word's kept
+    pattern is the set of slots whose id is not NOT_KEPT, and it equals
+    `survived_set`'s. Each distinct labeled subset is hashed once, byte for
+    byte as `r_membership` hashes it. Symbols must lie in 0..2^32-1, as
+    `r_membership`'s encoding needs. Ids take the narrowest unsigned type
+    that holds C(l, t) times the most distinct labeled subsets on one
+    combination, min(n, radix**t). One keys buffer and one inverse buffer
+    serve every combination."""
     symbols = np.asarray(words)
     if symbols.dtype.kind not in "iu":
         symbols = np.asarray(words, dtype=np.int64)
     if symbols.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int32)
+        return np.zeros((0, 0), dtype=np.int32)
     radix = int(symbols.max()) + 1
     if symbols.min() < 0 or radix > 2**32:
         raise ValueError("sparsifier symbols must lie in 0..2^32-1")
@@ -475,7 +466,6 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
     n, l = symbols.shape
     slots = math.comb(l, t)
     distinct = min(n, radix**t)
-    patterns = np.zeros(n, dtype=np.min_scalar_type((1 << slots) - 1) if slots < 64 else object)
     ids = np.empty((n, slots), dtype=np.min_scalar_type(slots * distinct))
     buffer, inverse = _key_buffer(n, radix, t), np.empty(n, np.min_scalar_type(distinct))
     # Ids run on from NOT_KEPT + 1 across the combinations, so distinct
@@ -483,30 +473,33 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarr
     first = NOT_KEPT + 1
     for i, combo in enumerate(itertools.combinations(range(l), t)):
         keys = _rank(_subset_keys(symbols, combo, radix, buffer), radix**t, inverse)
-        kept = _kept(combo, keys, radix, cfg)
         key_ids = np.arange(first, first + len(keys), dtype=ids.dtype)
-        ids[:, i] = np.where(kept, key_ids, NOT_KEPT)[inverse]
-        np.bitwise_or(patterns, patterns.dtype.type(1 << i), out=patterns, where=kept[inverse])
+        key_ids[~_kept(combo, keys, radix, cfg)] = NOT_KEPT
+        ids[:, i] = key_ids[inverse]
         first += len(keys)
-    return patterns, ids
+    return ids
 
 
-def shared_patterns(
-    patterns: np.ndarray, l: int, t: int
-) -> tuple[list[frozenset[int]], np.ndarray]:
-    """The distinct patterns of `sparsify`, each as one frozenset of position
-    masks that every candidate with that pattern shares, and each word's
-    index into that list, in the narrowest unsigned type that holds the
-    most distinct patterns there can be."""
+def shared_patterns(ids: np.ndarray, l: int, t: int) -> tuple[list[frozenset[int]], np.ndarray]:
+    """The distinct kept patterns in `sparsify`'s ids, each as one frozenset
+    of position masks that every candidate with that pattern shares, and
+    each word's index into that list, in the narrowest unsigned type that
+    holds the most distinct patterns there can be. The patterns are read
+    off the ids as ints, one bitwise pass per column: bit i is set iff slot
+    i is kept. They take the narrowest unsigned type that holds C(l, t)
+    bits, or object when C(l, t) >= 64."""
     masks = position_masks(l, t)
     space = 1 << len(masks)
-    ids = np.empty(len(patterns), dtype=np.min_scalar_type(min(len(patterns), space)))
-    distinct = _rank(patterns, space, ids)
+    dtype = np.min_scalar_type(space - 1) if len(masks) < 64 else object
+    patterns = np.zeros(len(ids), dtype=dtype)
+    for i, column in enumerate(ids.T):
+        np.bitwise_or(patterns, patterns.dtype.type(1 << i), out=patterns, where=column != NOT_KEPT)
+    index = np.empty(len(patterns), dtype=np.min_scalar_type(min(len(patterns), space)))
     sets = [
         frozenset(m for i, m in enumerate(masks) if int(pattern) >> i & 1)
-        for pattern in distinct.tolist()
+        for pattern in _rank(patterns, space, index).tolist()
     ]
-    return sets, ids
+    return sets, index
 
 
 def accept_pattern(pattern: frozenset[int], family: PositionFamily, lam: int) -> bool:
@@ -564,7 +557,7 @@ def greedy_matching(
     if t:
         masks = position_masks(symbols.shape[1], t)
         lacks = np.array([[m not in p for m in masks] for p in distinct], dtype=bool)
-        ids = sparsify(symbols, t, SparsifierConfig(eta=0.0, seed=0))[1]
+        ids = sparsify(symbols, t, SparsifierConfig(eta=0.0, seed=0))
         ids[lacks[pattern_ids]] = NOT_KEPT
     else:
         ids = np.zeros((len(candidates), 0), dtype=np.int32)
@@ -612,12 +605,12 @@ def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
     """Re-check the induced-packing conditions without trusting the matcher:
     pairwise agreement <= t, shared t-agreements in neither survived set, and
     edge-disjoint survived sets. Each is a count of the words' projections
-    onto one set of positions, so no `sparsify` id is trusted. Words agree on
-    more than t coordinates iff their projections onto some t+1 positions
-    coincide. Granted that, two t-shadows meet only in the one t-subset where
-    their words agree, and a candidate's survived set lies in its own
-    t-shadow, so the middle condition says that a candidate whose pattern
-    holds a t-set of positions is the only word with its projection there.
+    onto one set of positions, so no `sparsify` id is trusted, and all of
+    it runs in plain Python. The first is `validate_packing` on the words.
+    Granted that, two t-shadows meet only in the one t-subset where their
+    words agree, and a candidate's survived set lies in its own t-shadow,
+    so the middle condition says that a candidate whose pattern holds a
+    t-set of positions is the only word with its projection there.
     That count of 1 also rules out a labeled t-subset that survives twice,
     since both holders would project onto it. A pattern mask that is not a
     t-set of positions fails. t must be at least 1."""
@@ -626,7 +619,7 @@ def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
     words = [c.transversal for c in selected]
     if not words:
         return True
-    if not shadows_disjoint(words, t):
+    if not validate_packing(words, t):
         return False
     l = len(words[0])
     masks = position_masks(l, t)
@@ -647,25 +640,17 @@ def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
 
 
 def _agree_at_most(words: np.ndarray, t: int, radix: int) -> bool:
-    """True iff no two rows of `words` agree in more than t positions, that
-    is, iff on every t+1 positions their keys in base `radix` are distinct.
-    The keys are counted in a presence table, or by np.unique when the key
-    space is too sparse for one, by `_rank`'s rule. False, without a look,
-    when the keys would not fit an int64."""
+    """`validate_packing` for a matrix too large for Python sets: True iff on
+    every t+1 positions the rows' keys in base `radix` are distinct, counted
+    by `_rank`. False, without a look, when the keys would not fit an
+    int64."""
     n, l = words.shape
     space = radix ** (t + 1)
     if space >= 2**63:
         return False
-    buffer = _key_buffer(n, radix, t + 1)
+    buffer, inverse = _key_buffer(n, radix, t + 1), np.empty(n, np.min_scalar_type(n))
     for combo in itertools.combinations(range(l), t + 1):
-        keys = _subset_keys(words, combo, radix, buffer)
-        if space > _DENSE_RANK_RATIO * n:
-            distinct = len(np.unique(keys))
-        else:
-            present = np.zeros(space, dtype=bool)
-            present[keys] = True
-            distinct = np.count_nonzero(present)
-        if distinct < n:
+        if len(_rank(_subset_keys(words, combo, radix, buffer), space, inverse)) < n:
             return False
     return True
 
@@ -732,11 +717,11 @@ def degree_diagnostics(
         raise ValueError("family must be t-uniform on the packing's positions")
     lam_f = embeddings_per_edge(family)
 
-    patterns, ids = sparsify(packing.words, t, cfg)
-    sets, pattern_ids = shared_patterns(patterns, l, t)
+    ids = sparsify(packing.words, t, cfg)
+    sets, pattern_ids = shared_patterns(ids, l, t)
     images = pattern_images(family)
     copies = np.array([p in images for p in sets], dtype=bool)[pattern_ids]
-    del patterns, pattern_ids
+    del pattern_ids
 
     # Per labeled subset on the q^t grid of each combination: its degree in
     # the packing, its degree among the copies, and whether the sparsifier

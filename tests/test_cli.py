@@ -250,6 +250,9 @@ class TestConstructVerifyAudit:
         # An existing directory cannot take the file either.
         assert run(command, *point, "--no-verify", "--out", str(tmp_path)) == 1
         assert "is a directory" in capsys.readouterr().err
+        # Nor can the empty path.
+        assert run(command, *point, "--no-verify", "--out", "") == 1
+        assert capsys.readouterr().err == "error: --out is empty\n"
 
     def test_oversized_build_refused_before_packing(self, tmp_path, monkeypatch, capsys):
         # (2,10,11): 11^6 words x (8 * 10 + 4 * C(10, 5)) bytes is 1.80 GiB
@@ -439,6 +442,25 @@ class TestSweepCommand:
         assert first == f"seed = {seed} (generated)"
         assert wrote == f"wrote 1 rows to {out}"
         assert parse_sweep_csv(out.read_text())[0]["seed"] == str(seed)
+
+    @pytest.mark.parametrize(
+        "flags,err",
+        [
+            (["--q-list", "47,1"], "need c, l, q all at least 2"),
+            (["--q-list", "47", "--eta-list", "0.05,1.5"], "eta=1.5 outside [0, 1]"),
+        ],
+    )
+    def test_bad_grid_point_refused_before_any_build(
+        self, tmp_path, monkeypatch, capsys, flags, err
+    ):
+        def construct_called(*args, **kwargs):
+            raise AssertionError("construct ran before every grid point was checked")
+
+        monkeypatch.setattr("fpc.construct.construct", construct_called)
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--c", "2", "--l", "4", *flags, "--seeds", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
     def test_bad_q_list(self, capsys):
         assert run("sweep", "--c", "2", "--l", "4", "--q-list", "13,x", "--out", "/tmp/x.csv") == 1

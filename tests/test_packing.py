@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import weakref
 
 import numpy as np
@@ -28,7 +29,6 @@ from fpc.packing import (
     pattern_images,
     r_membership,
     rs_packing,
-    shadows_disjoint,
     shared_patterns,
     sparsify,
     survived_set,
@@ -68,7 +68,7 @@ class TestRsPacking:
         p = rs_packing(4, 2, 5)
         assert len(p) == 125
         assert validate_packing(p)
-        assert shadows_disjoint(p.transversals, 2)
+        assert validate_packing(p.transversals, 2)
         assert len(set(p.transversals)) == 125
 
     def test_low_uniformity(self):
@@ -186,13 +186,15 @@ class TestGreedyPacking:
 
     def test_builds_above_two_million_words(self):
         # 38^4 = 2,085,136 words, with ids of their labeled 3-subsets, are
-        # within the byte cap. The packing has tens of thousands of words,
-        # so its validity is checked by the equivalent projection criterion
-        # rather than by validate_packing's pairwise loop.
+        # within the byte cap. The packing has tens of thousands of words;
+        # validate_packing counts their projections, one set per 3 of the 4
+        # positions, where a loop over word pairs would take minutes.
         assert 38**4 > 2_000_000
         p = greedy_packing(4, 2, 38, seed=1)
         assert p.words.dtype == np.uint8 and p.words.flags.c_contiguous
-        assert shadows_disjoint(p.transversals, 2)
+        started = time.perf_counter()
+        assert validate_packing(p)
+        assert time.perf_counter() - started < 5.0
         assert len(p) >= 0.5 * 38**3
 
 
@@ -231,18 +233,33 @@ class TestGreedyPackingReference:
         assert np.array_equal(words, expected)
 
 
+def _pairwise_agree_at_most(words, t):
+    """The packing definition, pair by pair: no two words agree in more
+    than t coordinates."""
+    return all(
+        sum(a == b for a, b in zip(u, v)) <= t for u, v in itertools.combinations(words, 2)
+    )
+
+
 class TestValidatePacking:
     def test_bare_collections(self):
         assert not validate_packing([(1, 1), (1, 2)], t=0)
         assert validate_packing([(1, 1), (2, 2)], t=0)
 
     @given(
-        st.lists(st.tuples(*[st.integers(1, 3)] * 4), max_size=8, unique=True),
-        st.integers(0, 3),
+        st.lists(st.tuples(*[st.integers(1, 3)] * 4), max_size=8),
+        st.integers(0, 4),
     )
     @settings(max_examples=200)
     def test_agreement_iff_shadows(self, words, t):
-        assert validate_packing(words, t=t) == shadows_disjoint(words, t)
+        # Repeated words and t >= l are in range too.
+        assert validate_packing(words, t=t) == _pairwise_agree_at_most(words, t)
+
+    @pytest.mark.parametrize("words", [[(1, 2, 3), (1, 2)], [(1, 2), (3, 4, 5), (1, 2)]])
+    def test_ragged_words_refused(self, words):
+        # Comparing common prefixes would call the first collection a packing.
+        with pytest.raises(ValueError, match="unequal lengths"):
+            validate_packing(words, t=2)
 
 
 class TestSparsifier:
@@ -325,11 +342,13 @@ def _pattern_int(cand):
     return sum(1 << i for i, m in enumerate(masks) if m in cand.pattern)
 
 
-def _assert_ids_name_kept_subsets(words, t, patterns, ids):
-    """ids[k, i] is NOT_KEPT iff bit i of word k's pattern is clear, and the
-    other ids name the kept labeled subsets one to one."""
+def _assert_ids_name_kept_subsets(words, t, cfg, ids):
+    """ids[k, i] is NOT_KEPT iff bit i of word k's `survived_set` pattern is
+    clear, and the other ids name the kept labeled subsets one to one."""
+    assert len(ids) == len(words)
     names: dict[tuple, int] = {}
-    for w, pattern, row in zip(words, patterns.tolist(), ids.tolist()):
+    patterns = [_pattern_int(survived_set(w, t, cfg)) for w in words]
+    for w, pattern, row in zip(words, patterns, ids.tolist()):
         for i, combo in enumerate(itertools.combinations(range(len(w)), t)):
             if pattern >> i & 1:
                 assert row[i] != NOT_KEPT
@@ -353,19 +372,18 @@ class TestSparsify:
     def test_equals_survived_set(self, packing, eta):
         pack = packing()
         cfg = SparsifierConfig(eta=eta, seed=7)
-        patterns, ids = sparsify(pack.words, pack.t, cfg)
-        expected = [_pattern_int(survived_set(U, pack.t, cfg)) for U in pack.transversals]
-        assert patterns.tolist() == expected
+        ids = sparsify(pack.words, pack.t, cfg)
         if eta == 0.0:
-            assert set(expected) == {2 ** math.comb(pack.l, pack.t) - 1}
+            assert (ids != NOT_KEPT).all()
         # Ids take the narrowest type that holds C(l, t) times the most
-        # distinct labeled subsets on one combination; patterns the one
-        # that holds C(l, t) bits.
+        # distinct labeled subsets on one combination.
         slots, radix = math.comb(pack.l, pack.t), int(pack.words.max()) + 1
         assert ids.dtype == np.min_scalar_type(slots * min(len(pack), radix**pack.t))
         assert ids.shape == (len(pack), slots)
-        assert patterns.dtype == np.min_scalar_type(2**slots - 1)
-        _assert_ids_name_kept_subsets(pack.transversals, pack.t, patterns, ids)
+        _assert_ids_name_kept_subsets(pack.transversals, pack.t, cfg, ids)
+        sets, index = shared_patterns(ids, pack.l, pack.t)
+        expected = [survived_set(U, pack.t, cfg).pattern for U in pack.transversals]
+        assert [sets[k] for k in index.tolist()] == expected
 
     @pytest.mark.parametrize("seed", [2**64, 2**64 + 7, 2**70 + 3, -1, -(2**40) - 9])
     @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
@@ -380,19 +398,29 @@ class TestSparsify:
             for _ in range(60)
         ]
         cfg = SparsifierConfig(eta=eta, seed=seed)
-        patterns, ids = sparsify(words, t, cfg)
-        assert patterns.tolist() == [_pattern_int(survived_set(w, t, cfg)) for w in words]
-        _assert_ids_name_kept_subsets(words, t, patterns, ids)
+        _assert_ids_name_kept_subsets(words, t, cfg, sparsify(words, t, cfg))
 
-    def test_wide_patterns_are_python_ints(self):
-        # C(8, 4) = 70 combinations do not fit an int64 pattern.
+    def test_wide_patterns_are_python_ints(self, monkeypatch):
+        # C(8, 4) = 70 id columns do not fit an int64 pattern, so
+        # `shared_patterns` ranks Python ints.
         rng = random.Random(3)
         words = [tuple(rng.randint(1, 9) for _ in range(8)) for _ in range(20)]
         cfg = SparsifierConfig(eta=0.3, seed=5)
-        patterns, ids = sparsify(words, 4, cfg)
+        ids = sparsify(words, 4, cfg)
+        assert ids.shape == (20, 70)
+        _assert_ids_name_kept_subsets(words, 4, cfg, ids)
+        rank, ranked = fpc.packing._rank, []
+
+        def tracked(values, space, inverse):
+            ranked.append(values.copy())
+            return rank(values, space, inverse)
+
+        monkeypatch.setattr(fpc.packing, "_rank", tracked)
+        sets, index = shared_patterns(ids, 8, 4)
+        [patterns] = ranked
         assert patterns.dtype == object
         assert patterns.tolist() == [_pattern_int(survived_set(w, 4, cfg)) for w in words]
-        _assert_ids_name_kept_subsets(words, 4, patterns, ids)
+        assert [sets[k] for k in index.tolist()] == [survived_set(w, 4, cfg).pattern for w in words]
 
     @pytest.mark.parametrize(
         "run,ranks",
@@ -403,7 +431,9 @@ class TestSparsify:
                 lambda pack: degree_diagnostics(
                     pack, SparsifierConfig(eta=0.05, seed=7), build_extremal_complement(2, 4)[1]
                 ),
-                7,  # the six combinations, then the distinct patterns
+                # The six combinations, the distinct patterns, then the four
+                # (t+1)-combinations that `_agree_at_most` counts.
+                11,
             ),
         ],
         ids=["sparsify", "greedy_matching", "degree_diagnostics"],
@@ -426,8 +456,10 @@ class TestSparsify:
         assert len(inverses) == ranks
 
     def test_empty(self):
-        patterns, ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
-        assert patterns.tolist() == [] and ids.size == 0
+        ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
+        assert ids.size == 0
+        sets, index = shared_patterns(ids, 4, 2)
+        assert sets == [] and index.size == 0
 
     def test_refuses_keys_beyond_int64(self):
         # (2^16 + 1)^4 > 2^63: the int64 keys would wrap silently.
@@ -494,7 +526,7 @@ class TestSparsify:
     @pytest.mark.parametrize("l,t,q", [(4, 2, 13), (6, 2, 16)])
     def test_symbol_dtype_leaves_the_output_alone(self, l, t, q):
         # The packing's uint8 matrix, the same words widened, and its tuples
-        # give equal patterns, ids and selections.
+        # give equal ids and selections.
         pack = rs_packing(l, t, q)
         assert pack.words.dtype == np.uint8
         cfg = SparsifierConfig(eta=0.05, seed=7)
@@ -506,17 +538,16 @@ class TestSparsify:
         ]
         runs = [sparsify(words, t, cfg) for words in forms]
         rows = np.arange(0, len(pack), 3)
-        (patterns, ids), selected = runs[0], greedy_select(runs[0][1], rows, seed=5)
+        ids, selected = runs[0], greedy_select(runs[0], rows, seed=5)
         assert len(selected) > 1
-        for other_patterns, other_ids in runs[1:]:
-            assert np.array_equal(other_patterns, patterns)
+        for other_ids in runs[1:]:
             assert np.array_equal(other_ids, ids)
             assert greedy_select(other_ids, rows, seed=5) == selected
 
     def test_shared_patterns(self):
         pack = rs_packing(4, 2, 7)
         cfg = SparsifierConfig(eta=0.3, seed=2)
-        sets, ids = shared_patterns(sparsify(pack.words, 2, cfg)[0], 4, 2)
+        sets, ids = shared_patterns(sparsify(pack.words, 2, cfg), 4, 2)
         assert ids.dtype == np.uint8  # at most 2^C(4, 2) = 64 patterns
         assert len(set(sets)) == len(sets)
         for U, k in zip(pack.transversals, ids.tolist()):
@@ -664,7 +695,7 @@ class TestMatching:
         monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", block)
         pack = rs_packing(4, 2, 13)
         cfg = SparsifierConfig(eta=0.5, seed=13)
-        _patterns, ids = sparsify(pack.words, 2, cfg)
+        ids = sparsify(pack.words, 2, cfg)
         rows = np.arange(0, len(pack), 3)
         chosen = greedy_select(ids, rows, 9)
         cands = [survived_set(pack.transversals[k], 2, cfg) for k in rows.tolist()]
