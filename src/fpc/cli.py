@@ -371,5 +371,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The console entry of `fpc` and `python -m fpc.cli`: `main()`, whose
+    int SystemExit (argparse's `--help`) counts as its return, then a flush
+    of stdout and stderr and `os._exit`, skipping interpreter teardown. An
+    exception `main` does not catch, or a SystemExit whose code is not an
+    int, propagates; after a flush that raises, the code is returned for the
+    caller's sys.exit. Library callers call `main`, which returns."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # teardown's own flush reports it, as without run()
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

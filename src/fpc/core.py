@@ -329,21 +329,25 @@ def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
             edges.add(j)
             through.append(edges)
         edges_at.append(through)
-    del vertex_edges
     # A victim intersects its vertices' edge sets pairwise, each intersection
     # costing its smaller set, and sets two mask bits on each member found
     # there. Its closure unions at most 2^l reached masks with 2^l values s
-    # times.
+    # times. A pair's smaller set is at most their mean, so the intersections
+    # cost at most (l-1)/2 times the sum of squared set sizes; only past that
+    # bound is the exact sum of minima taken, a sort per word.
+    closure = n * (4**l) * s
+    if (l - 1) * sum(len(edges) ** 2 for edges in vertex_edges.values()) + closure > budget:
+        intersections = 0
+        for through in edges_at:
+            sizes = sorted(map(len, through))
+            intersections += sum(map(mul, sizes, range(l - 1, -1, -1)))
+        estimate = 2 * intersections + closure
+        if estimate > budget:
+            raise BudgetExceededError(
+                f"cover-free check needs ~{estimate:.2e} comparisons, budget is {budget:.2e}"
+            )
+    del vertex_edges
     pairs = [(a, b, 1 << a | 1 << b) for a, b in itertools.combinations(range(l), 2)]
-    intersections = 0
-    for through in edges_at:
-        sizes = sorted(map(len, through))
-        intersections += sum(map(mul, sizes, range(l - 1, -1, -1)))
-    estimate = 2 * intersections + n * (4**l) * s
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"cover-free check needs ~{estimate:.2e} comparisons, budget is {budget:.2e}"
-        )
     full = (1 << l) - 1
     bits = [1 << k for k in range(l)]
     for i0, w in enumerate(words):

@@ -283,8 +283,8 @@ def validate_packing(packing, t: Optional[int] = None) -> bool:
     """True iff no two words agree in more than t coordinates, that is, iff
     on every t+1 positions the words' projections are distinct. `packing`
     is a `TransversalPacking`, whose t is the default, or a collection of
-    equal-length words with t given; words of unequal length raise
-    ValueError."""
+    equal-length words with t given; words of unequal length, and a t below
+    0, raise ValueError."""
     if isinstance(packing, TransversalPacking):
         words = packing.transversals
         t = packing.t if t is None else t
@@ -292,6 +292,8 @@ def validate_packing(packing, t: Optional[int] = None) -> bool:
         words = list(map(tuple, packing))
         if t is None:
             raise ValueError("t is required for a bare word collection")
+    if t < 0:
+        raise ValueError(f"t={t} below 0")
     lengths = set(map(len, words))
     if len(lengths) > 1:
         raise ValueError(f"words of unequal lengths {sorted(lengths)}")
@@ -368,21 +370,24 @@ NOT_KEPT = 0
 _DENSE_RANK_RATIO = 4
 
 
-def _rank(values: np.ndarray, space: int, inverse: np.ndarray) -> np.ndarray:
+def _rank(values: np.ndarray, space: int, inverse: Optional[np.ndarray] = None) -> np.ndarray:
     """np.unique(values, return_inverse=True) for values in 0..space-1: the
     distinct values are returned, in the dtype of `values`, and the inverse
-    is written into `inverse`, whose dtype must hold their count. A key
-    space of at most `_DENSE_RANK_RATIO` times len(values) is ranked by a
-    presence table and its running count, so no copy of `values` is
-    sorted."""
+    is written into `inverse`, whose dtype must hold their count. Without
+    `inverse`, only the distinct values are found. A key space of at most
+    `_DENSE_RANK_RATIO` times len(values) is ranked by a presence table and
+    its running count, so no copy of `values` is sorted."""
     if space > _DENSE_RANK_RATIO * len(values):
+        if inverse is None:
+            return np.unique(values)
         distinct, inverse[:] = np.unique(values, return_inverse=True)
         return distinct
     present = np.zeros(space, dtype=bool)
     present[values] = True
-    rank = np.cumsum(present, dtype=inverse.dtype)
-    rank -= 1  # wraps below the least value present, where no value looks
-    rank.take(values, out=inverse, mode="clip")
+    if inverse is not None:
+        rank = np.cumsum(present, dtype=inverse.dtype)
+        rank -= 1  # wraps below the least value present, where no value looks
+        rank.take(values, out=inverse, mode="clip")
     return np.flatnonzero(present).astype(values.dtype)
 
 
@@ -648,9 +653,9 @@ def _agree_at_most(words: np.ndarray, t: int, radix: int) -> bool:
     space = radix ** (t + 1)
     if space >= 2**63:
         return False
-    buffer, inverse = _key_buffer(n, radix, t + 1), np.empty(n, np.min_scalar_type(n))
+    buffer = _key_buffer(n, radix, t + 1)
     for combo in itertools.combinations(range(l), t + 1):
-        if len(_rank(_subset_keys(words, combo, radix, buffer), space, inverse)) < n:
+        if len(_rank(_subset_keys(words, combo, radix, buffer), space)) < n:
             return False
     return True
 

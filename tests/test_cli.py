@@ -635,3 +635,95 @@ assert "dataclasses" not in sys.modules, "fpc construct loaded dataclasses"
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+class TestProcessExit:
+    """`python -m fpc.cli` ends through `run()`, which flushes and calls
+    os._exit. Each child's stdout is a pipe and PYTHONUNBUFFERED is unset, so
+    output that run() failed to flush would be lost."""
+
+    # An atexit hook, which only the normal exit path runs.
+    HOOK = "import atexit, sys; atexit.register(sys.stderr.write, 'teardown\\n'); "
+
+    def spawn(self, *args, stdout=subprocess.PIPE):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+        return subprocess.run(
+            [sys.executable, *args],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+
+    def cli(self, *argv):
+        return self.spawn("-m", "fpc.cli", *argv)
+
+    def test_construct_json_line_and_file(self, tmp_path, capsys):
+        point = ["--c", "2", "--l", "4", "--q", "13", "--seed", "7", "--json"]
+        child = self.cli("construct", *point, "--out", str(tmp_path / "child.fpc"))
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.count("\n") == 1
+        payload = json.loads(child.stdout)
+        assert run("construct", *point, "--out", str(tmp_path / "main.fpc")) == 0
+        in_process = json.loads(capsys.readouterr().out)
+        assert payload.keys() == in_process.keys() and payload["verified"] is True
+        assert payload["code_size"] == in_process["code_size"] == 108
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("child.fpc", "main.fpc")
+        ]
+        assert digests[0] == digests[1]
+
+    def test_help_exits_0_with_full_usage(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        child = self.cli("--help")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == capsys.readouterr().out
+        assert child.stdout.startswith("usage: fpc") and "diagnose" in child.stdout
+
+    def test_refusal_exits_1(self, tmp_path):
+        child = self.cli("construct", "--c", "2", "--l", "4", "--q", "13", "--out", str(tmp_path))
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == f"error: --out {str(tmp_path)!r} is a directory\n"
+
+    def test_verify_violation_exits_2_with_witness(self, tmp_path):
+        bad = tmp_path / "bad.fpc"
+        bad.write_text("fpc 1\n3 2\n1 1\n1 2\n2 2\n")
+        child = self.cli("verify", "--in", str(bad), "--c", "2")
+        assert (child.returncode, child.stderr) == (2, "")
+        assert child.stdout == (
+            "frameproof: VIOLATION (c=2)\nword      = 1 2\ncoalition = 1 1\ncoalition = 2 2\n"
+        )
+
+    def test_main_block_skips_teardown(self):
+        # The __main__ block as `-m` runs it, under the atexit hook.
+        run_main = "import runpy; runpy.run_module('fpc.cli', run_name='__main__', alter_sys=True)"
+        child = self.spawn("-c", self.HOOK + run_main, "bounds", "2", "4", "13")
+        assert (child.returncode, child.stderr) == (0, "")
+        assert "rate_limit = 2\n" in child.stdout
+
+    def test_uncaught_exception_takes_normal_exit(self):
+        raising = "import fpc.cli as c; c.main = lambda argv=None: 1/0; c.run()"
+        child = self.spawn("-c", self.HOOK + raising)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr.startswith("Traceback (most recent call last):")
+        assert child.stderr.endswith("ZeroDivisionError: division by zero\nteardown\n")
+
+    def test_non_int_system_exit_takes_normal_exit(self):
+        raising = "import fpc.cli as c; c.main = lambda argv=None: sys.exit('bye'); c.run()"
+        child = self.spawn("-c", self.HOOK + raising)
+        assert (child.returncode, child.stderr) == (1, "bye\nteardown\n")
+
+    def test_failed_flush_takes_normal_exit(self):
+        # A pipe with no reader: run()'s flush raises BrokenPipeError, so it
+        # returns main's code, and teardown's own flush fails as it does
+        # without run(), which Python reports with exit status 120.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = self.spawn("-m", "fpc.cli", "bounds", "2", "4", "13", stdout=write)
+        finally:
+            os.close(write)
+        assert child.returncode == 120
+        assert "BrokenPipeError" in child.stderr

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -166,6 +167,29 @@ class TestFrameproof:
         # build, where all n*n*l pairs would be 1.1e7.
         code, _report = construct(ConstructionConfig(c=2, l=4, q=47, seed=7, verify=False))
         assert is_cover_free(code, 2, budget=2 * 10**6).ok
+
+    def test_cover_free_refuses_just_above_its_estimate(self):
+        # The estimate is twice the sum, over words, of the smaller group of
+        # each pair of the word's (position, symbol) groups, plus n 4^l s for
+        # the mask closures. The per-group bound (l-1) sum |G|^2 lies above
+        # it here, so a budget between the two takes the exact count.
+        code, _report = construct(ConstructionConfig(c=2, l=4, q=13, seed=7, verify=False))
+        words, l, n = code.words, code.l, len(code)
+        groups = collections.Counter((p, x) for w in words for p, x in enumerate(w))
+        minima = sum(
+            min(groups[a, w[a]], groups[b, w[b]])
+            for w in words
+            for a, b in itertools.combinations(range(l), 2)
+        )
+        estimate = 2 * minima + n * 4**l * 2
+        assert (l - 1) * sum(size**2 for size in groups.values()) + n * 4**l * 2 > estimate
+        assert is_cover_free(code, 2, budget=estimate).ok
+        message = (
+            f"cover-free check needs ~{estimate:.2e} comparisons, budget is {estimate - 1:.2e}"
+        )
+        with pytest.raises(BudgetExceededError) as exc:
+            is_cover_free(code, 2, budget=estimate - 1)
+        assert str(exc.value) == message
 
     def test_budget_follows_the_smallest_group(self):
         # Every word of the trivial code lies in three groups of 597 words

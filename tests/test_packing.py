@@ -255,6 +255,14 @@ class TestValidatePacking:
         # Repeated words and t >= l are in range too.
         assert validate_packing(words, t=t) == _pairwise_agree_at_most(words, t)
 
+    @pytest.mark.parametrize("t", [-1, -3])
+    def test_negative_t_refused(self, t):
+        # As validate_induced refuses t below 1, with no empty projection.
+        with pytest.raises(ValueError, match=f"t={t} below 0"):
+            validate_packing([(1, 2), (2, 1)], t=t)
+        with pytest.raises(ValueError, match=f"t={t} below 0"):
+            validate_packing(rs_packing(4, 2, 5), t=t)
+
     @pytest.mark.parametrize("words", [[(1, 2, 3), (1, 2)], [(1, 2), (3, 4, 5), (1, 2)]])
     def test_ragged_words_refused(self, words):
         # Comparing common prefixes would call the first collection a packing.
@@ -423,28 +431,33 @@ class TestSparsify:
         assert [sets[k] for k in index.tolist()] == [survived_set(w, 4, cfg).pattern for w in words]
 
     @pytest.mark.parametrize(
-        "run,ranks",
+        "run,ranks,counts",
         [
-            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.05, seed=7)), 6),
-            (lambda pack: greedy_matching(_candidates_for(pack, 0.05, 7), seed=3), 6),
+            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.05, seed=7)), 6, 0),
+            (lambda pack: greedy_matching(_candidates_for(pack, 0.05, 7), seed=3), 6, 0),
             (
                 lambda pack: degree_diagnostics(
                     pack, SparsifierConfig(eta=0.05, seed=7), build_extremal_complement(2, 4)[1]
                 ),
-                # The six combinations, the distinct patterns, then the four
-                # (t+1)-combinations that `_agree_at_most` counts.
-                11,
+                # The six combinations and the distinct patterns are ranked,
+                # then `_agree_at_most` counts the keys of the four
+                # (t+1)-combinations without an inverse.
+                7,
+                4,
             ),
         ],
         ids=["sparsify", "greedy_matching", "degree_diagnostics"],
     )
-    def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks):
+    def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks, counts):
         # The combinations share one word-sized inverse buffer, and any other
         # inverse is freed before the next ranking, or two of them are held.
         rank = fpc.packing._rank
-        inverses = []
+        inverses, uncounted = [], []
 
-        def tracked(values, space, inverse):
+        def tracked(values, space, inverse=None):
+            if inverse is None:
+                uncounted.append(space)
+                return rank(values, space)
             alive = [ref() for ref in inverses]
             assert all(a is None or a is inverse for a in alive), "an earlier inverse is alive"
             inverses.append(weakref.ref(inverse))
@@ -453,7 +466,20 @@ class TestSparsify:
         pack = rs_packing(4, 2, 7)
         monkeypatch.setattr(fpc.packing, "_rank", tracked)
         run(pack)
-        assert len(inverses) == ranks
+        assert (len(inverses), len(uncounted)) == (ranks, counts)
+
+    @pytest.mark.parametrize("ratio", [0, 10**9], ids=["unique", "table"])
+    @pytest.mark.parametrize("n,top", [(1, 3), (60, 3), (500, 40)])
+    def test_distinct_keys_without_inverse(self, monkeypatch, ratio, n, top):
+        # Without an inverse either route returns the distinct values, in
+        # their dtype, as the ranking route does.
+        monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
+        values = np.random.default_rng(n + top).integers(0, top**2, size=n).astype(np.int32)
+        inverse = np.empty(n, np.min_scalar_type(n))
+        distinct = fpc.packing._rank(values, top**2)
+        assert distinct.dtype == values.dtype
+        assert np.array_equal(distinct, np.unique(values))
+        assert np.array_equal(distinct, fpc.packing._rank(values, top**2, inverse))
 
     def test_empty(self):
         ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
