@@ -25,7 +25,8 @@ without numpy.
 Exit codes: 0 success, 1 bad input or internal refusal, 2 a checked property
 failed (verify found a witness, audit found a violation). All randomness
 flows from --seed; a missing seed is generated and printed so any run can be
-reproduced. FPC_BUDGET overrides the exact-checker comparison budget.
+reproduced. FPC_BUDGET overrides the work budget of the exact checkers and
+of audit.
 """
 
 
@@ -243,7 +244,7 @@ def cmd_audit(args) -> int:
     from .core import own_subsequence_audit
 
     code = fileio.read_code_file(args.path)
-    result = own_subsequence_audit(code, args.c)
+    result = own_subsequence_audit(code, args.c, _env_budget())
     print(
         f"t = {result.t}  lambda = {result.lam}  m = {result.m.value} "
         f"[{result.m.status}]  required_own_t = {result.required}"
@@ -365,7 +366,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from .core import BudgetExceededError, ConstructionError
 
         refusals = (CliError, ValueError, OSError, BudgetExceededError, ConstructionError)
-        if not isinstance(exc, refusals):
+        # A reader that closed the output pipe is no bad input; run() ends it.
+        if not isinstance(exc, refusals) or isinstance(exc, BrokenPipeError):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -374,16 +376,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def run() -> int:
     """The console entry of `fpc` and `python -m fpc.cli`: `main()`, whose
     int SystemExit (argparse's `--help`) counts as its return, then a flush
-    of stdout and stderr and `os._exit`, skipping interpreter teardown. An
-    exception `main` does not catch, or a SystemExit whose code is not an
-    int, propagates; after a flush that raises, the code is returned for the
-    caller's sys.exit. Library callers call `main`, which returns."""
+    of stdout and stderr and `os._exit`, skipping interpreter teardown. A
+    BrokenPipeError from `main`, a write to an output whose reader is gone,
+    gives code 120, the status Python exits with when its final flush of
+    stdout fails. Any other exception `main` does not catch, or a SystemExit
+    whose code is not an int, propagates; after a flush that raises, the
+    code is returned for the caller's sys.exit. Library callers call
+    `main`, which returns."""
     try:
         code = main()
     except SystemExit as exc:
         if not isinstance(exc.code, int):
             raise
         code = exc.code
+    except BrokenPipeError:
+        code = 120
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -427,13 +427,20 @@ def _unions_reach(values: set[int], full: int, steps: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def own_profile(code: Code, t: int) -> dict[Word, OwnCounts]:
+def own_profile(code: Code, t: int, budget: int = DEFAULT_BUDGET) -> dict[Word, OwnCounts]:
     """Per-word counts of own t- and (t-1)-subsequences.
 
     A restriction x_S is own when no other codeword agrees with x on S.
+    Raises BudgetExceededError, before any work, when the projections to
+    build, n * (C(l, t) + C(l, t-1)), exceed `budget`.
     """
     if not (1 <= t <= code.l):
         raise ValueError(f"t={t} outside 1..{code.l}")
+    estimate = len(code) * (math.comb(code.l, t) + math.comb(code.l, t - 1))
+    if estimate > budget:
+        raise BudgetExceededError(
+            f"own-subsequence audit needs ~{estimate:.2e} projections, budget is {budget:.2e}"
+        )
     counts_t = _own_subsequence_counts(code.words, code.l, t)
     counts_tm1 = _own_subsequence_counts(code.words, code.l, t - 1)
     return {
@@ -495,12 +502,13 @@ class AuditResult(NamedTuple):
         return not self.violations
 
 
-def own_subsequence_audit(code: Code, c: int) -> AuditResult:
+def own_subsequence_audit(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> AuditResult:
     """Check the conditional floor on own t-subsequences.
 
     On a c-frameproof code, any codeword with no own (t-1)-subsequence must
     have at least binom(l, t) - m own t-subsequences. Violations on a
-    verified code would disprove the checker or the m oracle.
+    verified code would disprove the checker or the m oracle. `own_profile`
+    refuses a code whose projections exceed `budget`.
     """
     from .extremal import emc_value, lambda_of
 
@@ -508,7 +516,7 @@ def own_subsequence_audit(code: Code, c: int) -> AuditResult:
     m = emc_value(code.l, t, lam)
     required = math.comb(code.l, t) - m.value
     rows = []
-    for word, counts in own_profile(code, t).items():
+    for word, counts in own_profile(code, t, budget).items():
         applies = counts.own_tminus1_count == 0
         ok = (not applies) or counts.own_t_count >= required
         rows.append(

@@ -33,8 +33,9 @@ the same pattern. `greedy_matching` takes its ids from `sparsify` at eta 0.
 `degree_diagnostics` counts every labeled t-subset over 1..q exactly from
 the words' per-combination keys, and finds the candidates whose pattern is
 a relabeled copy of the target family by membership in the cached image
-set, `pattern_images`, once per distinct pattern. Words that agree in at
-most t positions give its largest codegree without counting pairs.
+set, `pattern_images`, once per distinct pattern. It trusts its packing's
+words to agree in at most t positions, as `validate_packing` checks, so
+the largest codegree follows from the distinct kept patterns alone.
 
 The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
 object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
@@ -370,24 +371,21 @@ NOT_KEPT = 0
 _DENSE_RANK_RATIO = 4
 
 
-def _rank(values: np.ndarray, space: int, inverse: Optional[np.ndarray] = None) -> np.ndarray:
+def _rank(values: np.ndarray, space: int, inverse: np.ndarray) -> np.ndarray:
     """np.unique(values, return_inverse=True) for values in 0..space-1: the
     distinct values are returned, in the dtype of `values`, and the inverse
-    is written into `inverse`, whose dtype must hold their count. Without
-    `inverse`, only the distinct values are found. A key space of at most
-    `_DENSE_RANK_RATIO` times len(values) is ranked by a presence table and
-    its running count, so no copy of `values` is sorted."""
+    is written into `inverse`, whose dtype must hold their count. A key
+    space of at most `_DENSE_RANK_RATIO` times len(values) is ranked by a
+    presence table and its running count, so no copy of `values` is
+    sorted."""
     if space > _DENSE_RANK_RATIO * len(values):
-        if inverse is None:
-            return np.unique(values)
         distinct, inverse[:] = np.unique(values, return_inverse=True)
         return distinct
     present = np.zeros(space, dtype=bool)
     present[values] = True
-    if inverse is not None:
-        rank = np.cumsum(present, dtype=inverse.dtype)
-        rank -= 1  # wraps below the least value present, where no value looks
-        rank.take(values, out=inverse, mode="clip")
+    rank = np.cumsum(present, dtype=inverse.dtype)
+    rank -= 1  # wraps below the least value present, where no value looks
+    rank.take(values, out=inverse, mode="clip")
     return np.flatnonzero(present).astype(values.dtype)
 
 
@@ -644,22 +642,6 @@ def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _agree_at_most(words: np.ndarray, t: int, radix: int) -> bool:
-    """`validate_packing` for a matrix too large for Python sets: True iff on
-    every t+1 positions the rows' keys in base `radix` are distinct, counted
-    by `_rank`. False, without a look, when the keys would not fit an
-    int64."""
-    n, l = words.shape
-    space = radix ** (t + 1)
-    if space >= 2**63:
-        return False
-    buffer = _key_buffer(n, radix, t + 1)
-    for combo in itertools.combinations(range(l), t + 1):
-        if len(_rank(_subset_keys(words, combo, radix, buffer), space)) < n:
-            return False
-    return True
-
-
 class DegreeDiagnostics(NamedTuple):
     dP_max: int
     dP_min: int
@@ -715,15 +697,17 @@ def degree_diagnostics(
     transversal-degree extremes, the fraction meeting the near-regularity
     threshold, and the mean candidate degree of sparsifier survivors against
     its predicted value. Also reports the largest pairwise candidate
-    codegree.
+    codegree, which rests on `packing` being what `TransversalPacking`
+    promises: words that pairwise agree in at most t positions, as
+    `rs_packing` and `greedy_packing` build them. This is not checked here;
+    run `validate_packing` on a hand-built word set first.
     """
     l, q, t = packing.l, packing.q, packing.t
     if (family.l, family.t) != (l, t):
         raise ValueError("family must be t-uniform on the packing's positions")
     lam_f = embeddings_per_edge(family)
 
-    ids = sparsify(packing.words, t, cfg)
-    sets, pattern_ids = shared_patterns(ids, l, t)
+    sets, pattern_ids = shared_patterns(sparsify(packing.words, t, cfg), l, t)
     images = pattern_images(family)
     copies = np.array([p in images for p in sets], dtype=bool)[pattern_ids]
     del pattern_ids
@@ -732,12 +716,11 @@ def degree_diagnostics(
     # the packing, its degree among the copies, and whether the sparsifier
     # keeps it. Only kept subsets enter dH_mean, and a copy that holds a kept
     # subset keeps it. Degrees are counts of the words' keys.
-    combos = list(itertools.combinations(range(l), t))
     radix = max(q, int(packing.words.max())) + 1
     grid_keys = (np.indices((q,) * t).reshape(t, -1).T + 1) @ radix ** np.arange(t)
     degrees, dH, in_r = [], [], []
     buffer = _key_buffer(len(packing), radix, t)
-    for combo in combos:
+    for combo in itertools.combinations(range(l), t):
         keys = _subset_keys(packing.words, combo, radix, buffer)
         degrees.append(np.bincount(keys, minlength=radix**t)[grid_keys])
         dH.append(np.bincount(keys[copies], minlength=radix**t)[grid_keys])
@@ -758,29 +741,11 @@ def degree_diagnostics(
         * cfg.eta ** (math.comb(l, t) - n_edges)
     )
 
-    # The most candidates keeping one pair of labeled subsets; a pair's two
-    # subsets lie on two distinct position combinations, so together they
-    # span at least t+1 positions. When no two words agree in more than t
-    # positions, as in every packing, no two candidates keep one pair, and
-    # the most is 1 iff some candidate keeps two subsets. Otherwise each
-    # pair is one int64 key; sorted in place, equal keys form runs, and a
-    # run longer than max_co shows as a key equal to the key max_co places
-    # before it.
-    if _agree_at_most(packing.words, t, radix):
-        max_co = int(any(len(pattern) >= 2 for pattern in sets))
-    else:
-        max_co = 0
-        for i, j in itertools.combinations(range(len(combos)), 2):
-            both = ids[:, i] != NOT_KEPT
-            both &= ids[:, j] != NOT_KEPT
-            if both.any():
-                pairs = ids[:, i][both].astype(np.int64)
-                pairs <<= 32
-                pairs |= ids[:, j][both]
-                pairs.sort()
-                max_co = max(max_co, 1)
-                while max_co < len(pairs) and (pairs[max_co:] == pairs[:-max_co]).any():
-                    max_co += 1
+    # The most candidates keeping one pair of labeled subsets. A pair's two
+    # subsets span at least t+1 positions, on which no two packing words
+    # agree, so no two candidates keep one pair: the most is 1 iff some
+    # candidate keeps two subsets.
+    max_co = int(any(len(pattern) >= 2 for pattern in sets))
 
     return DegreeDiagnostics(
         dP_max=int(degrees.max()),

@@ -376,6 +376,29 @@ class TestConstructVerifyAudit:
         assert run("verify", "--in", str(good), "--c", "2", "--budget", "10") == 1
         assert "unrecognized arguments: --budget 10" in capsys.readouterr().err
 
+    def test_audit_refuses_past_the_budget(self, tmp_path, monkeypatch, capsys):
+        # Three words of length 40 at c = 2, so t = 20: the audit would build
+        # 3 * (C(40, 20) + C(40, 19)) projections, and refuses at once.
+        long = tmp_path / "l40.fpc"
+        long.write_text("fpc 1\n3 40\n" + "".join(f"{' '.join([s] * 40)}\n" for s in "123"))
+        assert run("verify", "--in", str(long), "--c", "2") == 0
+        capsys.readouterr()
+        started = time.perf_counter()
+        assert run("audit", "--in", str(long), "--c", "2") == 1
+        assert time.perf_counter() - started < 1
+        assert capsys.readouterr().err == (
+            "error: own-subsequence audit needs ~8.07e+11 projections, budget is 1.00e+10\n"
+        )
+        # FPC_BUDGET governs the audit as it governs the checkers.
+        small = tmp_path / "small.fpc"
+        small.write_text("fpc 1\n3 3\n1 1 1\n1 2 2\n2 1 3\n3 3 2\n")
+        monkeypatch.setenv("FPC_BUDGET", "24")
+        assert run("audit", "--in", str(small), "--c", "2") == 0
+        assert capsys.readouterr().out.endswith("own-subsequence floor: ok\n")
+        monkeypatch.setenv("FPC_BUDGET", "23")
+        assert run("audit", "--in", str(small), "--c", "2") == 1
+        assert "projections, budget is 2.30e+01" in capsys.readouterr().err
+
     def test_budget_env_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FPC_BUDGET", "1e6")
         out = tmp_path / "c.fpc"
@@ -645,16 +668,18 @@ class TestProcessExit:
     # An atexit hook, which only the normal exit path runs.
     HOOK = "import atexit, sys; atexit.register(sys.stderr.write, 'teardown\\n'); "
 
-    def spawn(self, *args, stdout=subprocess.PIPE):
+    def spawn(self, *args, stdout=subprocess.PIPE, unbuffered=False):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
             [sys.executable, *args],
             stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
         )
 
-    def cli(self, *argv):
-        return self.spawn("-m", "fpc.cli", *argv)
+    def cli(self, *argv, **kwargs):
+        return self.spawn("-m", "fpc.cli", *argv, **kwargs)
 
     def test_construct_json_line_and_file(self, tmp_path, capsys):
         point = ["--c", "2", "--l", "4", "--q", "13", "--seed", "7", "--json"]
@@ -727,3 +752,17 @@ class TestProcessExit:
             os.close(write)
         assert child.returncode == 120
         assert "BrokenPipeError" in child.stderr
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_not_bad_input(self, unbuffered):
+        # The read end is closed before the child starts. Buffered, the
+        # write fails in the final flush; unbuffered, in the command's first
+        # print. Both end with Python's failed-flush status, 120.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = self.cli("bounds", "2", "4", "13", stdout=write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+        assert child.returncode == 120
+        assert "error:" not in child.stderr

@@ -17,6 +17,7 @@ from fpc.core import (
     is_cover_free,
     is_frameproof,
     own_profile,
+    own_subsequence_audit,
     own_subset_counts,
     pi,
     pi_inverse,
@@ -536,6 +537,17 @@ class TestOwnProfile:
             own_profile(BAD_CODE, 0)
         with pytest.raises(ValueError):
             own_profile(BAD_CODE, 3)
+
+    def test_budget_bounds_the_projections(self):
+        # 4 words, t = 2 on l = 3: 4 * (C(3, 2) + C(3, 1)) = 24 projections.
+        code = Code(3, 3, [(1, 1, 1), (1, 2, 2), (2, 1, 3), (3, 3, 2)])
+        assert own_profile(code, 2, budget=24) == own_profile(code, 2)
+        with pytest.raises(BudgetExceededError, match=r"needs ~2\.40e\+01 projections, budget is 2\.30e\+01"):
+            own_profile(code, 2, budget=23)
+        # The audit at c = 2 (t = 2 on l = 3) walks the same profile.
+        assert own_subsequence_audit(code, 2, budget=24) == own_subsequence_audit(code, 2)
+        with pytest.raises(BudgetExceededError, match="projections"):
+            own_subsequence_audit(code, 2, budget=23)
 
     @given(small_codes(), st.integers(1, 4))
     @settings(max_examples=200)

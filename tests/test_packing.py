@@ -431,33 +431,27 @@ class TestSparsify:
         assert [sets[k] for k in index.tolist()] == [survived_set(w, 4, cfg).pattern for w in words]
 
     @pytest.mark.parametrize(
-        "run,ranks,counts",
+        "run,ranks",
         [
-            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.05, seed=7)), 6, 0),
-            (lambda pack: greedy_matching(_candidates_for(pack, 0.05, 7), seed=3), 6, 0),
+            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.05, seed=7)), 6),
+            (lambda pack: greedy_matching(_candidates_for(pack, 0.05, 7), seed=3), 6),
             (
                 lambda pack: degree_diagnostics(
                     pack, SparsifierConfig(eta=0.05, seed=7), build_extremal_complement(2, 4)[1]
                 ),
-                # The six combinations and the distinct patterns are ranked,
-                # then `_agree_at_most` counts the keys of the four
-                # (t+1)-combinations without an inverse.
+                # The six combinations and the distinct patterns.
                 7,
-                4,
             ),
         ],
         ids=["sparsify", "greedy_matching", "degree_diagnostics"],
     )
-    def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks, counts):
+    def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks):
         # The combinations share one word-sized inverse buffer, and any other
         # inverse is freed before the next ranking, or two of them are held.
         rank = fpc.packing._rank
-        inverses, uncounted = [], []
+        inverses = []
 
-        def tracked(values, space, inverse=None):
-            if inverse is None:
-                uncounted.append(space)
-                return rank(values, space)
+        def tracked(values, space, inverse):
             alive = [ref() for ref in inverses]
             assert all(a is None or a is inverse for a in alive), "an earlier inverse is alive"
             inverses.append(weakref.ref(inverse))
@@ -466,20 +460,7 @@ class TestSparsify:
         pack = rs_packing(4, 2, 7)
         monkeypatch.setattr(fpc.packing, "_rank", tracked)
         run(pack)
-        assert (len(inverses), len(uncounted)) == (ranks, counts)
-
-    @pytest.mark.parametrize("ratio", [0, 10**9], ids=["unique", "table"])
-    @pytest.mark.parametrize("n,top", [(1, 3), (60, 3), (500, 40)])
-    def test_distinct_keys_without_inverse(self, monkeypatch, ratio, n, top):
-        # Without an inverse either route returns the distinct values, in
-        # their dtype, as the ranking route does.
-        monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
-        values = np.random.default_rng(n + top).integers(0, top**2, size=n).astype(np.int32)
-        inverse = np.empty(n, np.min_scalar_type(n))
-        distinct = fpc.packing._rank(values, top**2)
-        assert distinct.dtype == values.dtype
-        assert np.array_equal(distinct, np.unique(values))
-        assert np.array_equal(distinct, fpc.packing._rank(values, top**2, inverse))
+        assert len(inverses) == ranks
 
     def test_empty(self):
         ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
@@ -879,27 +860,25 @@ class TestDiagnostics:
         assert diag.max_codegree <= 1
         assert diag.dP_max <= 5
 
-    def test_non_packing_codegree_two(self):
-        # The first two words agree on positions 1..3, more than t = 2, so at
-        # eta 0 both keep all three pairs of labeled subsets there.
-        words = np.array([(1, 1, 1, 1), (1, 1, 1, 2), (2, 3, 4, 5)])
-        packing = TransversalPacking(l=4, q=5, t=2, words=words)
-        assert not fpc.packing._agree_at_most(words, 2, 6)
-        diag = degree_diagnostics(packing, SparsifierConfig(eta=0.0, seed=1), complete_family(4, 2))
-        assert diag.max_codegree == 2
-
     @pytest.mark.parametrize(
-        "packing",
-        [rs_packing(4, 2, 5), rs_packing(4, 2, 7), rs_packing(5, 3, 5), greedy_packing(4, 2, 5, seed=6)],
-        ids=["rs-4-2-5", "rs-4-2-7", "rs-5-3-5", "greedy-4-2-5"],
+        "c,packing",
+        [
+            (2, rs_packing(4, 2, 5)),
+            (2, rs_packing(4, 2, 7)),
+            (2, rs_packing(5, 3, 5)),
+            (3, rs_packing(6, 2, 7)),
+            (2, greedy_packing(4, 2, 5, seed=6)),
+            (2, greedy_packing(4, 2, 6, seed=1)),
+        ],
+        ids=["rs-4-2-5", "rs-4-2-7", "rs-5-3-5", "rs-6-2-7", "greedy-4-2-5", "greedy-4-2-6"],
     )
     @pytest.mark.parametrize("eta", [0.05, 0.5, 0.97, 1.0])
-    def test_packing_codegree_equals_pair_counts(self, packing, eta):
-        # Packings take the agreement-bound answer; it must equal the count
-        # of candidates keeping each pair of labeled subsets.
-        assert fpc.packing._agree_at_most(packing.words, packing.t, packing.q + 1)
+    def test_packing_codegree_equals_pair_counts(self, c, packing, eta):
+        # The codegree read off the kept patterns must equal the count of
+        # candidates keeping each pair of labeled subsets.
+        assert validate_packing(packing)
         cfg = SparsifierConfig(eta=eta, seed=4)
-        family = build_extremal_complement(2, packing.l)[1]
+        family = build_extremal_complement(c, packing.l)[1]
         diag = degree_diagnostics(packing, cfg, family)
         codegree = collections.Counter(
             pair
@@ -910,9 +889,10 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("eta", [0.3, 0.45])
     def test_counts_equal_tuple_counters(self, eta):
-        # Words over q = 3 repeat pairs of labeled subsets, so this is no
-        # packing and codegrees exceed 1. The reference counts labeled-subset
-        # tuples as `degree_diagnostics` did before it counted ids.
+        # Words over q = 3 agree in more than t = 2 positions, so this is no
+        # packing; the degree counts take any words. The reference counts
+        # labeled-subset tuples as `degree_diagnostics` did before it counted
+        # ids.
         rng = random.Random(8)
         words = sorted({tuple(rng.randint(1, 3) for _ in range(4)) for _ in range(50)})
         packing = TransversalPacking(l=4, q=3, t=2, words=np.array(words))
@@ -931,16 +911,12 @@ class TestDiagnostics:
         copies = [c for c in cands if c.pattern in pattern_images(family)]
         dH = collections.Counter(a for c in copies for a in c.survived)
         in_r = [a for a in elements if r_membership(a, cfg)]
-        codegree = collections.Counter(
-            pair for c in cands for pair in itertools.combinations(sorted(c.survived), 2)
-        )
         degrees = [dP[a] for a in elements]
         threshold = (1 - math.sqrt(max(0.0, 1 - len(words) / 3**3))) * 3
         assert copies and in_r
         assert (diag.dP_max, diag.dP_min) == (max(degrees), min(degrees))
         assert diag.frac_high_degree == sum(d >= threshold for d in degrees) / len(degrees)
         assert diag.dH_mean == sum(dH[a] for a in in_r) / len(in_r)
-        assert diag.max_codegree == max(codegree.values()) > 1
 
 
 def _labeled(w, k):
