@@ -39,6 +39,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    # From 3.11 argparse drops an OSError from this write, so `--help` into a
+    # closed pipe would exit 0; raised, it reaches run(), which exits 120.
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _env_budget() -> int:
     from .core import DEFAULT_BUDGET
@@ -77,9 +83,6 @@ def build_parser() -> _Parser:
     p.add_argument("l", type=int)
     p.add_argument("t", type=int)
     p.add_argument("lam", type=int, metavar="lambda")
-    p.add_argument(
-        "--method", choices=["exhaustive", "formula", "both"], default="both"
-    )
     p.add_argument("--cap", type=int, default=None)  # None: cmd_oracle uses EXHAUSTIVE_CAP
     p.add_argument("--json", action="store_true")
 
@@ -97,14 +100,14 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="path", required=True)
     p.add_argument("--c", type=int, required=True)
 
-    p = sub.add_parser("sweep", help="grid of constructions to a CSV")
+    p = sub.add_parser("sweep", help="grid of constructions, one JSON report per line")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--q-list", required=True, help="comma-separated q values")
     p.add_argument("--eta-list", default="0.05", help="comma-separated eta values")
     p.add_argument("--seeds", default=None, help="comma-separated seeds")
     _add_pipeline_flags(p)
-    p.add_argument("--out", required=True, help="CSV destination")
+    p.add_argument("--out", required=True, help="JSON Lines destination")
 
     p = sub.add_parser("diagnose", help="degree diagnostics of a packing")
     _add_point_flags(p)
@@ -148,19 +151,16 @@ def cmd_bounds(args) -> int:
 
 def cmd_oracle(args) -> int:
     import json
+    import math
 
     from .extremal import EXHAUSTIVE_CAP, ExhaustiveCapError, emc_value, m_exact
 
     cap = EXHAUSTIVE_CAP if args.cap is None else args.cap
-    results = {}
-    if args.method in ("formula", "both"):
-        results["formula"] = emc_value(args.l, args.t, args.lam)
-    if args.method in ("exhaustive", "both"):
-        try:
-            results["exhaustive"] = m_exact(args.l, args.t, args.lam, cap=cap)
-        except ExhaustiveCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    results = {"formula": emc_value(args.l, args.t, args.lam)}
+    try:
+        results["exhaustive"] = m_exact(args.l, args.t, args.lam, cap=cap)
+    except ExhaustiveCapError:
+        pass
     if args.json:
         print(
             json.dumps(
@@ -171,16 +171,18 @@ def cmd_oracle(args) -> int:
     else:
         for k, v in results.items():
             print(f"{k}: m({args.l},{args.t},{args.lam}) = {v.value} [{v.status}]")
-    if len(results) == 2:
-        if results["formula"].value == results["exhaustive"].value:
-            print("agreement")
-        else:
-            print(
-                f"DISAGREEMENT: formula {results['formula'].value} vs "
-                f"exhaustive {results['exhaustive'].value}",
-                file=sys.stderr,
-            )
-            return 1
+    if "exhaustive" not in results:
+        n_edges = math.comb(args.l, args.t)
+        print(f"exhaustive: not run, binom({args.l},{args.t}) = {n_edges} exceeds the cap {cap}")
+    elif results["formula"].value == results["exhaustive"].value:
+        print("agreement")
+    else:
+        print(
+            f"DISAGREEMENT: formula {results['formula'].value} vs "
+            f"exhaustive {results['exhaustive'].value}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -264,9 +266,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import json
     import time
 
-    from . import fileio
     from .construct import construct
 
     _check_out_dir(args.out)
@@ -286,18 +288,10 @@ def cmd_sweep(args) -> int:
         started = time.perf_counter()
         _code, report = construct(cfg, budget=budget)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-        # A failed verification raises ConstructionError instead.
-        verified = "skipped" if report.verified is None else "true"
-        rows.append(
-            {
-                **report.as_dict(),
-                "accepted": report.accepted_count,
-                "rate": report.rate,
-                "verified": verified,
-                "elapsed_ms": elapsed_ms,
-            }
-        )
-    fileio.write_sweep_csv(args.out, rows)
+        rows.append(json.dumps({**report.as_dict(), "elapsed_ms": elapsed_ms}, sort_keys=True))
+    # Written only once every point is built, so a failed point leaves no file.
+    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(row + "\n" for row in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

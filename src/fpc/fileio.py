@@ -1,37 +1,17 @@
-"""On-disk formats: the code file and the sweep CSV row.
+"""The on-disk code file format.
 
-Both formats are plain text, byte-stable for identical inputs, and strict to
+The format is plain text, byte-stable for identical inputs, and strict to
 parse: anything off-spec is an error, never a silent fix-up.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .core import Code
 
 CODEFILE_MAGIC = "fpc 1"
-
-SWEEP_COLUMNS = (
-    "c",
-    "l",
-    "q",
-    "eta",
-    "seed",
-    "mode",
-    "packing",
-    "matching",
-    "packing_size",
-    "accepted",
-    "code_size",
-    "rate",
-    "rate_limit",
-    "blackburn",
-    "improved",
-    "verified",
-    "elapsed_ms",
-)
 
 
 class CodeFileError(ValueError):
@@ -109,47 +89,3 @@ def read_code_file(path: Union[str, os.PathLike]) -> Code:
     with open(path, "r", encoding="ascii") as fh:
         return parse_code_file(fh.read())
 
-
-def format_sweep_row(values: dict) -> str:
-    """One CSV line in the fixed column order; absent improved renders empty."""
-    from fractions import Fraction
-
-    out = []
-    for col in SWEEP_COLUMNS:
-        v = values[col]
-        if col == "rate":
-            v = f"{float(v):.6f}"
-        elif col == "rate_limit":
-            v = str(Fraction(v))
-        elif col == "improved":
-            v = "" if v is None else str(v)
-        else:
-            v = str(v)
-        if "," in v or "\n" in v:
-            raise ValueError(f"unescapable CSV value {v!r} in column {col}")
-        out.append(v)
-    return ",".join(out)
-
-
-def format_sweep_csv(rows: Iterable[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines.extend(format_sweep_row(r) for r in rows)
-    return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(path: Union[str, os.PathLike], rows: Iterable[dict]):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_sweep_csv(rows))
-
-
-def parse_sweep_csv(text: str) -> list[dict]:
-    lines = text.splitlines()
-    if not lines or lines[0] != ",".join(SWEEP_COLUMNS):
-        raise ValueError("sweep CSV header mismatch")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(SWEEP_COLUMNS):
-            raise ValueError(f"row has {len(parts)} fields, expected {len(SWEEP_COLUMNS)}")
-        rows.append(dict(zip(SWEEP_COLUMNS, parts)))
-    return rows

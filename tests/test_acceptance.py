@@ -4,6 +4,7 @@ Each test carries a `criterion` marker; the conftest summary hook prints one
 PASS/FAIL line per criterion at the end of the run.
 """
 
+import json
 import math
 import random
 import time
@@ -209,11 +210,14 @@ def test_criterion_10_sparsifier_and_determinism(tmp_path):
     assert cli_main(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
 
-    # Sweep rows likewise, apart from the trailing wall-clock column.
-    sweep_a, sweep_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    # Sweep rows likewise, apart from the wall-clock fields.
+    sweep_a, sweep_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     sweep_args = ["sweep", "--c", "2", "--l", "4", "--q-list", "13", "--seeds", "7"]
     assert cli_main(sweep_args + ["--out", str(sweep_a)]) == 0
     assert cli_main(sweep_args + ["--out", str(sweep_b)]) == 0
-    rows_a = [line.rsplit(",", 1)[0] for line in sweep_a.read_text().splitlines()]
-    rows_b = [line.rsplit(",", 1)[0] for line in sweep_b.read_text().splitlines()]
-    assert rows_a == rows_b and len(rows_a) == 2
+    untimed = lambda path: [
+        {k: v for k, v in json.loads(line).items() if k not in ("timings_ms", "elapsed_ms")}
+        for line in path.read_text().splitlines()
+    ]
+    rows_a, rows_b = untimed(sweep_a), untimed(sweep_b)
+    assert rows_a == rows_b and len(rows_a) == 1

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,9 @@ from fpc.cli import main
 from fpc.core import Code, ConstructionError, is_cover_free
 from fpc.extremal import EXHAUSTIVE_CAP
 from fpc.fileio import (
-    SWEEP_COLUMNS,
     CodeFileError,
     format_code_file,
     parse_code_file,
-    parse_sweep_csv,
     read_code_file,
     write_code_file,
 )
@@ -96,20 +95,39 @@ class TestBoundsCommand:
 
 class TestOracleCommand:
     def test_both_agree(self, capsys):
-        assert run("oracle", "4", "2", "1", "--method", "both") == 0
-        assert "agreement" in capsys.readouterr().out
+        assert run("oracle", "4", "2", "1") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "formula: m(4,2,1) = 3 [proven(EKR)]",
+            "exhaustive: m(4,2,1) = 3 [proven(exhaustive)]",
+            "agreement",
+        ]
 
     def test_cap_refusal_states_cap(self, capsys):
-        # Without --cap the command resolves EXHAUSTIVE_CAP itself.
-        assert run("oracle", "9", "3", "2", "--method", "exhaustive") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"exhaustive cap {EXHAUSTIVE_CAP};" in err
-        assert run("oracle", "5", "2", "1", "--method", "exhaustive", "--cap", "9") == 1
-        assert "exhaustive cap 9;" in capsys.readouterr().err
+        # Without --cap the command resolves EXHAUSTIVE_CAP itself. The
+        # exhaustive search declines in one line naming C(l,t) and the cap;
+        # it is not an error.
+        assert run("oracle", "9", "3", "2") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            f"exhaustive: not run, binom(9,3) = 84 exceeds the cap {EXHAUSTIVE_CAP}",
+        ]
+        assert run("oracle", "5", "2", "1", "--cap", "9") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "exhaustive: not run, binom(5,2) = 10 exceeds the cap 9",
+        ]
 
     def test_formula_above_cap(self, capsys):
-        assert run("oracle", "9", "3", "2", "--method", "formula") == 0
-        assert "56" in capsys.readouterr().out
+        assert run("oracle", "9", "3", "2") == 0
+        assert capsys.readouterr().out.splitlines()[0] == "formula: m(9,3,2) = 56 [proven(t<=3)]"
+        assert run("oracle", "5", "2", "1", "--cap", "9") == 0
+        assert capsys.readouterr().out.splitlines()[0] == "formula: m(5,2,1) = 4 [proven(EKR)]"
+
+    def test_method_flag_is_gone(self, capsys):
+        assert run("oracle", "4", "2", "1", "--method", "formula") == 1
+        assert "unrecognized arguments: --method formula" in capsys.readouterr().err
 
     def test_json(self, capsys):
         assert run("oracle", "4", "2", "1", "--json") == 0
@@ -119,6 +137,10 @@ class TestOracleCommand:
             "formula": {"status": "proven(EKR)", "value": 3},
         }
         assert agreement == "agreement"
+        assert run("oracle", "7", "2", "1", "--json") == 0
+        payload, skipped = capsys.readouterr().out.splitlines()
+        assert json.loads(payload) == {"formula": {"status": "proven(EKR)", "value": 6}}
+        assert skipped == f"exhaustive: not run, binom(7,2) = 21 exceeds the cap {EXHAUSTIVE_CAP}"
 
 
 class TestConstructVerifyAudit:
@@ -419,52 +441,69 @@ class TestConstructVerifyAudit:
         assert "skipped" in payload["verified_note"]
 
 
+def read_sweep(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def without(row: dict, *keys) -> dict:
+    return {k: v for k, v in row.items() if k not in keys}
+
+
 class TestSweepCommand:
     def test_rows_and_format(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "sweep.jsonl"
         rc = run(
             "sweep", "--c", "2", "--l", "4", "--q-list", "13,17,23",
             "--seeds", "7", "--out", str(out),
         )
         assert rc == 0
-        text = out.read_text()
-        assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
-        rows = parse_sweep_csv(text)
-        assert len(rows) == 3
-        assert [r["q"] for r in rows] == ["13", "17", "23"]
-        assert all(r["verified"] == "true" for r in rows)
-        assert all(len(r["rate"].split(".")[1]) == 6 for r in rows)
-        rates = [float(r["rate"]) for r in rows]
+        rows = read_sweep(out)
+        assert [r["q"] for r in rows] == [13, 17, 23]
+        assert all(r["verified"] is True and r["verified_note"] == "" for r in rows)
+        assert all(Fraction(r["rate"]) == Fraction(r["code_size"], r["q"] ** r["t"]) for r in rows)
+        rates = [Fraction(r["rate"]) for r in rows]
         assert rates == sorted(rates)
+
+    def test_row_is_the_construct_json_payload(self, tmp_path, capsys):
+        point = ["--c", "2", "--l", "4", "--seed", "7"]
+        assert run("construct", *point, "--q", "13", "--out", str(tmp_path / "c.fpc"), "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        sweep = ["--c", "2", "--l", "4", "--q-list", "13", "--seeds", "7"]
+        out = tmp_path / "sweep.jsonl"
+        assert run("sweep", *sweep, "--out", str(out)) == 0
+        (row,) = read_sweep(out)
+        assert isinstance(row["elapsed_ms"], int)
+        assert without(row, "timings_ms", "elapsed_ms") == without(payload, "out", "timings_ms")
 
     def test_deterministic_modulo_timing(self, tmp_path):
         args = [
             "sweep", "--c", "2", "--l", "4", "--q-list", "13",
             "--seeds", "3", "--no-verify",
         ]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
-        strip = lambda p: [l.rsplit(",", 1)[0] for l in p.read_text().splitlines()]
+        strip = lambda p: [without(r, "timings_ms", "elapsed_ms") for r in read_sweep(p)]
         assert strip(a) == strip(b)
 
     def test_no_verify_marks_skipped(self, tmp_path):
-        out = tmp_path / "s.csv"
+        out = tmp_path / "s.jsonl"
         rc = run(
             "sweep", "--c", "2", "--l", "4", "--q-list", "13",
             "--seeds", "1", "--no-verify", "--out", str(out),
         )
         assert rc == 0
-        assert parse_sweep_csv(out.read_text())[0]["verified"] == "skipped"
+        (row,) = read_sweep(out)
+        assert (row["verified"], row["verified_note"]) == (None, "verification skipped: disabled by config")
 
     def test_generated_seed_is_printed(self, tmp_path, capsys):
-        out = tmp_path / "s.csv"
+        out = tmp_path / "s.jsonl"
         assert run("sweep", "--c", "2", "--l", "4", "--q-list", "5", "--out", str(out)) == 0
         first, wrote = capsys.readouterr().out.splitlines()
         seed = int(first.removeprefix("seed = ").removesuffix(" (generated)"))
         assert first == f"seed = {seed} (generated)"
         assert wrote == f"wrote 1 rows to {out}"
-        assert parse_sweep_csv(out.read_text())[0]["seed"] == str(seed)
+        assert read_sweep(out)[0]["seed"] == seed
 
     @pytest.mark.parametrize(
         "flags,err",
@@ -753,15 +792,25 @@ class TestProcessExit:
         assert child.returncode == 120
         assert "BrokenPipeError" in child.stderr
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_closed_stdout_is_not_bad_input(self, unbuffered):
+    @pytest.mark.parametrize(
+        "argv,unbuffered",
+        [
+            (["bounds", "2", "4", "13"], False),
+            (["bounds", "2", "4", "13"], True),
+            (["--help"], False),
+            (["--help"], True),
+        ],
+        ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered"],
+    )
+    def test_closed_stdout_is_not_bad_input(self, argv, unbuffered):
         # The read end is closed before the child starts. Buffered, the
         # write fails in the final flush; unbuffered, in the command's first
-        # print. Both end with Python's failed-flush status, 120.
+        # print, or in argparse's write of the help text. All end with
+        # Python's failed-flush status, 120.
         read, write = os.pipe()
         os.close(read)
         try:
-            child = self.cli("bounds", "2", "4", "13", stdout=write, unbuffered=unbuffered)
+            child = self.cli(*argv, stdout=write, unbuffered=unbuffered)
         finally:
             os.close(write)
         assert child.returncode == 120
