@@ -2,10 +2,15 @@
 
 At module level this imports only argparse, os, sys and typing, so
 `fpc --help` loads no other fpc module. Each command imports what it runs:
-bounds and oracle load `fpc.extremal`, verify `fpc.fileio` and `fpc.core`,
-and audit those two plus `fpc.extremal`, each with `fpc.record`; construct,
-sweep and diagnose also load the numpy pipeline (`fpc.construct`, `fpc.packing`).
-A missing --seed is drawn from `os.urandom`, which loads nothing more.
+bounds loads `fpc.extremal`, oracle that and `fpc.oracle`, verify
+`fpc.fileio` and `fpc.core`, and audit those two plus `fpc.extremal` and
+`fpc.audit`, each with `fpc.record`; construct and sweep also load the numpy
+pipeline (`fpc.construct`, `fpc.packing`), and diagnose that and
+`fpc.diagnose`. A missing --seed is drawn from `os.urandom`, which loads
+nothing more. The `cmd_*` handlers stay here: a module that
+`python -m fpc.cli` reaches must not import `fpc.cli`, which would run this
+file a second time as a separate module, whose `CliError` `main` would not
+catch.
 """
 
 from __future__ import annotations
@@ -153,7 +158,8 @@ def cmd_oracle(args) -> int:
     import json
     import math
 
-    from .extremal import EXHAUSTIVE_CAP, ExhaustiveCapError, emc_value, m_exact
+    from .extremal import emc_value
+    from .oracle import EXHAUSTIVE_CAP, ExhaustiveCapError, m_exact
 
     cap = EXHAUSTIVE_CAP if args.cap is None else args.cap
     results = {"formula": emc_value(args.l, args.t, args.lam)}
@@ -161,22 +167,23 @@ def cmd_oracle(args) -> int:
         results["exhaustive"] = m_exact(args.l, args.t, args.lam, cap=cap)
     except ExhaustiveCapError:
         pass
+    # The line text output ends with; --json carries it as "verdict".
+    if "exhaustive" not in results:
+        n_edges = math.comb(args.l, args.t)
+        verdict = f"exhaustive: not run, binom({args.l},{args.t}) = {n_edges} exceeds the cap {cap}"
+    elif results["formula"].value == results["exhaustive"].value:
+        verdict = "agreement"
+    else:
+        verdict = "disagreement"  # text output prints it to stderr only
     if args.json:
-        print(
-            json.dumps(
-                {k: {"value": v.value, "status": v.status} for k, v in results.items()},
-                sort_keys=True,
-            )
-        )
+        payload = {k: {"value": v.value, "status": v.status} for k, v in results.items()}
+        print(json.dumps({**payload, "verdict": verdict}, sort_keys=True))
     else:
         for k, v in results.items():
             print(f"{k}: m({args.l},{args.t},{args.lam}) = {v.value} [{v.status}]")
-    if "exhaustive" not in results:
-        n_edges = math.comb(args.l, args.t)
-        print(f"exhaustive: not run, binom({args.l},{args.t}) = {n_edges} exceeds the cap {cap}")
-    elif results["formula"].value == results["exhaustive"].value:
-        print("agreement")
-    else:
+        if verdict != "disagreement":
+            print(verdict)
+    if verdict == "disagreement":
         print(
             f"DISAGREEMENT: formula {results['formula'].value} vs "
             f"exhaustive {results['exhaustive'].value}",
@@ -243,7 +250,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     from . import fileio
-    from .core import own_subsequence_audit
+    from .audit import own_subsequence_audit
 
     code = fileio.read_code_file(args.path)
     result = own_subsequence_audit(code, args.c, _env_budget())
@@ -300,7 +307,8 @@ def cmd_diagnose(args) -> int:
     import json
 
     from .construct import build_extremal_complement, build_packing
-    from .packing import SparsifierConfig, check_image_cap, degree_diagnostics
+    from .diagnose import check_image_cap, degree_diagnostics
+    from .packing import SparsifierConfig
 
     check_image_cap(args.l)  # before the packing, which can be huge at large l
     seed, generated = _resolve_seed(args.seed)

@@ -1,4 +1,4 @@
-"""End-to-end code construction, baselines, and a ground-truth maximizer.
+"""End-to-end code construction.
 
 The pipeline lays a transversal packing over the symbols (Reed-Solomon where
 `rs_applies`, else greedy), builds the complement family of a largest
@@ -9,23 +9,24 @@ word matrix: the sparsifier gives each row an id per labeled subset, NOT_KEPT
 where the subset is dropped, in the narrowest type its bound allows;
 `shared_patterns` reads each row's kept pattern off those ids; acceptance is
 decided once per distinct pattern, and the matching indexes the accepted rows
-of the id matrix without copying them. Only the selected rows become tuples
-and `Candidate` objects, each with the one frozenset that `shared_patterns`
-gives its pattern. `build_packing` sizes and builds the packing for
-`construct` and `fpc diagnose` alike. The selected transversals are the
-code; verification re-checks the frameproof property exactly rather than
-trusting any pipeline stage. The report takes t, lambda, m and the bounds
-from one `BoundsReport`.
+of the id matrix without copying them. Only the selected rows become tuples,
+and only a verified build makes them `Candidate` objects, each with the one
+frozenset that `shared_patterns` gives its pattern, for `validate_induced`.
+`build_packing` sizes and builds the packing for `construct` and
+`fpc diagnose` alike. The selected transversals are the code; verification
+re-checks the frameproof property exactly rather than trusting any pipeline
+stage. The report takes t, lambda, m and the bounds from one `BoundsReport`.
+The baseline code and the exhaustive maximizer live in `fpc.oracle`.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
 from types import MappingProxyType
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,8 +37,6 @@ from .core import (
     DEFAULT_BUDGET,
     Verdict,
     Witness,
-    Word,
-    desc_contains,
     is_cover_free,
     is_frameproof,
 )
@@ -95,18 +94,27 @@ class ConstructionConfig(Record):
         return "rs" if rs_applies(self.l, self.q) else "greedy"
 
 
-class ConstructionReport(NamedTuple):
-    config: ConstructionConfig
-    bounds: BoundsReport  # t, lambda, m and the bounds at the config's (c, l, q)
-    packing_size: int
-    accepted_count: int
-    code_size: int
-    rate: Fraction
-    verified: Optional[Verdict]
-    verified_note: str = ""
+_REPORT_FIELDS = (
+    "config",  # the ConstructionConfig
+    "bounds",  # its BoundsReport: t, lambda, m and the bounds at (c, l, q)
+    "packing_size",
+    "accepted_count",
+    "code_size",
+    "rate",  # a Fraction
+    "verified",  # a Verdict, or None when verification did not run
+    "verified_note",
     # Stage -> ms. "verify" is the total of the layers that ran inside it:
     # "validate_induced", "is_frameproof" and "is_cover_free".
-    timings_ms: dict = MappingProxyType({})
+    "timings_ms",
+)
+
+
+class ConstructionReport(
+    namedtuple("ConstructionReport", _REPORT_FIELDS, defaults=("", MappingProxyType({})))
+):
+    """What one `construct` run built and how long each stage took."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -181,12 +189,14 @@ def construct(
 
     with _timed(timings, "matching"):
         chosen = greedy_select(subset_ids, accepted, cfg.seed)
-        selected = [
-            Candidate(tuple(word), patterns[k])
-            for word, k in zip(pack.words[chosen].tolist(), pattern_ids[chosen].tolist())
-        ]
+        words = list(map(tuple, pack.words[chosen].tolist()))
+        if cfg.verify:
+            selected = [
+                Candidate(word, patterns[k])
+                for word, k in zip(words, pattern_ids[chosen].tolist())
+            ]
 
-    code = Code(cfg.q, cfg.l, [cand.transversal for cand in selected])
+    code = Code(cfg.q, cfg.l, words)
     # Verification needs none of the pipeline's arrays; free them first.
     packing_size, accepted_count = len(pack), len(accepted)
     del pack, subset_ids, pattern_ids, accepts, accepted
@@ -299,76 +309,3 @@ def _diagnose_violation(
         f"{nu} > lam disjoint t-agreements all missing from the victim's "
         "pattern: candidate acceptance admitted an infeasible pattern"
     )
-
-
-def trivial_code(l: int, q: int) -> Code:
-    """The l(q-1) words that differ from all-ones in exactly one coordinate.
-
-    Each word's off-symbol at its private position is reproducible by no
-    other codeword, so no coalition of any size frames an outsider.
-    """
-    if q < 2 or l < 1:
-        raise ValueError("need q >= 2 and l >= 1")
-    words = []
-    for i in range(l):
-        for s in range(2, q + 1):
-            w = [1] * l
-            w[i] = s
-            words.append(tuple(w))
-    return Code(q, l, words)
-
-
-def search_max(
-    c: int, l: int, q: int, budget: int = 1_000_000, cap: int = 64
-) -> tuple[Code, bool]:
-    """Exhaustive maximum frameproof code by include/exclude branch and bound.
-
-    Returns (best code, optimal). optimal=False only if the node budget ran
-    out. Frameproofness is invariant under per-coordinate symbol relabeling,
-    so the all-ones word is pinned into the code without loss of generality.
-    """
-    if c < 2:
-        raise ValueError("c must be at least 2")
-    total = q**l
-    if total > cap:
-        raise ValueError(f"q^l = {total} exceeds the exhaustive cap {cap}")
-    words = sorted(itertools.product(range(1, q + 1), repeat=l))
-    n = len(words)
-    best: list[Word] = [words[0]]
-    nodes = 0
-    exhausted = False
-
-    def extension_ok(chosen: list[Word], w: Word) -> bool:
-        m = len(chosen)
-        if m == 0:
-            return True
-        s = min(c, m)
-        for coal in itertools.combinations(chosen, s):
-            if desc_contains(w, coal):
-                return False
-        for x0 in chosen:
-            rest = [x for x in chosen if x != x0]
-            for sub in itertools.combinations(rest, s - 1):
-                if desc_contains(x0, sub + (w,)):
-                    return False
-        return True
-
-    def search(idx: int, chosen: list[Word]):
-        nonlocal best, nodes, exhausted
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if idx == n or len(chosen) + (n - idx) <= len(best):
-            return
-        w = words[idx]
-        if extension_ok(chosen, w):
-            search(idx + 1, chosen + [w])
-            if exhausted:
-                return
-        search(idx + 1, chosen)
-
-    search(1, [words[0]])
-    return Code(q, l, best), not exhausted

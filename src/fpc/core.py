@@ -7,25 +7,22 @@ routes (a search over words grouped by (position, symbol) vs. closure over
 unions of the agreement bit masks of each victim's neighbours, the words
 sharing a (position, symbol) with it) so they can cross-validate each other;
 both are exact and refuse oversized instances instead of sampling. The
-own-subsequence audit sits beside `own_profile`, which it reads. The module
-and `fpc.extremal` are pure Python, so checking or auditing never loads numpy.
+module is pure Python, so checking never loads numpy. What `construct` and
+`verify` never run lives elsewhere: the own-subsequence audit and the
+word/edge correspondence in `fpc.audit`, and the descendant tests of the
+exhaustive references in `fpc.oracle`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
+from collections import Counter, namedtuple
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .record import Record
 
-if TYPE_CHECKING:
-    from .extremal import EmcValue
-
 Word = tuple[int, ...]
-Edge = frozenset[tuple[int, int]]  # {(position, symbol)}, positions 1-based
 
 DEFAULT_BUDGET = 10**10
 
@@ -67,53 +64,17 @@ class Code(Record):
         return len(self.words)
 
 
-class Witness(NamedTuple):
-    """A concrete violation: `word` is a descendant of `coalition`."""
+class Witness(namedtuple("Witness", "word coalition")):
+    """A concrete violation: `word` is a descendant of `coalition`, a tuple
+    of words."""
 
-    word: Word
-    coalition: tuple[Word, ...]
-
-
-class Verdict(NamedTuple):
-    ok: bool
-    witness: Optional[Witness] = None
+    __slots__ = ()
 
 
-class OwnCounts(NamedTuple):
-    own_t_count: int
-    own_tminus1_count: int
+class Verdict(namedtuple("Verdict", "ok witness", defaults=(None,))):
+    """A checker's answer: `ok`, and the canonical `Witness` when not ok."""
 
-
-def _check_coalition(coalition: Sequence[Word], l: int) -> tuple[Word, ...]:
-    coal = tuple(sorted(set(map(tuple, coalition))))
-    if not coal:
-        raise ValueError("coalition must be nonempty")
-    for w in coal:
-        if len(w) != l:
-            raise ValueError(f"coalition word {w} has length {len(w)}, expected {l}")
-    return coal
-
-
-def desc_contains(y: Sequence[int], coalition: Sequence[Word]) -> bool:
-    """True iff every coordinate of y appears in some coalition member there."""
-    y = tuple(y)
-    coal = _check_coalition(coalition, len(y))
-    for i, s in enumerate(y):
-        if all(x[i] != s for x in coal):
-            return False
-    return True
-
-
-def desc_size(coalition: Sequence[Word]) -> int:
-    """Number of descendants: product of per-coordinate symbol-set sizes."""
-    first = next(iter(coalition), None)
-    if first is None:
-        raise ValueError("coalition must be nonempty")
-    coal = _check_coalition(coalition, len(first))
-    size = 1
-    for col in zip(*coal):
-        size *= len(set(col))
-    return size
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +233,6 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def pi(code: Code) -> list[Edge]:
-    """Map each word to its transversal edge {(i, x_i)} of the complete
-    l-partite hypergraph; order follows the sorted word order."""
-    return [frozenset((i + 1, sym) for i, sym in enumerate(w)) for w in code.words]
-
-
-def pi_inverse(edges: Iterable[Edge], q: int, l: Optional[int] = None) -> Code:
-    """Inverse of `pi`. Every edge must carry exactly one symbol per position."""
-    edge_list = list(edges)
-    if not edge_list:
-        if l is None:
-            raise ValueError("cannot infer word length from an empty edge list")
-        return Code(q, l, [])
-    words = []
-    for e in edge_list:
-        positions = sorted(p for p, _ in e)
-        ll = len(e)
-        if l is not None and ll != l:
-            raise ValueError(f"edge {sorted(e)} has size {ll}, expected {l}")
-        if positions != list(range(1, ll + 1)):
-            raise ValueError(f"edge {sorted(e)} is not a transversal of positions 1..{ll}")
-        by_pos = dict(e)
-        words.append(tuple(by_pos[p] for p in range(1, ll + 1)))
-    return Code(q, len(edge_list[0]), words)
-
-
 def is_cover_free(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Exact c-cover-free check on the edge family pi(code).
 
@@ -420,106 +355,3 @@ def _unions_reach(values: set[int], full: int, steps: int) -> bool:
             return False
         reach |= new
     return False
-
-
-# ---------------------------------------------------------------------------
-# Own subsequences / own subsets
-# ---------------------------------------------------------------------------
-
-
-def own_profile(code: Code, t: int, budget: int = DEFAULT_BUDGET) -> dict[Word, OwnCounts]:
-    """Per-word counts of own t- and (t-1)-subsequences.
-
-    A restriction x_S is own when no other codeword agrees with x on S.
-    Raises BudgetExceededError, before any work, when the projections to
-    build, n * (C(l, t) + C(l, t-1)), exceed `budget`.
-    """
-    if not (1 <= t <= code.l):
-        raise ValueError(f"t={t} outside 1..{code.l}")
-    estimate = len(code) * (math.comb(code.l, t) + math.comb(code.l, t - 1))
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"own-subsequence audit needs ~{estimate:.2e} projections, budget is {budget:.2e}"
-        )
-    counts_t = _own_subsequence_counts(code.words, code.l, t)
-    counts_tm1 = _own_subsequence_counts(code.words, code.l, t - 1)
-    return {
-        w: OwnCounts(counts_t[k], counts_tm1[k]) for k, w in enumerate(code.words)
-    }
-
-
-def _own_subsequence_counts(words: tuple[Word, ...], l: int, t: int) -> list[int]:
-    counts = [0] * len(words)
-    for positions in itertools.combinations(range(l), t):
-        groups = Counter(tuple(w[i] for i in positions) for w in words)
-        for k, w in enumerate(words):
-            if groups[tuple(w[i] for i in positions)] == 1:
-                counts[k] += 1
-    return counts
-
-
-def own_subset_counts(edges: Sequence[Edge], t: int) -> list[int]:
-    """Per-edge counts of own t-subsets, computed purely on vertex sets.
-
-    Cross-checks `own_profile` through the pi correspondence: a position set
-    is own for a word exactly when the matching vertex set is an own t-subset.
-    """
-    incidence: Counter = Counter()
-    subsets_of = []
-    for e in edges:
-        subs = [frozenset(c) for c in itertools.combinations(sorted(e), t)]
-        subsets_of.append(subs)
-        incidence.update(subs)
-    return [sum(1 for T in subs if incidence[T] == 1) for subs in subsets_of]
-
-
-# ---------------------------------------------------------------------------
-# Own-subsequence audit
-# ---------------------------------------------------------------------------
-
-
-class AuditRow(NamedTuple):
-    word: Word
-    own_t_count: int
-    own_tminus1_count: int
-    bound_applies: bool
-    ok: bool
-
-
-class AuditResult(NamedTuple):
-    t: int
-    lam: int
-    m: EmcValue
-    required: int
-    rows: tuple[AuditRow, ...]
-
-    @property
-    def violations(self) -> list[Word]:
-        return [r.word for r in self.rows if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def own_subsequence_audit(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> AuditResult:
-    """Check the conditional floor on own t-subsequences.
-
-    On a c-frameproof code, any codeword with no own (t-1)-subsequence must
-    have at least binom(l, t) - m own t-subsequences. Violations on a
-    verified code would disprove the checker or the m oracle. `own_profile`
-    refuses a code whose projections exceed `budget`.
-    """
-    from .extremal import emc_value, lambda_of
-
-    t, lam = lambda_of(c, code.l)
-    m = emc_value(code.l, t, lam)
-    required = math.comb(code.l, t) - m.value
-    rows = []
-    for word, counts in own_profile(code, t, budget).items():
-        applies = counts.own_tminus1_count == 0
-        ok = (not applies) or counts.own_t_count >= required
-        rows.append(
-            AuditRow(word, counts.own_t_count, counts.own_tminus1_count, applies, ok)
-        )
-    return AuditResult(t=t, lam=lam, m=m, required=required, rows=tuple(rows))

@@ -2,11 +2,12 @@
 
 The central quantity is the largest t-uniform family on [l] vertices with no
 lam+1 pairwise disjoint edges. `emc_value` evaluates the conjectured closed
-form and tags the parameter regimes where it is a proven theorem; `m_exact`
-settles small instances outright by branch-and-bound from the certified
-`extremal_family`, whose complement the construction reserves. Everything
-downstream (`blackburn_upper`, `improved_upper`, `rate_limit`) is exact
-rational arithmetic floored at the end, never floating point.
+form and tags the parameter regimes where it is a proven theorem. The
+certified `extremal_family` is the family whose complement the construction
+reserves; `fpc.oracle.m_exact`, the exhaustive branch and bound that settles
+small instances outright, seeds its bound from it. Everything downstream
+(`blackburn_upper`, `improved_upper`, `rate_limit`) is exact rational
+arithmetic floored at the end, never floating point.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .record import Record
-
-EXHAUSTIVE_CAP = 20  # largest binom(l, t) m_exact will take on by default
-
-
-class ExhaustiveCapError(Exception):
-    """Instance too large for m_exact; use emc_value for the formula."""
 
 
 def lambda_of(c: int, l: int) -> tuple[int, int]:
@@ -111,16 +106,14 @@ def _largest_matching(edges: list[int], l: int, t: int, stop: int) -> tuple[int,
     return best
 
 
-class EmcValue(NamedTuple):
+class EmcValue(namedtuple("EmcValue", "value proven regime", defaults=(None,))):
     """A matching-number extremum with its epistemic status.
 
     `regime` is one of lambda0, EKR, t<=3, wide, exhaustive when proven,
     None when the value rests on the unproven general conjecture.
     """
 
-    value: int
-    proven: bool
-    regime: Optional[str] = None
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -183,57 +176,15 @@ def emc_families(l: int, t: int, lam: int) -> tuple[PositionFamily, PositionFami
 
 def extremal_family(l: int, t: int, lam: int) -> PositionFamily:
     """The larger certified candidate of `emc_families`; ties go to the
-    cover family. The construction reserves its complement, and `m_exact`
-    seeds its bound from it."""
+    cover family. The construction reserves its complement, and
+    `fpc.oracle.m_exact` seeds its bound from it."""
     cover, clique = emc_families(l, t, lam)
     return cover if len(cover) >= len(clique) else clique
 
 
-def m_exact(l: int, t: int, lam: int, cap: int = EXHAUSTIVE_CAP) -> EmcValue:
-    """Exact maximum by exhaustive branch and bound.
-
-    Searches the complement: the fewest edges whose removal from the complete
-    family destroys every (lam+1)-matching. Branching follows one violating
-    matching at a time (the first that `_largest_matching` meets), with
-    earlier members pinned kept so subtrees stay disjoint. The bound starts
-    from the certified `extremal_family`, so a wrong closed form cannot leak
-    into the result. Refuses instances with binom(l, t) above `cap`.
-    """
-    _check_emc_params(l, t, lam)
-    n_edges = math.comb(l, t)
-    if n_edges > cap:
-        raise ExhaustiveCapError(
-            f"binom({l},{t}) = {n_edges} exceeds the exhaustive cap {cap}; "
-            "raise the cap or use emc_value for the formula"
-        )
-    if cap > EXHAUSTIVE_CAP:
-        warnings.warn(
-            f"m_exact running above the default cap ({cap} > {EXHAUSTIVE_CAP}); "
-            "expect exponential growth",
-            RuntimeWarning,
-        )
-    best = n_edges - len(extremal_family(l, t, lam))
-
-    def search(kept: frozenset[int], deleted: int, pinned: frozenset[int]):
-        nonlocal best
-        if deleted >= best:
-            return
-        violating = _largest_matching(sorted(kept), l, t, stop=lam + 1)
-        if len(violating) <= lam:
-            best = deleted
-            return
-        for k, e in enumerate(violating):
-            if e in pinned:
-                continue
-            search(kept - {e}, deleted + 1, pinned | set(violating[:k]))
-
-    search(frozenset(position_masks(l, t)), 0, frozenset())
-    return EmcValue(n_edges - best, True, "exhaustive")
-
-
 # The m the bounds use, under the name `perfbench/replica.py` imports. It needs
 # no exhaustive fallback: `emc_value` leaves a case unproven only when lam >= 2
-# and t >= 4, so binom(l, t) >= binom(12, 4) = 495 > EXHAUSTIVE_CAP.
+# and t >= 4, so binom(l, t) >= binom(12, 4) = 495 > `fpc.oracle.EXHAUSTIVE_CAP`.
 resolve_m = emc_value
 
 
@@ -275,19 +226,17 @@ def rate_limit(c: int, l: int) -> Fraction:
     return _bound_pieces(c, l)[5]
 
 
-class BoundsReport(NamedTuple):
-    """Every bound-side quantity for one (c, l, q), with m's status attached."""
+class BoundsReport(
+    namedtuple(
+        "BoundsReport",
+        "c l q t lam m blackburn improved improved_threshold rate_limit",
+    )
+):
+    """Every bound-side quantity for one (c, l, q), with m's status attached:
+    m is an `EmcValue`, `improved` is None below the threshold, and the
+    threshold and the rate limit are Fractions."""
 
-    c: int
-    l: int
-    q: int
-    t: int
-    lam: int
-    m: EmcValue
-    blackburn: int
-    improved: Optional[int]
-    improved_threshold: Fraction
-    rate_limit: Fraction
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

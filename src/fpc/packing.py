@@ -19,23 +19,20 @@ subset is dropped, in the narrowest type its bound allows. A word's kept
 pattern is the set of its slots whose id is not NOT_KEPT; `shared_patterns`
 reads it off the ids and gives each distinct pattern one frozenset, which
 candidates with equal patterns share. Acceptance is decided once per
-distinct pattern; the greedy pass walks the shuffled words in blocks,
-dropping in one numpy test every word that holds an id already used. The
-order is the one `random.Random(seed).shuffle` gives, replayed in numpy by
-`shuffle.shuffled_range` with no Python step per word. Only the selected
-words become tuples and `Candidate` objects. A candidate carries only its
-transversal and the position pattern of its surviving subsets.
+distinct pattern; the greedy pass walks the shuffled words in blocks that
+grow as fewer words pass, dropping in one numpy test every word that holds
+an id already used. The order is the one `random.Random(seed).shuffle`
+gives, replayed in numpy by `shuffle.shuffled_range` with no Python step per
+word. Only the selected words become tuples, and `Candidate` objects only in
+a verified build. A candidate carries only its transversal and the position
+pattern of its surviving subsets.
 `validate_packing` is the one agreement test: words agree in at most t
 positions iff their projections onto every t+1 positions are distinct.
 `validate_induced` counts the words' projections onto each set of positions
 too. `survived_set` and `r_membership` are the per-word reference route to
 the same pattern. `greedy_matching` takes its ids from `sparsify` at eta 0.
-`degree_diagnostics` counts every labeled t-subset over 1..q exactly from
-the words' per-combination keys, and finds the candidates whose pattern is
-a relabeled copy of the target family by membership in the cached image
-set, `pattern_images`, once per distinct pattern. It trusts its packing's
-words to agree in at most t positions, as `validate_packing` checks, so
-the largest codegree follows from the distinct kept patterns alone.
+The degree diagnostics of `fpc diagnose` read the same keys and ids from
+`fpc.diagnose`, which `construct` never loads.
 
 The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
 object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
@@ -49,9 +46,9 @@ import functools
 import itertools
 import math
 import struct
-from collections import Counter
+from collections import Counter, namedtuple
 from operator import itemgetter
-from typing import Iterable, Literal, NamedTuple, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 # hashlib's own blake2b; `import hashlib` would also load OpenSSL's _hashlib.
 from _blake2 import blake2b
@@ -69,8 +66,6 @@ LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-base
 # measurement chose 512. A prime power's mul table is reduced from a
 # q x q x (2k - 1) array, 34 MB at q = 512.
 _GF_TABLE_CAP = 512
-# Largest l whose l! position relabelings `pattern_images` enumerates.
-_IMAGE_L_CAP = 9
 # Most bytes that a word matrix and its labeled-subset ids, the largest
 # arrays of the pipeline and of `greedy_packing`, may take together, as
 # `check_matrix_bytes` estimates them: an upper bound at int64 symbols and
@@ -320,15 +315,14 @@ class SparsifierConfig(Record):
         super().__init__(eta, seed)
 
 
-class Candidate(NamedTuple):
-    """A transversal U and its kept pattern: the t-bit position masks of the
-    labeled t-subsets of U that the sparsifier keeps. The pipeline's
-    candidates take their patterns from `shared_patterns`, so those with
-    equal patterns share one frozenset. `survived` derives the subsets from
-    U's t-shadow on each access; derive them once per use."""
+class Candidate(namedtuple("Candidate", "transversal pattern")):
+    """A transversal U (a Word) and its kept pattern: the frozenset of t-bit
+    position masks of the labeled t-subsets of U that the sparsifier keeps.
+    The pipeline's candidates take their patterns from `shared_patterns`, so
+    those with equal patterns share one frozenset. `survived` derives the
+    subsets from U's t-shadow on each access; derive them once per use."""
 
-    transversal: Word
-    pattern: frozenset[int]
+    __slots__ = ()
 
     @property
     def survived(self) -> frozenset[LabeledSubset]:
@@ -569,10 +563,14 @@ def greedy_matching(
 
 
 # Shuffled words that `greedy_select` tests against the used ids in one
-# numpy step; the survivors of a block are resolved in Python. Blocks of 256
-# to 4,096 timed within 5% of each other at (2,4,31), (2,4,47) and
-# (2,4,101); at (3,6,16) 4,096 was twice as slow as 256.
+# numpy step; the survivors of a block are resolved in Python. The first
+# block takes `_SELECT_BLOCK` rows, and the block doubles, up to
+# `_SELECT_BLOCK_CAP`, after each block of which fewer than a quarter of the
+# rows pass that test: late in the walk most rows clash, and a larger block
+# spreads one numpy step over more of them, while few survivors keep the
+# Python resolution short. The cap bounds the block's temporaries.
 _SELECT_BLOCK = 256
+_SELECT_BLOCK_CAP = 4096
 
 
 def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
@@ -583,19 +581,26 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     `random.Random(seed).shuffle` gives a list of len(rows) items, replayed
     by `shuffled_range`.
 
-    The order is walked in blocks of `_SELECT_BLOCK` rows. One numpy test
-    drops every row that holds an id used before the block; the rest are
-    resolved in order against the ids taken inside the block, so the
-    selection equals the sequential greedy pass."""
+    The order is walked in blocks that start at `_SELECT_BLOCK` rows and
+    double, up to `_SELECT_BLOCK_CAP`, after a block of which fewer than a
+    quarter of the rows pass. One numpy test drops every row that holds an
+    id used before the block; the rest are resolved in order against the
+    ids taken inside the block, so the selection equals the sequential
+    greedy pass whatever the block sizes."""
     order, rows = shuffled_range(len(rows), seed), np.asarray(rows)
     used = np.zeros(int(ids.max(initial=NOT_KEPT)) + 1, dtype=bool)
     selected: list[int] = []
-    for start in range(0, len(order), _SELECT_BLOCK):
-        block = rows[order[start : start + _SELECT_BLOCK]]
+    start, size = 0, _SELECT_BLOCK
+    while start < len(order):
+        block = rows[order[start : start + size]]
+        start += size
         held = ids[block]
         free = ~used[held].any(axis=1)
+        passed = block[free].tolist()
+        if 4 * len(passed) < len(block) and size < _SELECT_BLOCK_CAP:
+            size = min(2 * size, _SELECT_BLOCK_CAP)
         taken: set[int] = set()
-        for k, row in zip(block[free].tolist(), held[free].tolist()):
+        for k, row in zip(passed, held[free].tolist()):
             if taken.isdisjoint(row):
                 taken.update(row)
                 taken.discard(NOT_KEPT)
@@ -635,124 +640,3 @@ def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
             if mask in c.pattern and counts[get(w)] > 1:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Degree diagnostics
-# ---------------------------------------------------------------------------
-
-
-class DegreeDiagnostics(NamedTuple):
-    dP_max: int
-    dP_min: int
-    frac_high_degree: float
-    dH_mean: float
-    expected_D: float
-    lambda_F: int
-    max_codegree: int
-
-
-def check_image_cap(l: int) -> None:
-    """Refuse, before any work, an l above `_IMAGE_L_CAP`."""
-    if l > _IMAGE_L_CAP:
-        raise ValueError(
-            f"image enumeration is factorial in l; capped at l = {_IMAGE_L_CAP}"
-        )
-
-
-@functools.cache
-def pattern_images(family: PositionFamily) -> frozenset[frozenset[int]]:
-    """The distinct vertex-relabeled images of the family's edge set, from
-    all l! relabelings; cached, since the family is immutable. A pattern is
-    a relabeled copy of the family iff it is a member."""
-    check_image_cap(family.l)
-    return frozenset(
-        frozenset(
-            sum(1 << perm[p] for p in range(family.l) if e >> p & 1)
-            for e in family.edges
-        )
-        for perm in itertools.permutations(range(family.l))
-    )
-
-
-def embeddings_per_edge(family: PositionFamily) -> int:
-    """Images of the family through one fixed edge; constant over edges
-    because relabelings act transitively on position t-subsets."""
-    n_img = len(pattern_images(family))
-    total = n_img * len(family.edges)
-    slots = math.comb(family.l, family.t)
-    lam_f, rem = divmod(total, slots)
-    assert rem == 0
-    return lam_f
-
-
-def degree_diagnostics(
-    packing: TransversalPacking,
-    cfg: SparsifierConfig,
-    family: PositionFamily,
-) -> DegreeDiagnostics:
-    """Empirical degree facts for the candidate hypergraph over a packing.
-
-    Counts, exactly, over every labeled t-subset with symbols in 1..q: the
-    transversal-degree extremes, the fraction meeting the near-regularity
-    threshold, and the mean candidate degree of sparsifier survivors against
-    its predicted value. Also reports the largest pairwise candidate
-    codegree, which rests on `packing` being what `TransversalPacking`
-    promises: words that pairwise agree in at most t positions, as
-    `rs_packing` and `greedy_packing` build them. This is not checked here;
-    run `validate_packing` on a hand-built word set first.
-    """
-    l, q, t = packing.l, packing.q, packing.t
-    if (family.l, family.t) != (l, t):
-        raise ValueError("family must be t-uniform on the packing's positions")
-    lam_f = embeddings_per_edge(family)
-
-    sets, pattern_ids = shared_patterns(sparsify(packing.words, t, cfg), l, t)
-    images = pattern_images(family)
-    copies = np.array([p in images for p in sets], dtype=bool)[pattern_ids]
-    del pattern_ids
-
-    # Per labeled subset on the q^t grid of each combination: its degree in
-    # the packing, its degree among the copies, and whether the sparsifier
-    # keeps it. Only kept subsets enter dH_mean, and a copy that holds a kept
-    # subset keeps it. Degrees are counts of the words' keys.
-    radix = max(q, int(packing.words.max())) + 1
-    grid_keys = (np.indices((q,) * t).reshape(t, -1).T + 1) @ radix ** np.arange(t)
-    degrees, dH, in_r = [], [], []
-    buffer = _key_buffer(len(packing), radix, t)
-    for combo in itertools.combinations(range(l), t):
-        keys = _subset_keys(packing.words, combo, radix, buffer)
-        degrees.append(np.bincount(keys, minlength=radix**t)[grid_keys])
-        dH.append(np.bincount(keys[copies], minlength=radix**t)[grid_keys])
-        in_r.append(_kept(combo, grid_keys, radix, cfg))
-    del keys, buffer
-    degrees, dH, in_r = (np.concatenate(counts) for counts in (degrees, dH, in_r))
-
-    delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))
-    threshold = (1.0 - math.sqrt(delta)) * q
-    frac_high = int(np.count_nonzero(degrees >= threshold)) / len(degrees)
-    n_in_r = int(np.count_nonzero(in_r))
-    dh_mean = int(dH[in_r].sum()) / n_in_r if n_in_r else 0.0
-
-    n_edges = len(family.edges)
-    p = (
-        lam_f
-        * (1.0 - cfg.eta) ** (n_edges - 1)
-        * cfg.eta ** (math.comb(l, t) - n_edges)
-    )
-
-    # The most candidates keeping one pair of labeled subsets. A pair's two
-    # subsets span at least t+1 positions, on which no two packing words
-    # agree, so no two candidates keep one pair: the most is 1 iff some
-    # candidate keeps two subsets.
-    max_co = int(any(len(pattern) >= 2 for pattern in sets))
-
-    return DegreeDiagnostics(
-        dP_max=int(degrees.max()),
-        dP_min=int(degrees.min()),
-        frac_high_degree=frac_high,
-        dH_mean=dh_mean,
-        expected_D=p * q,
-        lambda_F=lam_f,
-        max_codegree=max_co,
-    )

@@ -2,9 +2,15 @@
 `Code` and `PositionFamily`, whose len() is their size, and
 `ConstructionConfig` and `SparsifierConfig`, whose own `__init__` validates
 its arguments under the signature that `help()` and `inspect.signature` show.
-The other fpc records are NamedTuples. A subclass names its fields in
-`__slots__` and passes their values, in that order and once validated, to
-`Record.__init__`."""
+A subclass names its fields in `__slots__` and passes their values, in that
+order and once validated, to `Record.__init__`.
+
+The other fpc records are tuples: each subclasses a `collections.namedtuple`
+of its fields, with `__slots__ = ()` and its docstring, methods and
+properties on the subclass. `typing.NamedTuple` is not used, because under
+postponed annotations it compiles each field's annotation string into a
+`ForwardRef` when the class is created, a cost every cold command paid at
+import; field types are named in the docstrings instead."""
 
 
 class Record:

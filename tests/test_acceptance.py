@@ -13,31 +13,20 @@ from fractions import Fraction
 import pytest
 
 from fpc.cli import main as cli_main
-from fpc.construct import (
-    ConstructionConfig,
-    construct,
-    search_max,
-    trivial_code,
-)
-from fpc.core import (
-    desc_contains,
-    is_cover_free,
-    is_frameproof,
-    own_subsequence_audit,
-    pi,
-    pi_inverse,
-)
+from fpc.audit import own_subsequence_audit, pi, pi_inverse
+from fpc.construct import ConstructionConfig, construct
+from fpc.core import is_cover_free, is_frameproof
+from fpc.diagnose import degree_diagnostics
 from fpc.extremal import (
     blackburn_upper,
     emc_value,
     improved_threshold,
     improved_upper,
-    m_exact,
     rate_limit,
 )
+from fpc.oracle import desc_contains, m_exact, search_max, trivial_code
 from fpc.packing import (
     SparsifierConfig,
-    degree_diagnostics,
     r_membership,
     rs_packing,
     survived_set,

@@ -12,7 +12,7 @@ import pytest
 
 from fpc.cli import main
 from fpc.core import Code, ConstructionError, is_cover_free
-from fpc.extremal import EXHAUSTIVE_CAP
+from fpc.extremal import EmcValue
 from fpc.fileio import (
     CodeFileError,
     format_code_file,
@@ -20,6 +20,7 @@ from fpc.fileio import (
     read_code_file,
     write_code_file,
 )
+from fpc.oracle import EXHAUSTIVE_CAP
 from fpc.packing import greedy_packing
 
 
@@ -125,22 +126,37 @@ class TestOracleCommand:
         assert run("oracle", "5", "2", "1", "--cap", "9") == 0
         assert capsys.readouterr().out.splitlines()[0] == "formula: m(5,2,1) = 4 [proven(EKR)]"
 
+    def test_disagreement_exits_1(self, monkeypatch, capsys):
+        # A wrong exhaustive value: text output names no verdict on stdout,
+        # --json names it in the object, and both exit 1 with a stderr line.
+        wrong = EmcValue(4, True, "exhaustive")
+        monkeypatch.setattr("fpc.oracle.m_exact", lambda *args, **kwargs: wrong)
+        assert run("oracle", "4", "2", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "exhaustive: m(4,2,1) = 4 [proven(exhaustive)]"
+        assert captured.err == "DISAGREEMENT: formula 3 vs exhaustive 4\n"
+        assert run("oracle", "4", "2", "1", "--json") == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["verdict"] == "disagreement"
+        assert captured.err == "DISAGREEMENT: formula 3 vs exhaustive 4\n"
+
     def test_method_flag_is_gone(self, capsys):
         assert run("oracle", "4", "2", "1", "--method", "formula") == 1
         assert "unrecognized arguments: --method formula" in capsys.readouterr().err
 
     def test_json(self, capsys):
+        # One JSON object, which carries the verdict line of the text output.
         assert run("oracle", "4", "2", "1", "--json") == 0
-        payload, agreement = capsys.readouterr().out.splitlines()
-        assert json.loads(payload) == {
+        assert json.loads(capsys.readouterr().out) == {
             "exhaustive": {"status": "proven(exhaustive)", "value": 3},
             "formula": {"status": "proven(EKR)", "value": 3},
+            "verdict": "agreement",
         }
-        assert agreement == "agreement"
         assert run("oracle", "7", "2", "1", "--json") == 0
-        payload, skipped = capsys.readouterr().out.splitlines()
-        assert json.loads(payload) == {"formula": {"status": "proven(EKR)", "value": 6}}
-        assert skipped == f"exhaustive: not run, binom(7,2) = 21 exceeds the cap {EXHAUSTIVE_CAP}"
+        assert json.loads(capsys.readouterr().out) == {
+            "formula": {"status": "proven(EKR)", "value": 6},
+            "verdict": f"exhaustive: not run, binom(7,2) = 21 exceeds the cap {EXHAUSTIVE_CAP}",
+        }
 
 
 class TestConstructVerifyAudit:
@@ -620,10 +636,14 @@ def test_checking_commands_start_without_numpy(tmp_path):
     # One fresh interpreter per command. --help loads no other fpc module,
     # verify only fileio and core, and only the commands that build a
     # packing load numpy. No record is a dataclass, so no command loads
-    # dataclasses or the inspect module it imports.
+    # dataclasses or the inspect module it imports (construct is held to
+    # dataclasses only, as numpy loads inspect itself). Neither construct
+    # nor verify loads the audit, the diagnostics or the exhaustive
+    # references, which only their own commands run.
     path = tmp_path / "code.fpc"
     path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
     no_records = ("dataclasses", "inspect")
+    not_run = ("fpc.audit", "fpc.diagnose", "fpc.oracle")
     cases = [
         (
             ["--help"],
@@ -633,8 +653,14 @@ def test_checking_commands_start_without_numpy(tmp_path):
         ),
         (
             ["verify", "--in", str(path), "--c", "2"],
-            ("fpc.extremal", "fractions", "numpy", "secrets") + no_records,
+            ("fpc.extremal", "fractions", "numpy", "secrets") + no_records + not_run,
             "frameproof: ok (3 words, c=2)",
+        ),
+        (
+            ["construct", "--c", "2", "--l", "4", "--q", "13", "--seed", "7",
+             "--out", str(tmp_path / "q13.fpc")],
+            ("dataclasses",) + not_run,
+            "verified = True",
         ),
         (["bounds", "2", "4", "13"], ("numpy",) + no_records, "rate_limit = 2"),
         (
@@ -759,6 +785,29 @@ class TestProcessExit:
         assert child.stdout == (
             "frameproof: VIOLATION (c=2)\nword      = 1 2\ncoalition = 1 1\ncoalition = 2 2\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["audit", "--in", "{code}", "--c", "2"], "own-subsequence floor: ok\n"),
+            (["diagnose", "--c", "2", "--l", "4", "--q", "5", "--seed", "3"], "max_codegree = 1\n"),
+            (["oracle", "4", "2", "1"], "exhaustive: m(4,2,1) = 3 [proven(exhaustive)]\nagreement\n"),
+        ],
+        ids=["audit", "diagnose", "oracle"],
+    )
+    def test_own_module_commands(self, tmp_path, argv, expected):
+        # Under -m, fpc.cli is __main__; a module it reaches that imported
+        # fpc.cli would load a second copy of it, with its own CliError.
+        code = tmp_path / "code.fpc"
+        code.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
+        child = self.cli(*(arg.format(code=code) for arg in argv))
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.endswith(expected)
+
+    def test_refusal_reaches_error_line(self, tmp_path):
+        child = self.cli("sweep", "--c", "2", "--l", "4", "--q-list", "x", "--out", str(tmp_path / "s"))
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == "error: --q-list must be comma-separated integers, got 'x'\n"
 
     def test_main_block_skips_teardown(self):
         # The __main__ block as `-m` runs it, under the atexit hook.

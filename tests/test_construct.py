@@ -12,14 +12,14 @@ from fpc.construct import (
     build_extremal_complement,
     build_packing,
     construct,
-    search_max,
-    trivial_code,
     _diagnose_violation,
     _verify_pipeline,
 )
-from fpc.core import Code, Witness, is_cover_free, is_frameproof, own_subsequence_audit
+from fpc.audit import own_subsequence_audit
+from fpc.core import Code, Witness, is_cover_free, is_frameproof
 from fpc.extremal import blackburn_upper, improved_upper, lambda_of, matching_number
 from fpc.fileio import format_code_file
+from fpc.oracle import search_max, trivial_code
 from fpc.packing import (
     Candidate,
     SparsifierConfig,

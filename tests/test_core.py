@@ -6,22 +6,17 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpc.construct import ConstructionConfig, construct, trivial_code
+from fpc.audit import own_profile, own_subsequence_audit, own_subset_counts, pi, pi_inverse
+from fpc.construct import ConstructionConfig, construct
 from fpc.core import (
     BudgetExceededError,
     Code,
     Verdict,
     Witness,
-    desc_contains,
-    desc_size,
     is_cover_free,
     is_frameproof,
-    own_profile,
-    own_subsequence_audit,
-    own_subset_counts,
-    pi,
-    pi_inverse,
 )
+from fpc.oracle import desc_contains, desc_size, trivial_code
 
 BAD_CODE = Code(3, 2, [(1, 1), (2, 2), (1, 2)])
 

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpc.extremal import (
-    EXHAUSTIVE_CAP,
     EmcValue,
-    ExhaustiveCapError,
     PositionFamily,
     blackburn_upper,
     bounds_report,
@@ -19,11 +17,11 @@ from fpc.extremal import (
     improved_threshold,
     improved_upper,
     lambda_of,
-    m_exact,
     matching_number,
     rate_limit,
     resolve_m,
 )
+from fpc.oracle import EXHAUSTIVE_CAP, ExhaustiveCapError, m_exact
 
 
 def brute_matching_number(family: PositionFamily) -> int:

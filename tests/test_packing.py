@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fpc.extremal import PositionFamily, complete_family, position_masks
 from fpc.construct import build_extremal_complement
+from fpc.diagnose import degree_diagnostics, embeddings_per_edge, pattern_images
 import fpc.packing
 from fpc.packing import (
     GF,
@@ -21,12 +22,9 @@ from fpc.packing import (
     SparsifierConfig,
     TransversalPacking,
     accept_candidate,
-    degree_diagnostics,
-    embeddings_per_edge,
     greedy_matching,
     greedy_packing,
     greedy_select,
-    pattern_images,
     r_membership,
     rs_packing,
     shared_patterns,
@@ -640,6 +638,32 @@ def _matching_pool(l, t, q, eta):
     return tuple(_candidates_for(rs_packing(l, t, q), eta, 13))
 
 
+def _watch_blocks(monkeypatch, start, cap):
+    """Set `greedy_select`'s first block and block cap; returns the list to
+    which each block's size is appended as `greedy_select` slices it from
+    the shuffled order."""
+    monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", start)
+    monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK_CAP", cap)
+    sizes = []
+
+    class Order(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, slice):
+                sizes.append(key.stop - key.start)
+            return super().__getitem__(key).view(np.ndarray)
+
+    shuffled = fpc.packing.shuffled_range
+    monkeypatch.setattr(fpc.packing, "shuffled_range", lambda n, seed: shuffled(n, seed).view(Order))
+    return sizes
+
+
+def _assert_doubles_to_cap(sizes, start, cap):
+    """The blocks start at `start`, each keeps or doubles its predecessor's
+    size, and the walk ends at `cap`."""
+    assert sizes[0] == start and sizes[-1] == cap
+    assert all(b in (a, min(2 * a, cap)) for a, b in zip(sizes, sizes[1:]))
+
+
 class TestMatching:
     def test_empty(self):
         assert greedy_matching([], seed=1) == []
@@ -684,22 +708,40 @@ class TestMatching:
         got = greedy_matching(cands, seed)
         assert got == _reference_greedy(cands, seed)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, fpc.packing._SELECT_BLOCK])
+    @pytest.mark.parametrize(
+        "block",
+        [
+            1,
+            7,
+            64,
+            fpc.packing._SELECT_BLOCK,
+            pytest.param((1, 64), id="1-doubling-to-64"),
+            pytest.param((4, 256), id="4-doubling-to-256"),
+        ],
+    )
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 1])
     def test_blocks_equal_reference_greedy(self, monkeypatch, block, seed):
         # At eta 0.5 about half the slots hold NOT_KEPT, and 2,197 shuffled
         # words cross the block boundaries many times; a block keeps words
         # that clash with each other, so the in-block resolution matters.
-        monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", block)
+        # An int is a fixed block; a (start, cap) pair is a block that
+        # doubles from start, as the walk meets ever more used ids, and
+        # reaches its cap.
+        start, cap = block if isinstance(block, tuple) else (block, block)
+        sizes = _watch_blocks(monkeypatch, start, cap)
         cands = list(_matching_pool(4, 2, 13, 0.5))
-        assert len(cands) > 8 * fpc.packing._SELECT_BLOCK
+        assert len(cands) > 8 * cap
         assert greedy_matching(cands, seed) == _reference_greedy(cands, seed)
+        _assert_doubles_to_cap(sizes, start, cap)
 
-    @pytest.mark.parametrize("block", [3, fpc.packing._SELECT_BLOCK])
+    @pytest.mark.parametrize(
+        "block", [3, fpc.packing._SELECT_BLOCK, pytest.param((1, 32), id="1-doubling-to-32")]
+    )
     def test_select_over_sparsify_ids_equals_reference(self, monkeypatch, block):
         # The route `construct` takes: ids straight from `sparsify`, rows
         # through a subset of the packing.
-        monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", block)
+        start, cap = block if isinstance(block, tuple) else (block, block)
+        sizes = _watch_blocks(monkeypatch, start, cap)
         pack = rs_packing(4, 2, 13)
         cfg = SparsifierConfig(eta=0.5, seed=13)
         ids = sparsify(pack.words, 2, cfg)
@@ -708,6 +750,7 @@ class TestMatching:
         cands = [survived_set(pack.transversals[k], 2, cfg) for k in rows.tolist()]
         expected = [c.transversal for c in _reference_greedy(cands, 9)]
         assert [pack.transversals[k] for k in chosen] == expected
+        _assert_doubles_to_cap(sizes, start, cap)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 257, 5000])
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, -3])

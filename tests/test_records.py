@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from fpc.audit import AuditRow, OwnCounts, own_subsequence_audit
 from fpc.construct import ConstructionConfig, ConstructionReport
-from fpc.core import AuditRow, Code, OwnCounts, Verdict, Witness, own_subsequence_audit
+from fpc.core import Code, Verdict, Witness
+from fpc.diagnose import DegreeDiagnostics, pattern_images
 from fpc.extremal import PositionFamily, bounds_report, emc_value
 from fpc.packing import (
     Candidate,
-    DegreeDiagnostics,
     SparsifierConfig,
     TransversalPacking,
-    pattern_images,
     rs_packing,
 )
 
