@@ -10,13 +10,16 @@ where the subset is dropped, in the narrowest type its bound allows;
 `shared_patterns` reads each row's kept pattern off those ids; acceptance is
 decided once per distinct pattern, and the matching indexes the accepted rows
 of the id matrix without copying them. Only the selected rows become tuples,
-and only a verified build makes them `Candidate` objects, each with the one
-frozenset that `shared_patterns` gives its pattern, for `validate_induced`.
-`build_packing` sizes and builds the packing for `construct` and
-`fpc diagnose` alike. The selected transversals are the code; verification
-re-checks the frameproof property exactly rather than trusting any pipeline
-stage. The report takes t, lambda, m and the bounds from one `BoundsReport`.
-The baseline code and the exhaustive maximizer live in `fpc.oracle`.
+and the `Code`, inside the timed matching stage; only a verified build makes
+them `Candidate` objects, each with the one frozenset that `shared_patterns`
+gives its pattern, for `validate_induced`. `build_packing` sizes and builds
+the packing for `construct` and `fpc diagnose` alike. The selected
+transversals are the code; verification re-checks the frameproof property
+exactly rather than trusting any pipeline stage, and only it loads the two
+checkers' modules and `fpc.validate`. The report takes t, lambda, m and the
+bounds from one `BoundsReport`. The diagnosis of a failed verification
+lives in `fpc.diagnose`, and the baseline code and the exhaustive maximizer
+in `fpc.oracle`.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ from .core import (
     ConstructionError,
     DEFAULT_BUDGET,
     Verdict,
-    Witness,
-    is_cover_free,
-    is_frameproof,
 )
 from .extremal import (
     BoundsReport,
@@ -47,7 +47,6 @@ from .extremal import (
     complete_family,
     extremal_family,
     lambda_of,
-    matching_number,
 )
 from .packing import (
     Candidate,
@@ -61,7 +60,6 @@ from .packing import (
     rs_packing,
     shared_patterns,
     sparsify,
-    validate_induced,
 )
 from .record import Record
 
@@ -195,8 +193,8 @@ def construct(
                 Candidate(word, patterns[k])
                 for word, k in zip(words, pattern_ids[chosen].tolist())
             ]
+        code = Code(cfg.q, cfg.l, words)
 
-    code = Code(cfg.q, cfg.l, words)
     # Verification needs none of the pipeline's arrays; free them first.
     packing_size, accepted_count = len(pack), len(accepted)
     del pack, subset_ids, pattern_ids, accepts, accepted
@@ -249,6 +247,10 @@ def _verify_pipeline(
     timings: dict[str, float],
 ) -> Verdict:
     """The three verify layers, each timed under its own key in `timings`."""
+    from .cover_free import is_cover_free
+    from .frameproof import is_frameproof
+    from .validate import validate_induced
+
     with _timed(timings, "validate_induced"):
         induced = validate_induced(selected, t)
     if not induced:
@@ -267,45 +269,11 @@ def _verify_pipeline(
         )
     if not fp.ok:
         assert fp.witness is not None
+        from .diagnose import _diagnose_violation
+
         diagnosis = _diagnose_violation(fp.witness, selected, t, lam)
         raise ConstructionError(
             f"constructed code is not {cfg.c}-frameproof: "
             f"{fp.witness.word} in desc{fp.witness.coalition}. {diagnosis}"
         )
     return Verdict(True)
-
-
-def _diagnose_violation(
-    witness: Witness, selected: list[Candidate], t: int, lam: int
-) -> str:
-    """Trace a cover-free violation back through the covering argument:
-    a covered transversal must meet lam+1 coalition members in pairwise
-    disjoint t-sets, all missing from its survived pattern."""
-    by_word = {cand.transversal: cand for cand in selected}
-    victim = by_word.get(witness.word)
-    if victim is None:
-        return "witness word is not among the selected transversals"
-    l = len(witness.word)
-    exact_t = []
-    for other in witness.coalition:
-        agree = [p for p in range(l) if witness.word[p] == other[p]]
-        if len(agree) > t:
-            return f"packing breach: agreement {len(agree)} > t with {other}"
-        if len(agree) == t:
-            exact_t.append(sum(1 << p for p in agree))
-    if not exact_t:
-        return "no t-agreements at all; the witness itself is suspect"
-    fam = PositionFamily(l, t, frozenset(exact_t))
-    nu = matching_number(fam)
-    if nu <= lam:
-        return (
-            f"only {nu} <= lam disjoint t-agreements; the covering argument "
-            "should have been impossible - suspect the checkers"
-        )
-    in_pattern = [m for m in exact_t if m in victim.pattern]
-    if in_pattern:
-        return "a t-agreement survived in the victim's pattern: matching breach"
-    return (
-        f"{nu} > lam disjoint t-agreements all missing from the victim's "
-        "pattern: candidate acceptance admitted an infeasible pattern"
-    )

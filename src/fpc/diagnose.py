@@ -1,4 +1,5 @@
-"""Degree diagnostics of a packing, behind `fpc diagnose`.
+"""Degree diagnostics of a packing, behind `fpc diagnose`, and the diagnosis
+of a failed verification.
 
 `degree_diagnostics` counts every labeled t-subset over 1..q exactly from
 the words' per-combination keys, which `fpc.packing` builds for the
@@ -6,8 +7,10 @@ sparsifier, and finds the candidates whose pattern is a relabeled copy of
 the target family by membership in the cached image set, `pattern_images`,
 once per distinct pattern. It trusts its packing's words to agree in at most
 t positions, as `validate_packing` checks, so the largest codegree follows
-from the distinct kept patterns alone. Of the commands, only `fpc diagnose`
-loads this module.
+from the distinct kept patterns alone. `_diagnose_violation` traces a
+frameproof witness against a verified build back through the covering
+argument. Of the commands, only `fpc diagnose` loads this module, and
+`fpc construct` only when its verification fails.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .extremal import PositionFamily
+from .core import Witness
+from .extremal import PositionFamily, matching_number
 from .packing import (
+    Candidate,
     SparsifierConfig,
     TransversalPacking,
     _key_buffer,
@@ -149,4 +154,40 @@ def degree_diagnostics(
         expected_D=p * q,
         lambda_F=lam_f,
         max_codegree=max_co,
+    )
+
+
+def _diagnose_violation(
+    witness: Witness, selected: list[Candidate], t: int, lam: int
+) -> str:
+    """Trace a cover-free violation back through the covering argument:
+    a covered transversal must meet lam+1 coalition members in pairwise
+    disjoint t-sets, all missing from its survived pattern."""
+    by_word = {cand.transversal: cand for cand in selected}
+    victim = by_word.get(witness.word)
+    if victim is None:
+        return "witness word is not among the selected transversals"
+    l = len(witness.word)
+    exact_t = []
+    for other in witness.coalition:
+        agree = [p for p in range(l) if witness.word[p] == other[p]]
+        if len(agree) > t:
+            return f"packing breach: agreement {len(agree)} > t with {other}"
+        if len(agree) == t:
+            exact_t.append(sum(1 << p for p in agree))
+    if not exact_t:
+        return "no t-agreements at all; the witness itself is suspect"
+    fam = PositionFamily(l, t, frozenset(exact_t))
+    nu = matching_number(fam)
+    if nu <= lam:
+        return (
+            f"only {nu} <= lam disjoint t-agreements; the covering argument "
+            "should have been impossible - suspect the checkers"
+        )
+    in_pattern = [m for m in exact_t if m in victim.pattern]
+    if in_pattern:
+        return "a t-agreement survived in the victim's pattern: matching breach"
+    return (
+        f"{nu} > lam disjoint t-agreements all missing from the victim's "
+        "pattern: candidate acceptance admitted an infeasible pattern"
     )

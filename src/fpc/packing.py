@@ -7,32 +7,19 @@ polynomials of degree <= t over GF(q), whose add and mul are q x q lookup
 tables for every prime power q; `greedy_packing` is the maximal-by-inclusion
 fallback for any q, the matching's own greedy pass over all q^l words at
 t+1. One byte estimate, `check_matrix_bytes`, refuses either packing before
-it is built. On top of a packing, a pseudorandom sparsifier thins the
-labeled t-subsets, a candidate is accepted when its missing pattern has no
-lam+1 pairwise disjoint members, and one seed-shuffled greedy pass selects
-candidates with pairwise disjoint surviving subsets.
-A packing holds its words as one (n, l) matrix, `words`, of the narrowest
-unsigned type that holds q (uint8 up to q = 255), and every stage works on
-it: `sparsify`, the one ranker of labeled t-subsets, hashes each distinct
-one once and gives every word an id per labeled subset, NOT_KEPT where the
-subset is dropped, in the narrowest type its bound allows. A word's kept
-pattern is the set of its slots whose id is not NOT_KEPT; `shared_patterns`
-reads it off the ids and gives each distinct pattern one frozenset, which
-candidates with equal patterns share. Acceptance is decided once per
-distinct pattern; the greedy pass walks the shuffled words in blocks that
-grow as fewer words pass, dropping in one numpy test every word that holds
-an id already used. The order is the one `random.Random(seed).shuffle`
-gives, replayed in numpy by `shuffle.shuffled_range` with no Python step per
-word. Only the selected words become tuples, and `Candidate` objects only in
-a verified build. A candidate carries only its transversal and the position
-pattern of its surviving subsets.
-`validate_packing` is the one agreement test: words agree in at most t
-positions iff their projections onto every t+1 positions are distinct.
-`validate_induced` counts the words' projections onto each set of positions
-too. `survived_set` and `r_membership` are the per-word reference route to
-the same pattern. `greedy_matching` takes its ids from `sparsify` at eta 0.
-The degree diagnostics of `fpc diagnose` read the same keys and ids from
-`fpc.diagnose`, which `construct` never loads.
+it is built. Every stage works on the packing's (n, l) word matrix of the
+narrowest unsigned type that holds q: `sparsify`, the one ranker of labeled
+t-subsets, hashes each distinct one once and gives every word an id per
+labeled subset, NOT_KEPT where the sparsifier drops it; `shared_patterns`
+reads each word's kept pattern off those ids; `accept_pattern` is decided
+once per distinct pattern; and `greedy_select` walks the words in the order
+`random.Random(seed).shuffle` gives, replayed by `shuffle.shuffled_range`,
+dropping in one numpy test per block every word that holds a used id.
+What an unverified `fpc construct` never runs lives elsewhere: the re-checks
+of a verified build (`validate_packing`, `validate_induced`) in
+`fpc.validate`, the per-word reference routes (`survived_set`,
+`r_membership`, `accept_candidate`, `greedy_matching`) in `fpc.reference`,
+and the degree diagnostics of `fpc diagnose` in `fpc.diagnose`.
 
 The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
 object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
@@ -43,12 +30,12 @@ module does not import.
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import math
 import struct
-from collections import Counter, namedtuple
-from operator import itemgetter
-from typing import Iterable, Literal, Optional, Sequence
+from collections import namedtuple
+from typing import Iterable, Sequence
 
 # hashlib's own blake2b; `import hashlib` would also load OpenSSL's _hashlib.
 from _blake2 import blake2b
@@ -275,30 +262,6 @@ def _shadow(w: Word, k: int) -> Iterable[tuple[LabeledSubset, int]]:
     return zip(itertools.combinations(labeled, k), position_masks(len(w), k))
 
 
-def validate_packing(packing, t: Optional[int] = None) -> bool:
-    """True iff no two words agree in more than t coordinates, that is, iff
-    on every t+1 positions the words' projections are distinct. `packing`
-    is a `TransversalPacking`, whose t is the default, or a collection of
-    equal-length words with t given; words of unequal length, and a t below
-    0, raise ValueError."""
-    if isinstance(packing, TransversalPacking):
-        words = packing.transversals
-        t = packing.t if t is None else t
-    else:
-        words = list(map(tuple, packing))
-        if t is None:
-            raise ValueError("t is required for a bare word collection")
-    if t < 0:
-        raise ValueError(f"t={t} below 0")
-    lengths = set(map(len, words))
-    if len(lengths) > 1:
-        raise ValueError(f"words of unequal lengths {sorted(lengths)}")
-    for combo in itertools.combinations(range(max(lengths, default=0)), t + 1):
-        if len(set(map(itemgetter(*combo), words))) < len(words):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Sparsifier and candidates
 # ---------------------------------------------------------------------------
@@ -330,31 +293,6 @@ class Candidate(namedtuple("Candidate", "transversal pattern")):
         return frozenset(
             a for a, mask in _shadow(self.transversal, t) if mask in self.pattern
         )
-
-
-def _encode_labeled(a: LabeledSubset) -> bytes:
-    pairs = sorted(a)
-    return b"".join(struct.pack(">HI", pos, sym) for pos, sym in pairs)
-
-
-def r_membership(a: LabeledSubset, cfg: SparsifierConfig) -> bool:
-    """Deterministic membership in the sparsified subset.
-
-    A keyed hash of the canonical encoding stands in for the random set, so
-    membership is O(1) memory and bit-reproducible for a given seed. The
-    threshold is 2^64 at eta = 0 and 0 at eta = 1, so both ends are exact.
-    """
-    key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    digest = blake2b(_encode_labeled(a), key=key, digest_size=8).digest()
-    u = int.from_bytes(digest, "big")
-    return u < int((1.0 - cfg.eta) * 2.0**64)
-
-
-def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
-    """U with the position bitmasks of its labeled t-subsets that the
-    sparsifier keeps."""
-    pattern = [mask for a, mask in _shadow(U, t) if r_membership(a, cfg)]
-    return Candidate(tuple(U), frozenset(pattern))
 
 
 # The labeled-subset id `sparsify` gives every slot whose subset is not kept.
@@ -403,18 +341,20 @@ def _subset_keys(
     return keys
 
 
-# `_encode_labeled`'s ">HI" record of one (position, symbol) pair as numpy fields.
+# `fpc.reference._encode_labeled`'s ">HI" record of one (position, symbol)
+# pair as numpy fields.
 _RECORD = (("p", ">u2"), ("s", ">u4"))
 
 
 def _kept(
     combo: Sequence[int], keys: np.ndarray, radix: int, cfg: SparsifierConfig
 ) -> np.ndarray:
-    """`r_membership` of each labeled subset on the 0-based positions `combo`
-    whose symbols are the base-`radix` digits of `keys`: the hash key, the
-    threshold and the `_encode_labeled` records are built once for all keys,
-    and one keyed blake2b runs per key. At eta 1 and eta 0 every digest
-    falls on one side of the threshold, so none is computed."""
+    """`fpc.reference.r_membership` of each labeled subset on the 0-based
+    positions `combo` whose symbols are the base-`radix` digits of `keys`:
+    the hash key, the threshold and the `_encode_labeled` records are built
+    once for all keys, and one keyed blake2b runs per key. At eta 1 and
+    eta 0 every digest falls on one side of the threshold, so none is
+    computed."""
     threshold = int((1.0 - cfg.eta) * 2.0**64)
     if threshold <= 0 or threshold >= 2**64:
         return np.full(len(keys), threshold > 0)
@@ -512,54 +452,9 @@ def accept_pattern(pattern: frozenset[int], family: PositionFamily, lam: int) ->
     return matching_number(missing) <= lam
 
 
-def accept_candidate(
-    cand: Candidate,
-    mode: Literal["relaxed"],
-    family: PositionFamily,
-    lam: int,
-) -> bool:
-    """`accept_pattern` on the candidate's pattern. `mode` takes one value,
-    "relaxed", and stays in the signature because callers that pass it,
-    `perfbench/replica.py` among them, pin it; any other value raises
-    ValueError."""
-    if mode != "relaxed":
-        raise ValueError(f"unknown mode {mode!r}")
-    return accept_pattern(cand.pattern, family, lam)
-
-
 # ---------------------------------------------------------------------------
 # Matching
 # ---------------------------------------------------------------------------
-
-
-def greedy_matching(
-    candidates: Sequence[Candidate],
-    seed: int,
-    strategy: Literal["greedy"] = "greedy",
-) -> list[Candidate]:
-    """Select candidates with pairwise disjoint survived sets: `greedy_select`
-    over the ids `sparsify` gives every labeled subset at eta 0, with each
-    slot the candidate's pattern lacks set to NOT_KEPT.
-    `strategy` takes one value, "greedy", and stays in the signature because
-    callers that pass it, `perfbench/replica.py` among them, pin it; any
-    other value raises ValueError."""
-    if strategy != "greedy":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if not candidates:
-        return []
-    symbols = np.array([cand.transversal for cand in candidates], dtype=np.int64)
-    distinct: dict[frozenset[int], int] = {}
-    pattern_ids = [distinct.setdefault(cand.pattern, len(distinct)) for cand in candidates]
-    t = next((mask.bit_count() for pattern in distinct for mask in pattern), 0)
-    if t:
-        masks = position_masks(symbols.shape[1], t)
-        lacks = np.array([[m not in p for m in masks] for p in distinct], dtype=bool)
-        ids = sparsify(symbols, t, SparsifierConfig(eta=0.0, seed=0))
-        ids[lacks[pattern_ids]] = NOT_KEPT
-    else:
-        ids = np.zeros((len(candidates), 0), dtype=np.int32)
-    chosen = greedy_select(ids, np.arange(len(candidates)), seed)
-    return [candidates[k] for k in chosen]
 
 
 # Shuffled words that `greedy_select` tests against the used ids in one
@@ -586,16 +481,29 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     quarter of the rows pass. One numpy test drops every row that holds an
     id used before the block; the rest are resolved in order against the
     ids taken inside the block, so the selection equals the sequential
-    greedy pass whatever the block sizes."""
+    greedy pass whatever the block sizes. That test reads the block's used
+    flags into a bool buffer whose rows are zero-padded to whole 8-byte
+    words and tests each row as that many uint64 words, since numpy's
+    reduction along a short axis costs more than a few whole-column
+    compares."""
     order, rows = shuffled_range(len(rows), seed), np.asarray(rows)
     used = np.zeros(int(ids.max(initial=NOT_KEPT)) + 1, dtype=bool)
+    width = ids.shape[1]
+    words = max(1, -(-width // 8))
+    flags = np.zeros((_SELECT_BLOCK_CAP, 8 * words), dtype=bool)
     selected: list[int] = []
     start, size = 0, _SELECT_BLOCK
     while start < len(order):
         block = rows[order[start : start + size]]
         start += size
         held = ids[block]
-        free = ~used[held].any(axis=1)
+        # Clip mode skips the bounds check, which these in-range ids pass;
+        # the padding columns stay zero.
+        used.take(held, out=flags[: len(block), :width], mode="clip")
+        packed = flags[: len(block)].view(np.uint64)
+        free = packed[:, 0] == 0
+        for j in range(1, words):
+            free &= packed[:, j] == 0
         passed = block[free].tolist()
         if 4 * len(passed) < len(block) and size < _SELECT_BLOCK_CAP:
             size = min(2 * size, _SELECT_BLOCK_CAP)
@@ -609,34 +517,16 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     return selected
 
 
-def validate_induced(selected: Sequence[Candidate], t: int) -> bool:
-    """Re-check the induced-packing conditions without trusting the matcher:
-    pairwise agreement <= t, shared t-agreements in neither survived set, and
-    edge-disjoint survived sets. Each is a count of the words' projections
-    onto one set of positions, so no `sparsify` id is trusted, and all of
-    it runs in plain Python. The first is `validate_packing` on the words.
-    Granted that, two t-shadows meet only in the one t-subset where their
-    words agree, and a candidate's survived set lies in its own t-shadow,
-    so the middle condition says that a candidate whose pattern holds a
-    t-set of positions is the only word with its projection there.
-    That count of 1 also rules out a labeled t-subset that survives twice,
-    since both holders would project onto it. A pattern mask that is not a
-    t-set of positions fails. t must be at least 1."""
-    if t < 1:
-        raise ValueError(f"t={t} below 1")
-    words = [c.transversal for c in selected]
-    if not words:
-        return True
-    if not validate_packing(words, t):
-        return False
-    l = len(words[0])
-    masks = position_masks(l, t)
-    if not set().union(*{c.pattern for c in selected}) <= set(masks):
-        return False
-    for combo, mask in zip(itertools.combinations(range(l), t), masks):
-        get = itemgetter(*combo)
-        counts = Counter(map(get, words))
-        for c, w in zip(selected, words):
-            if mask in c.pattern and counts[get(w)] > 1:
-                return False
-    return True
+# Names that left this module, with the module that now holds each, loaded on
+# first use: `perfbench/replica.py` still imports the reference routes and
+# `validate_induced` from here, until it reads `construct`'s own stage records (ROADMAP item 4).
+_MOVED = {
+    **dict.fromkeys(("survived_set", "accept_candidate", "greedy_matching"), ".reference"),
+    "validate_induced": ".validate",
+}
+
+
+def __getattr__(name: str):
+    if name in _MOVED:
+        return getattr(importlib.import_module(_MOVED[name], __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,0 +1,103 @@
+"""Per-word reference routes of the pipeline, one word or candidate at a
+time.
+
+`survived_set` finds a word's kept pattern by hashing each labeled t-subset
+with `r_membership`, which `sparsify` in `fpc.packing` matches byte for
+byte over whole columns; `accept_candidate` is `accept_pattern` on one
+candidate, and `greedy_matching` runs `greedy_select` over candidate objects.
+The tests and the traced benchmark replica check the pipeline against these;
+no command loads this module.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Literal, Sequence
+
+# hashlib's own blake2b, as in `fpc.packing`.
+from _blake2 import blake2b
+
+import numpy as np
+
+from .core import Word
+from .extremal import PositionFamily, position_masks
+from .packing import (
+    NOT_KEPT,
+    Candidate,
+    LabeledSubset,
+    SparsifierConfig,
+    _shadow,
+    accept_pattern,
+    greedy_select,
+    sparsify,
+)
+
+
+def _encode_labeled(a: LabeledSubset) -> bytes:
+    pairs = sorted(a)
+    return b"".join(struct.pack(">HI", pos, sym) for pos, sym in pairs)
+
+
+def r_membership(a: LabeledSubset, cfg: SparsifierConfig) -> bool:
+    """Deterministic membership in the sparsified subset.
+
+    A keyed hash of the canonical encoding stands in for the random set, so
+    membership is O(1) memory and bit-reproducible for a given seed. The
+    threshold is 2^64 at eta = 0 and 0 at eta = 1, so both ends are exact.
+    """
+    key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    digest = blake2b(_encode_labeled(a), key=key, digest_size=8).digest()
+    u = int.from_bytes(digest, "big")
+    return u < int((1.0 - cfg.eta) * 2.0**64)
+
+
+def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:
+    """U with the position bitmasks of its labeled t-subsets that the
+    sparsifier keeps."""
+    pattern = [mask for a, mask in _shadow(U, t) if r_membership(a, cfg)]
+    return Candidate(tuple(U), frozenset(pattern))
+
+
+def accept_candidate(
+    cand: Candidate,
+    mode: Literal["relaxed"],
+    family: PositionFamily,
+    lam: int,
+) -> bool:
+    """`accept_pattern` on the candidate's pattern. `mode` takes one value,
+    "relaxed", and stays in the signature because callers that pass it,
+    `perfbench/replica.py` among them, pin it; any other value raises
+    ValueError."""
+    if mode != "relaxed":
+        raise ValueError(f"unknown mode {mode!r}")
+    return accept_pattern(cand.pattern, family, lam)
+
+
+def greedy_matching(
+    candidates: Sequence[Candidate],
+    seed: int,
+    strategy: Literal["greedy"] = "greedy",
+) -> list[Candidate]:
+    """Select candidates with pairwise disjoint survived sets: `greedy_select`
+    over the ids `sparsify` gives every labeled subset at eta 0, with each
+    slot the candidate's pattern lacks set to NOT_KEPT.
+    `strategy` takes one value, "greedy", and stays in the signature because
+    callers that pass it, `perfbench/replica.py` among them, pin it; any
+    other value raises ValueError."""
+    if strategy != "greedy":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not candidates:
+        return []
+    symbols = np.array([cand.transversal for cand in candidates], dtype=np.int64)
+    distinct: dict[frozenset[int], int] = {}
+    pattern_ids = [distinct.setdefault(cand.pattern, len(distinct)) for cand in candidates]
+    t = next((mask.bit_count() for pattern in distinct for mask in pattern), 0)
+    if t:
+        masks = position_masks(symbols.shape[1], t)
+        lacks = np.array([[m not in p for m in masks] for p in distinct], dtype=bool)
+        ids = sparsify(symbols, t, SparsifierConfig(eta=0.0, seed=0))
+        ids[lacks[pattern_ids]] = NOT_KEPT
+    else:
+        ids = np.zeros((len(candidates), 0), dtype=np.int32)
+    chosen = greedy_select(ids, np.arange(len(candidates)), seed)
+    return [candidates[k] for k in chosen]

@@ -15,8 +15,9 @@ import pytest
 from fpc.cli import main as cli_main
 from fpc.audit import own_subsequence_audit, pi, pi_inverse
 from fpc.construct import ConstructionConfig, construct
-from fpc.core import is_cover_free, is_frameproof
+from fpc.cover_free import is_cover_free
 from fpc.diagnose import degree_diagnostics
+from fpc.frameproof import is_frameproof
 from fpc.extremal import (
     blackburn_upper,
     emc_value,
@@ -25,14 +26,9 @@ from fpc.extremal import (
     rate_limit,
 )
 from fpc.oracle import desc_contains, m_exact, search_max, trivial_code
-from fpc.packing import (
-    SparsifierConfig,
-    r_membership,
-    rs_packing,
-    survived_set,
-    validate_induced,
-    validate_packing,
-)
+from fpc.packing import SparsifierConfig, rs_packing
+from fpc.reference import r_membership, survived_set
+from fpc.validate import validate_induced, validate_packing
 
 from test_core import random_code
 from fpc.construct import build_extremal_complement

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from fpc.cli import main
-from fpc.core import Code, ConstructionError, is_cover_free
+from fpc.core import Code, ConstructionError
+from fpc.cover_free import is_cover_free
 from fpc.extremal import EmcValue
 from fpc.fileio import (
     CodeFileError,
@@ -634,26 +635,34 @@ class TestDiagnoseCommand:
 
 def test_checking_commands_start_without_numpy(tmp_path):
     # One fresh interpreter per command. --help loads no other fpc module,
-    # verify only fileio and core, and only the commands that build a
+    # no handler module among them, verify only its handler, fileio, core
+    # and the frameproof checker, and only the commands that build a
     # packing load numpy. No record is a dataclass, so no command loads
     # dataclasses or the inspect module it imports (construct is held to
     # dataclasses only, as numpy loads inspect itself). Neither construct
-    # nor verify loads the audit, the diagnostics or the exhaustive
-    # references, which only their own commands run.
+    # nor verify loads the audit, the diagnostics, the exhaustive or the
+    # per-word references, which only their own commands or the tests run,
+    # and construct loads the checkers and validate only to verify.
     path = tmp_path / "code.fpc"
     path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
     no_records = ("dataclasses", "inspect")
-    not_run = ("fpc.audit", "fpc.diagnose", "fpc.oracle")
+    not_run = ("fpc.audit", "fpc.diagnose", "fpc.oracle", "fpc.reference")
+    handlers = tuple(
+        f"fpc.commands.{name}"
+        for name in ("bounds", "oracle", "construct", "verify", "audit", "sweep", "diagnose")
+    )
+    checkers = ("fpc.frameproof", "fpc.cover_free")
     cases = [
         (
             ["--help"],
             ("fpc.core", "fpc.extremal", "fpc.fileio", "numpy", "secrets", "fractions", "json")
-            + no_records,
+            + no_records + ("fpc.commands",) + handlers,
             "usage: fpc",
         ),
         (
             ["verify", "--in", str(path), "--c", "2"],
-            ("fpc.extremal", "fractions", "numpy", "secrets") + no_records + not_run,
+            ("fpc.extremal", "fractions", "numpy", "secrets", "fpc.cover_free")
+            + no_records + not_run + handlers[:3] + handlers[4:],
             "frameproof: ok (3 words, c=2)",
         ),
         (
@@ -661,6 +670,12 @@ def test_checking_commands_start_without_numpy(tmp_path):
              "--out", str(tmp_path / "q13.fpc")],
             ("dataclasses",) + not_run,
             "verified = True",
+        ),
+        (
+            ["construct", "--c", "2", "--l", "4", "--q", "47", "--seed", "7", "--no-verify",
+             "--out", str(tmp_path / "q47.fpc")],
+            ("dataclasses", "fpc.validate") + not_run + checkers,
+            "code_size = 1596",
         ),
         (["bounds", "2", "4", "13"], ("numpy",) + no_records, "rate_limit = 2"),
         (
@@ -797,12 +812,39 @@ class TestProcessExit:
     )
     def test_own_module_commands(self, tmp_path, argv, expected):
         # Under -m, fpc.cli is __main__; a module it reaches that imported
-        # fpc.cli would load a second copy of it, with its own CliError.
+        # fpc.cli would load a second copy of it.
         code = tmp_path / "code.fpc"
         code.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
         child = self.cli(*(arg.format(code=code) for arg in argv))
         assert (child.returncode, child.stderr) == (0, "")
         assert child.stdout.endswith(expected)
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (["construct", "--c", "2", "--l", "4", "--q", "13", "--out", ""], "--out is empty"),
+            (["verify", "--in", "{missing}", "--c", "2"], "No such file or directory"),
+            (["bounds", "1", "4", "13"], "need c >= 2 and l >= 2"),
+            (["sweep", "--c", "2", "--l", "4", "--q-list", "x", "--out", "{out}"], "--q-list"),
+            (["audit", "--in", "{missing}", "--c", "2"], "No such file or directory"),
+            (["oracle", "4", "2", "1", "--cap", "x"], "invalid int value: 'x'"),
+            (["diagnose", "--c", "2", "--l", "10", "--q", "11"], "capped at l = 9"),
+        ],
+        ids=["construct", "verify", "bounds", "sweep", "audit", "oracle", "diagnose"],
+    )
+    def test_handler_refusal_is_one_error_line(self, tmp_path, argv, error):
+        # Each command's handler has its own module, which must not import
+        # fpc.cli: under -m, where fpc.cli runs as __main__, that would
+        # compile it a second time, and -X importtime would list it. A
+        # refusal from each handler is one error line and exit 1, with no
+        # traceback.
+        paths = {"missing": tmp_path / "missing.fpc", "out": tmp_path / "s.jsonl"}
+        child = self.spawn("-X", "importtime", "-m", "fpc.cli", *(a.format(**paths) for a in argv))
+        assert (child.returncode, child.stdout) == (1, "")
+        imports = [line for line in child.stderr.splitlines() if line.startswith("import time:")]
+        assert not [line for line in imports if line.endswith(" fpc.cli")]
+        rest = [line for line in child.stderr.splitlines() if line not in imports]
+        assert len(rest) == 1 and rest[0].startswith("error: ") and error in rest[0]
 
     def test_refusal_reaches_error_line(self, tmp_path):
         child = self.cli("sweep", "--c", "2", "--l", "4", "--q-list", "x", "--out", str(tmp_path / "s"))

@@ -12,23 +12,24 @@ from fpc.construct import (
     build_extremal_complement,
     build_packing,
     construct,
-    _diagnose_violation,
     _verify_pipeline,
 )
 from fpc.audit import own_subsequence_audit
-from fpc.core import Code, Witness, is_cover_free, is_frameproof
+from fpc.core import Code, Witness
+from fpc.cover_free import is_cover_free
+from fpc.diagnose import _diagnose_violation
 from fpc.extremal import blackburn_upper, improved_upper, lambda_of, matching_number
 from fpc.fileio import format_code_file
+from fpc.frameproof import is_frameproof
 from fpc.oracle import search_max, trivial_code
 from fpc.packing import (
     Candidate,
     SparsifierConfig,
-    accept_candidate,
     accept_pattern,
     greedy_packing,
     rs_packing,
-    survived_set,
 )
+from fpc.reference import accept_candidate, survived_set
 
 
 class TestExtremalComplement:

@@ -8,14 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fpc.audit import own_profile, own_subsequence_audit, own_subset_counts, pi, pi_inverse
 from fpc.construct import ConstructionConfig, construct
-from fpc.core import (
-    BudgetExceededError,
-    Code,
-    Verdict,
-    Witness,
-    is_cover_free,
-    is_frameproof,
-)
+from fpc.core import BudgetExceededError, Code, Verdict, Witness, validate_word
+from fpc.cover_free import is_cover_free
+from fpc.frameproof import is_frameproof
 from fpc.oracle import desc_contains, desc_size, trivial_code
 
 BAD_CODE = Code(3, 2, [(1, 1), (2, 2), (1, 2)])
@@ -123,6 +118,53 @@ class TestCode:
     def test_sorted_storage(self):
         code = Code(3, 2, [(2, 1), (1, 1)])
         assert code.words == ((1, 1), (2, 1))
+
+    class Symbol(int):
+        pass
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [(2, 1), (1, 3)],
+            lambda: [[2, 1], (1, 3)],
+            lambda: (w for w in [(3, 3), (1, 2)]),
+            lambda: [],
+            lambda: [iter((2, 1)), (1, 3)],
+            lambda: [(TestCode.Symbol(2), 1)],
+            lambda: ["12"],
+            lambda: [(True, 2), (2, 1)],
+            lambda: [(1.0, 2)],
+            lambda: [(1, 4)],
+            lambda: [(0, 1)],
+            lambda: [(1, 1, 1)],
+            lambda: [(1, 1, 1), (True, 2)],
+            lambda: [(1, 2), (2,), 5],
+            lambda: [(1, 2), 5],
+            lambda: [(1, 1), [1, 1]],
+            lambda: [(1, 2), (2, 1), (1, 2)],
+        ],
+        ids=[
+            "tuples", "lists", "generator", "empty", "iterator-word", "int-subclass",
+            "string-word", "bool", "float", "above-q", "zero", "long", "long-then-bool",
+            "short-then-int", "int-word", "tuple-list-duplicate", "duplicate",
+        ],
+    )
+    def test_one_pass_check_keeps_the_per_word_verdicts(self, make):
+        # Code checks the all-valid case over the flattened symbols and
+        # falls back to validate_word per word; the code, or the error and
+        # its message, must be what the per-word check alone gives.
+        try:
+            validated = [validate_word(w, 2, 3) for w in make()]
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                Code(3, 2, make())
+            assert str(got.value) == str(exc)
+            return
+        if len(set(validated)) != len(validated):
+            with pytest.raises(ValueError, match="duplicate words rejected"):
+                Code(3, 2, make())
+        else:
+            assert Code(3, 2, make()).words == tuple(sorted(validated))
 
 
 class TestFrameproof:
@@ -571,3 +613,17 @@ def test_thousand_random_codes_fast_suite():
             violations += 1
             assert desc_contains(fp.witness.word, fp.witness.coalition)
     assert violations > 0  # the sampler does reach violating codes
+
+
+def test_moved_checkers_still_import_from_core():
+    # Each checker has its own module; fpc.core loads it on first use of
+    # the old name, which perfbench/replica.py still imports.
+    import fpc.core
+
+    from fpc.core import is_cover_free as cover_free, is_frameproof as frameproof
+
+    assert (frameproof, cover_free) == (is_frameproof, is_cover_free)
+    assert frameproof.__module__ == "fpc.frameproof"
+    assert cover_free.__module__ == "fpc.cover_free"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fpc.core.no_such_name

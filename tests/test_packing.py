@@ -21,18 +21,27 @@ from fpc.packing import (
     NotPrimePowerError,
     SparsifierConfig,
     TransversalPacking,
-    accept_candidate,
-    greedy_matching,
     greedy_packing,
     greedy_select,
-    r_membership,
     rs_packing,
     shared_patterns,
     sparsify,
-    survived_set,
-    validate_induced,
-    validate_packing,
 )
+from fpc.reference import accept_candidate, greedy_matching, r_membership, survived_set
+from fpc.validate import validate_induced, validate_packing
+
+
+def test_moved_names_still_import_from_packing():
+    # The reference routes and validate_induced left fpc.packing; it loads
+    # each on first use of the old name, which perfbench/replica.py imports.
+    import fpc.reference
+    import fpc.validate
+
+    for name in ("survived_set", "accept_candidate", "greedy_matching"):
+        assert getattr(fpc.packing, name) is getattr(fpc.reference, name)
+    assert fpc.packing.validate_induced is fpc.validate.validate_induced
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fpc.packing.no_such_name
 
 
 class TestGF:
@@ -664,7 +673,39 @@ def _assert_doubles_to_cap(sizes, start, cap):
     assert all(b in (a, min(2 * a, cap)) for a, b in zip(sizes, sizes[1:]))
 
 
+def _sequential_select(ids, rows, seed):
+    """The pass `greedy_select` runs in blocks: walk `rows` in the order
+    `random.Random(seed).shuffle` gives, keep each row none of whose kept
+    ids an earlier kept row holds."""
+    order = list(rows)
+    random.Random(seed).shuffle(order)
+    used, selected = set(), []
+    for k in order:
+        held = set(ids[k].tolist()) - {NOT_KEPT}
+        if used.isdisjoint(held):
+            used |= held
+            selected.append(k)
+    return selected
+
+
 class TestMatching:
+    @pytest.mark.parametrize("width", [1, 6, 8, 9, 15, 16, 20])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_padded_used_test_equals_sequential_greedy(self, monkeypatch, width, seed):
+        # The used test pads each row to whole 8-byte words. Widths 6, 15
+        # and 20 are C(l,t) or greedy_packing's C(l,t+1) at grid points; 1,
+        # 8, 9 and 16 sit at the edges of one and two words. A tenth of the
+        # slots hold NOT_KEPT, and 12,000 rows over 40 ids per column clash
+        # ever more, so the blocks double from the first size to the cap.
+        rng = np.random.default_rng(width)
+        ids = rng.integers(1, 40 * width, size=(15000, width), dtype=np.uint16)
+        ids[rng.random(ids.shape) < 0.1] = NOT_KEPT
+        rows = rng.permutation(len(ids))[:12000]
+        start, cap = fpc.packing._SELECT_BLOCK, fpc.packing._SELECT_BLOCK_CAP
+        sizes = _watch_blocks(monkeypatch, start, cap)
+        assert greedy_select(ids, rows, seed) == _sequential_select(ids, rows.tolist(), seed)
+        _assert_doubles_to_cap(sizes, start, cap)
+
     def test_empty(self):
         assert greedy_matching([], seed=1) == []
 
