@@ -28,7 +28,6 @@ from .packing import (
     Candidate,
     SparsifierConfig,
     TransversalPacking,
-    _key_buffer,
     _kept,
     _subset_keys,
     shared_patterns,
@@ -118,13 +117,12 @@ def degree_diagnostics(
     radix = max(q, int(packing.words.max())) + 1
     grid_keys = (np.indices((q,) * t).reshape(t, -1).T + 1) @ radix ** np.arange(t)
     degrees, dH, in_r = [], [], []
-    buffer = _key_buffer(len(packing), radix, t)
     for combo in itertools.combinations(range(l), t):
-        keys = _subset_keys(packing.words, combo, radix, buffer)
+        keys = _subset_keys(packing.words, combo, radix)
         degrees.append(np.bincount(keys, minlength=radix**t)[grid_keys])
         dH.append(np.bincount(keys[copies], minlength=radix**t)[grid_keys])
         in_r.append(_kept(combo, grid_keys, radix, cfg))
-    del keys, buffer
+    del keys
     degrees, dH, in_r = (np.concatenate(counts) for counts in (degrees, dH, in_r))
 
     delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))

@@ -9,12 +9,14 @@ fallback for any q, the matching's own greedy pass over all q^l words at
 t+1. One byte estimate, `check_matrix_bytes`, refuses either packing before
 it is built. Every stage works on the packing's (n, l) word matrix of the
 narrowest unsigned type that holds q: `sparsify`, the one ranker of labeled
-t-subsets, hashes each distinct one once and gives every word an id per
-labeled subset, NOT_KEPT where the sparsifier drops it; `shared_patterns`
-reads each word's kept pattern off those ids; `accept_pattern` is decided
-once per distinct pattern; and `greedy_select` walks the words in the order
+t-subsets, hashes each distinct one once and gives every word, per position
+combination, its subset's rank among that combination's distinct subsets,
+NOT_KEPT where the sparsifier drops it; `shared_patterns` reads each word's
+kept pattern off those ids; `accept_pattern` is decided once per distinct
+pattern; and `greedy_select` walks the words in the order
 `random.Random(seed).shuffle` gives, replayed by `shuffle.shuffled_range`,
-dropping in one numpy test per block every word that holds a used id.
+dropping in one numpy test per block every word that holds a used
+(combination, id) pair.
 What an unverified `fpc construct` never runs lives elsewhere: the re-checks
 of a verified build (`validate_packing`, `validate_induced`) in
 `fpc.validate`, the per-word reference routes (`survived_set`,
@@ -321,20 +323,13 @@ def _rank(values: np.ndarray, space: int, inverse: np.ndarray) -> np.ndarray:
     return np.flatnonzero(present).astype(values.dtype)
 
 
-def _key_buffer(n: int, radix: int, k: int) -> np.ndarray:
-    """An empty array for n `_subset_keys` keys on k positions: int32 when
-    radix**k < 2^31, int64 otherwise."""
-    return np.empty(n, dtype=np.int32 if radix**k < 2**31 else np.int64)
-
-
-def _subset_keys(
-    symbols: np.ndarray, combo: Sequence[int], radix: int, keys: np.ndarray
-) -> np.ndarray:
+def _subset_keys(symbols: np.ndarray, combo: Sequence[int], radix: int) -> np.ndarray:
     """Each word's labeled subset on the 0-based positions `combo` as one
     key whose base-`radix` digits are its symbols, the first position
-    lowest, written into `keys` from `_key_buffer` and returned: Horner's
-    rule from the last position down, in one array."""
-    keys[:] = symbols[:, combo[-1]]
+    lowest: Horner's rule from the last position down, in one new array of
+    the signed type that holds radix**len(combo). Signed, because numpy
+    promotes uint64 with a signed symbol type to float64."""
+    keys = symbols[:, combo[-1]].astype(np.min_scalar_type(-1 - radix ** len(combo)))
     for p in reversed(combo[:-1]):
         keys *= radix
         keys += symbols[:, p]
@@ -381,15 +376,16 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> np.ndarray:
     as it is when its dtype is an integer one, or anything np.asarray turns
     into one, which is converted to int64.
 
-    ids[k, i] belongs to word k's labeled t-subset on combination i of
-    `position_masks(l, t)`; equal subsets share an id. A word's kept
-    pattern is the set of slots whose id is not NOT_KEPT, and it equals
-    `survived_set`'s. Each distinct labeled subset is hashed once, byte for
-    byte as `r_membership` hashes it. Symbols must lie in 0..2^32-1, as
-    `r_membership`'s encoding needs. Ids take the narrowest unsigned type
-    that holds C(l, t) times the most distinct labeled subsets on one
-    combination, min(n, radix**t). One keys buffer and one inverse buffer
-    serve every combination."""
+    ids[k, i] is the rank, from NOT_KEPT + 1 up, of word k's labeled
+    t-subset on combination i of `position_masks(l, t)` among the distinct
+    subsets on that combination, so a subset is named by its combination and
+    its id together. A word's kept pattern is the set of slots whose id is
+    not NOT_KEPT, and it equals `survived_set`'s. Each distinct labeled
+    subset is hashed once, byte for byte as `r_membership` hashes it. Symbols
+    must lie in 0..2^32-1, as `r_membership`'s encoding needs. Ids take the
+    narrowest unsigned type that holds the most distinct labeled subsets on
+    one combination, min(n, radix**t). Each combination builds its own keys
+    and inverse."""
     symbols = np.asarray(words)
     if symbols.dtype.kind not in "iu":
         symbols = np.asarray(words, dtype=np.int64)
@@ -401,19 +397,13 @@ def sparsify(words, t: int, cfg: SparsifierConfig) -> np.ndarray:
     if radix**t >= 2**63:
         raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
     n, l = symbols.shape
-    slots = math.comb(l, t)
-    distinct = min(n, radix**t)
-    ids = np.empty((n, slots), dtype=np.min_scalar_type(slots * distinct))
-    buffer, inverse = _key_buffer(n, radix, t), np.empty(n, np.min_scalar_type(distinct))
-    # Ids run on from NOT_KEPT + 1 across the combinations, so distinct
-    # labeled subsets get distinct ids.
-    first = NOT_KEPT + 1
+    ids = np.empty((n, math.comb(l, t)), dtype=np.min_scalar_type(min(n, radix**t)))
     for i, combo in enumerate(itertools.combinations(range(l), t)):
-        keys = _rank(_subset_keys(symbols, combo, radix, buffer), radix**t, inverse)
-        key_ids = np.arange(first, first + len(keys), dtype=ids.dtype)
+        inverse = np.empty(n, ids.dtype)
+        keys = _rank(_subset_keys(symbols, combo, radix), radix**t, inverse)
+        key_ids = np.arange(NOT_KEPT + 1, NOT_KEPT + 1 + len(keys), dtype=ids.dtype)
         key_ids[~_kept(combo, keys, radix, cfg)] = NOT_KEPT
         ids[:, i] = key_ids[inverse]
-        first += len(keys)
     return ids
 
 
@@ -471,24 +461,31 @@ _SELECT_BLOCK_CAP = 4096
 def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     """The rows of `ids` whose kept labeled subsets are pairwise disjoint,
     in selection order, taken from `rows` by walking a seed-shuffled order;
-    `ids` is `sparsify`'s id matrix. The selection is maximal among `rows`
-    and depends only on the inputs and the seed. The order is the one
+    `ids` is `sparsify`'s id matrix, whose ids name a subset only together
+    with their column. The selection is maximal among `rows` and depends
+    only on the inputs and the seed. The order is the one
     `random.Random(seed).shuffle` gives a list of len(rows) items, replayed
     by `shuffled_range`.
 
-    The order is walked in blocks that start at `_SELECT_BLOCK` rows and
-    double, up to `_SELECT_BLOCK_CAP`, after a block of which fewer than a
-    quarter of the rows pass. One numpy test drops every row that holds an
-    id used before the block; the rest are resolved in order against the
-    ids taken inside the block, so the selection equals the sequential
-    greedy pass whatever the block sizes. That test reads the block's used
-    flags into a bool buffer whose rows are zero-padded to whole 8-byte
-    words and tests each row as that many uint64 words, since numpy's
-    reduction along a short axis costs more than a few whole-column
-    compares."""
+    The walk marks (column, id) pairs as tokens column·span + id, span
+    being the largest id + 1, written per block into one token buffer; the
+    tokens of NOT_KEPT are never taken. The order is walked in blocks that
+    start at `_SELECT_BLOCK` rows and double, up to `_SELECT_BLOCK_CAP`,
+    after a block of which fewer than a quarter of the rows pass. One numpy
+    test drops every row that holds a token used before the block; the rest
+    are resolved in order against the tokens taken inside the block, so the
+    selection equals the sequential greedy pass whatever the block sizes.
+    That test reads the block's used flags into a bool buffer whose rows
+    are zero-padded to whole 8-byte words and tests each row as that many
+    uint64 words, since numpy's reduction along a short axis costs more
+    than a few whole-column compares."""
     order, rows = shuffled_range(len(rows), seed), np.asarray(rows)
-    used = np.zeros(int(ids.max(initial=NOT_KEPT)) + 1, dtype=bool)
-    width = ids.shape[1]
+    width, span = ids.shape[1], int(ids.max(initial=NOT_KEPT)) + 1
+    dtype = np.promote_types(ids.dtype, np.min_scalar_type(width * span))
+    offsets = np.arange(0, width * span, span, dtype=dtype)
+    blank = set((offsets + NOT_KEPT).tolist())
+    tokens = np.empty((_SELECT_BLOCK_CAP, width), dtype=dtype)
+    used = np.zeros(width * span, dtype=bool)
     words = max(1, -(-width // 8))
     flags = np.zeros((_SELECT_BLOCK_CAP, 8 * words), dtype=bool)
     selected: list[int] = []
@@ -496,9 +493,9 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
     while start < len(order):
         block = rows[order[start : start + size]]
         start += size
-        held = ids[block]
-        # Clip mode skips the bounds check, which these in-range ids pass;
-        # the padding columns stay zero.
+        held = np.add(ids[block], offsets, out=tokens[: len(block)])
+        # Clip mode skips the bounds check, which these in-range tokens
+        # pass; the padding columns stay zero.
         used.take(held, out=flags[: len(block), :width], mode="clip")
         packed = flags[: len(block)].view(np.uint64)
         free = packed[:, 0] == 0
@@ -511,7 +508,7 @@ def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
         for k, row in zip(passed, held[free].tolist()):
             if taken.isdisjoint(row):
                 taken.update(row)
-                taken.discard(NOT_KEPT)
+                taken -= blank
                 selected.append(k)
         used[list(taken)] = True
     return selected

@@ -740,6 +740,22 @@ assert "dataclasses" not in sys.modules, "fpc construct loaded dataclasses"
     assert result.returncode == 0, result.stderr
 
 
+def test_cold_verify_stage_is_the_sum_of_its_layers(tmp_path):
+    # A cold child loads the checkers before the verify stage's clock
+    # starts, so the stage holds little beyond its three layers.
+    out = tmp_path / "code.fpc"
+    argv = ["construct", "--c", "2", "--l", "4", "--q", "13", "--seed", "7", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "fpc.cli", *argv, "--json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    timings = json.loads(result.stdout)["timings_ms"]
+    layers = sum(timings[k] for k in ("validate_induced", "is_frameproof", "is_cover_free"))
+    assert timings["verify"] - layers <= 1.0, timings
+
+
 class TestProcessExit:
     """`python -m fpc.cli` ends through `run()`, which flushes and calls
     os._exit. Each child's stdout is a pipe and PYTHONUNBUFFERED is unset, so

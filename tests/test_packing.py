@@ -359,15 +359,17 @@ def _pattern_int(cand):
 
 def _assert_ids_name_kept_subsets(words, t, cfg, ids):
     """ids[k, i] is NOT_KEPT iff bit i of word k's `survived_set` pattern is
-    clear, and the other ids name the kept labeled subsets one to one."""
+    clear, and the other (slot, id) pairs name the kept labeled subsets one
+    to one."""
     assert len(ids) == len(words)
-    names: dict[tuple, int] = {}
+    names: dict[tuple, tuple[int, int]] = {}
     patterns = [_pattern_int(survived_set(w, t, cfg)) for w in words]
     for w, pattern, row in zip(words, patterns, ids.tolist()):
         for i, combo in enumerate(itertools.combinations(range(len(w)), t)):
             if pattern >> i & 1:
                 assert row[i] != NOT_KEPT
-                assert names.setdefault(tuple((p, w[p]) for p in combo), row[i]) == row[i]
+                name = (i, row[i])
+                assert names.setdefault(tuple((p, w[p]) for p in combo), name) == name
             else:
                 assert row[i] == NOT_KEPT
     assert len(set(names.values())) == len(names)
@@ -390,10 +392,10 @@ class TestSparsify:
         ids = sparsify(pack.words, pack.t, cfg)
         if eta == 0.0:
             assert (ids != NOT_KEPT).all()
-        # Ids take the narrowest type that holds C(l, t) times the most
-        # distinct labeled subsets on one combination.
+        # Ids take the narrowest type that holds the most distinct labeled
+        # subsets on one combination.
         slots, radix = math.comb(pack.l, pack.t), int(pack.words.max()) + 1
-        assert ids.dtype == np.min_scalar_type(slots * min(len(pack), radix**pack.t))
+        assert ids.dtype == np.min_scalar_type(min(len(pack), radix**pack.t))
         assert ids.shape == (len(pack), slots)
         _assert_ids_name_kept_subsets(pack.transversals, pack.t, cfg, ids)
         sets, index = shared_patterns(ids, pack.l, pack.t)
@@ -453,8 +455,8 @@ class TestSparsify:
         ids=["sparsify", "greedy_matching", "degree_diagnostics"],
     )
     def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks):
-        # The combinations share one word-sized inverse buffer, and any other
-        # inverse is freed before the next ranking, or two of them are held.
+        # Each combination's word-sized inverse, and any other inverse, is
+        # freed before the next ranking, or two of them are held.
         rank = fpc.packing._rank
         inverses = []
 
@@ -468,6 +470,20 @@ class TestSparsify:
         monkeypatch.setattr(fpc.packing, "_rank", tracked)
         run(pack)
         assert len(inverses) == ranks
+
+    def test_ids_take_the_type_of_one_combinations_count(self):
+        # Up to 201^2 = 40,401 distinct subsets on each of C(4, 2) = 6
+        # combinations: 6 times that is above 65,535, but one combination's
+        # ranks fit uint16. At eta 0 nothing is hashed.
+        rng = np.random.default_rng(4)
+        words = rng.integers(1, 201, size=(60000, 4), dtype=np.uint8)
+        ids = sparsify(words, 2, SparsifierConfig(eta=0.0, seed=0))
+        assert ids.dtype == np.uint16
+        for column, combo in zip(ids.T, itertools.combinations(range(4), 2)):
+            keys = words[:, combo].astype(np.int64) @ [1, 201]
+            assert np.array_equal(column, np.unique(keys, return_inverse=True)[1] + NOT_KEPT + 1)
+        rows = rng.permutation(len(words))[:50000]
+        assert greedy_select(ids, rows, 3) == _sequential_select(ids, rows.tolist(), 3)
 
     def test_empty(self):
         ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
@@ -492,15 +508,13 @@ class TestSparsify:
         # ratio 0 sends every key space to np.unique; a huge one to the table.
         monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
         radix, n = int(symbols.max()) + 1, len(symbols)
-        ranks, first = [], fpc.packing.NOT_KEPT + 1
-        buffer = fpc.packing._key_buffer(n, radix, t)
+        ranks = []
         for combo in itertools.combinations(range(symbols.shape[1]), t):
             inverse = np.empty(n, np.min_scalar_type(min(n, radix**t)))
             keys = fpc.packing._rank(
-                fpc.packing._subset_keys(symbols, combo, radix, buffer), radix**t, inverse
+                fpc.packing._subset_keys(symbols, combo, radix), radix**t, inverse
             )
-            ranks.append((keys, inverse, first))
-            first += len(keys)
+            ranks.append((keys, inverse))
         return radix, ranks
 
     @pytest.mark.parametrize("n", [1, 2, 50, 700])
@@ -510,15 +524,15 @@ class TestSparsify:
         symbols = rng.integers(0, top + 1, size=(n, 5))
         radix, dense = self._subset_ranks(monkeypatch, symbols, t, 10**9)
         _, unique = self._subset_ranks(monkeypatch, symbols, t, 0)
-        for combo, (keys, inverse, first), (ukeys, uinverse, ufirst) in zip(
+        for combo, (keys, inverse), (ukeys, uinverse) in zip(
             itertools.combinations(range(5), t), dense, unique
         ):
-            # Keys below 2^31 are int32, and either route ranks into the
-            # inverse that the caller sized for the most distinct keys.
-            assert keys.dtype == ukeys.dtype == np.int32
+            # Keys take the signed type that holds radix**t, and either route
+            # ranks into the inverse that the caller sized for the most
+            # distinct keys.
+            assert keys.dtype == ukeys.dtype == np.min_scalar_type(-1 - radix**t)
             assert inverse.dtype == uinverse.dtype == np.min_scalar_type(min(n, radix**t))
             assert np.array_equal(keys, ukeys) and np.array_equal(inverse, uinverse)
-            assert first == ufirst
             assert np.array_equal(keys[inverse], symbols[:, combo] @ radix ** np.arange(t))
 
     @pytest.mark.parametrize("t,top", [(1, 2**32 - 1), (2, 2**31 - 2)])
@@ -530,8 +544,8 @@ class TestSparsify:
         small = rng.integers(0, 10, size=(300, 4))
         wide_radix, wide = self._subset_ranks(monkeypatch, small + (top - 9), t, 4)
         radix, dense = self._subset_ranks(monkeypatch, small, t, 10**9)
-        for (wkeys, winverse, wfirst), (keys, inverse, first) in zip(wide, dense):
-            assert np.array_equal(winverse, inverse) and wfirst == first
+        for (wkeys, winverse), (keys, inverse) in zip(wide, dense):
+            assert np.array_equal(winverse, inverse)
             for j in range(t):
                 assert np.array_equal(
                     wkeys // wide_radix**j % wide_radix - (top - 9), keys // radix**j % radix
@@ -676,12 +690,12 @@ def _assert_doubles_to_cap(sizes, start, cap):
 def _sequential_select(ids, rows, seed):
     """The pass `greedy_select` runs in blocks: walk `rows` in the order
     `random.Random(seed).shuffle` gives, keep each row none of whose kept
-    ids an earlier kept row holds."""
+    (slot, id) pairs an earlier kept row holds."""
     order = list(rows)
     random.Random(seed).shuffle(order)
     used, selected = set(), []
     for k in order:
-        held = set(ids[k].tolist()) - {NOT_KEPT}
+        held = {(i, name) for i, name in enumerate(ids[k].tolist()) if name != NOT_KEPT}
         if used.isdisjoint(held):
             used |= held
             selected.append(k)
@@ -694,11 +708,14 @@ class TestMatching:
     def test_padded_used_test_equals_sequential_greedy(self, monkeypatch, width, seed):
         # The used test pads each row to whole 8-byte words. Widths 6, 15
         # and 20 are C(l,t) or greedy_packing's C(l,t+1) at grid points; 1,
-        # 8, 9 and 16 sit at the edges of one and two words. A tenth of the
-        # slots hold NOT_KEPT, and 12,000 rows over 40 ids per column clash
-        # ever more, so the blocks double from the first size to the cap.
+        # 8, 9 and 16 sit at the edges of one and two words. Each column
+        # numbers its own ids 1..40, as `sparsify` numbers each
+        # combination's subsets, so equal ids in two columns do not clash. A
+        # tenth of the slots hold NOT_KEPT, and 12,000 rows over 40 ids per
+        # column clash ever more, so the blocks double from the first size
+        # to the cap.
         rng = np.random.default_rng(width)
-        ids = rng.integers(1, 40 * width, size=(15000, width), dtype=np.uint16)
+        ids = rng.integers(1, 41, size=(15000, width), dtype=np.uint16)
         ids[rng.random(ids.shape) < 0.1] = NOT_KEPT
         rows = rng.permutation(len(ids))[:12000]
         start, cap = fpc.packing._SELECT_BLOCK, fpc.packing._SELECT_BLOCK_CAP
