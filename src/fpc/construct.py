@@ -1,25 +1,27 @@
 """End-to-end code construction.
 
 The pipeline lays a transversal packing over the symbols (Reed-Solomon where
-`rs_applies`, else greedy), builds the complement family of a largest
-no-(lam+1)-matching family, sparsifies each transversal's labeled t-subsets,
-keeps candidates whose missing pattern stays below the matching threshold,
-and extracts a conflict-free selection. The stages share the packing's (n, l)
-word matrix: the sparsifier gives each row an id per labeled subset, NOT_KEPT
-where the subset is dropped, in the narrowest type its bound allows;
-`shared_patterns` reads each row's kept pattern off those ids; acceptance is
-decided once per distinct pattern, and the matching indexes the accepted rows
-of the id matrix without copying them. Only the selected rows become tuples,
-and the `Code`, inside the timed matching stage; only a verified build makes
-them `Candidate` objects, each with the one frozenset that `shared_patterns`
-gives its pattern, for `validate_induced`. `build_packing` sizes and builds
-the packing for `construct` and `fpc diagnose` alike. The selected
-transversals are the code; verification re-checks the frameproof property
-exactly rather than trusting any pipeline stage, and only it loads the two
-checkers' modules and `fpc.validate`. The report takes t, lambda, m and the
-bounds from one `BoundsReport`. The diagnosis of a failed verification
-lives in `fpc.diagnose`, and the baseline code and the exhaustive maximizer
-in `fpc.oracle`.
+`rs_applies`, else greedy), sparsifies each transversal's labeled t-subsets,
+keeps candidates whose missing pattern has no lam+1 pairwise disjoint
+members, and extracts a conflict-free selection. The stages share the
+packing's (n, l) word matrix: the sparsifier gives each row an id per
+labeled subset, NOT_KEPT where the subset is dropped, in the narrowest type
+its bound allows; `shared_patterns` reads each row's kept pattern off those
+ids; acceptance is decided once per distinct pattern, and the matching
+indexes the accepted rows of the id matrix without copying them. Only the
+selected rows become tuples, and the `Code`, inside the timed matching
+stage; only a verified build makes them `Candidate` objects, each with the
+one frozenset that `shared_patterns` gives its pattern, for
+`validate_induced`. `build_packing` sizes and builds the packing for
+`construct` and `fpc diagnose` alike. The selected transversals are the
+code; verification re-checks the frameproof property exactly rather than
+trusting any pipeline stage, and only it loads the two checkers' modules
+and `fpc.validate`. Acceptance and the report take t, lambda, m and the
+bounds from one `BoundsReport`, and the report derives the rate from the
+code size. Acceptance needs m alone, no extremal family:
+`build_extremal_complement` serves `fpc diagnose` and the tests. The
+diagnosis of a failed verification lives in `fpc.diagnose`, and the
+baseline code and the exhaustive maximizer in `fpc.oracle`.
 """
 
 from __future__ import annotations
@@ -28,18 +30,11 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .core import (
-    BudgetExceededError,
-    Code,
-    ConstructionError,
-    DEFAULT_BUDGET,
-    Verdict,
-)
+from .core import BudgetExceededError, Code, ConstructionError, DEFAULT_BUDGET
 from .extremal import (
     BoundsReport,
     PositionFamily,
@@ -98,8 +93,7 @@ _REPORT_FIELDS = (
     "packing_size",
     "accepted_count",
     "code_size",
-    "rate",  # a Fraction
-    "verified",  # a Verdict, or None when verification did not run
+    "verified",  # True, or None when verification did not run
     "verified_note",
     # Stage -> ms. "verify" is the total of the layers that ran inside it:
     # "validate_induced", "is_frameproof" and "is_cover_free".
@@ -107,12 +101,15 @@ _REPORT_FIELDS = (
 )
 
 
-class ConstructionReport(
-    namedtuple("ConstructionReport", _REPORT_FIELDS, defaults=("", MappingProxyType({})))
-):
+class ConstructionReport(namedtuple("ConstructionReport", _REPORT_FIELDS)):
     """What one `construct` run built and how long each stage took."""
 
     __slots__ = ()
+
+    @property
+    def rate(self) -> Fraction:
+        """code_size / q^t."""
+        return Fraction(self.code_size, self.config.q**self.bounds.t)
 
     def as_dict(self) -> dict:
         return {
@@ -123,13 +120,10 @@ class ConstructionReport(
             "packing": self.config.packing,
             "matching": self.config.matching,
             "packing_size": self.packing_size,
-            # Every packing word is a candidate; every selected one a codeword.
-            "candidate_count": self.packing_size,
             "accepted_count": self.accepted_count,
-            "selected_count": self.code_size,
             "code_size": self.code_size,
             "rate": str(self.rate),
-            "verified": None if self.verified is None else self.verified.ok,
+            "verified": self.verified,
             "verified_note": self.verified_note,
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
         }
@@ -169,12 +163,9 @@ def construct(
     timings: dict[str, float] = {}
 
     # The packing goes first so that an oversized point is refused before
-    # any work, the families' included, which grows steeply with l.
+    # any work.
     with _timed(timings, "packing"):
         pack = build_packing(cfg)
-
-    with _timed(timings, "families"):
-        _chosen, complement = build_extremal_complement(cfg.c, cfg.l)
 
     with _timed(timings, "candidates"):
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
@@ -182,7 +173,8 @@ def construct(
         patterns, pattern_ids = shared_patterns(subset_ids, cfg.l, t)
 
     with _timed(timings, "accept"):
-        accepts = np.array([accept_pattern(p, complement, lam) for p in patterns], dtype=bool)
+        m = bounds.m.value
+        accepts = np.array([accept_pattern(p, cfg.l, t, lam, m) for p in patterns], dtype=bool)
         accepted = np.flatnonzero(accepts[pattern_ids]).astype(np.int32)
 
     with _timed(timings, "matching"):
@@ -199,11 +191,12 @@ def construct(
     packing_size, accepted_count = len(pack), len(accepted)
     del pack, subset_ids, pattern_ids, accepts, accepted
 
-    verified: Optional[Verdict] = None
+    verified: Optional[bool] = None
     note = ""
     if cfg.verify:
         try:
-            verified = _verify_pipeline(code, selected, cfg, t, lam, budget, timings)
+            _verify_pipeline(code, selected, cfg, t, lam, budget, timings)
+            verified = True
         except BudgetExceededError as exc:
             note = f"verification skipped: {exc}"
     else:
@@ -220,7 +213,6 @@ def construct(
         packing_size=packing_size,
         accepted_count=accepted_count,
         code_size=len(code),
-        rate=Fraction(len(code), cfg.q**t),
         verified=verified,
         verified_note=note,
         timings_ms=timings,
@@ -244,10 +236,11 @@ def _verify_pipeline(
     lam: int,
     budget: int,
     timings: dict[str, float],
-) -> Verdict:
+) -> None:
     """The three verify layers, each timed under its own key in `timings`,
-    and their total under "verify". The checkers are loaded before the
-    clock starts, so that "verify" is the sum of its layers."""
+    and their total under "verify"; a layer that finds a fault raises
+    ConstructionError. The checkers are loaded before the clock starts, so
+    that "verify" is the sum of its layers."""
     from .cover_free import is_cover_free
     from .frameproof import is_frameproof
     from .validate import validate_induced
@@ -278,4 +271,3 @@ def _verify_pipeline(
                 f"constructed code is not {cfg.c}-frameproof: "
                 f"{fp.witness.word} in desc{fp.witness.coalition}. {diagnosis}"
             )
-        return Verdict(True)

@@ -4,8 +4,9 @@ The central quantity is the largest t-uniform family on [l] vertices with no
 lam+1 pairwise disjoint edges. `emc_value` evaluates the conjectured closed
 form and tags the parameter regimes where it is a proven theorem. The
 certified `extremal_family` is the family whose complement the construction
-reserves; `fpc.oracle.m_exact`, the exhaustive branch and bound that settles
-small instances outright, seeds its bound from it. Everything downstream
+reserves; the pipeline needs only its size, m, which `bounds_report` carries.
+`fpc.oracle.m_exact`, the exhaustive branch and bound that settles small
+instances outright, seeds its bound from it. Everything downstream
 (`blackburn_upper`, `improved_upper`, `rate_limit`) is exact rational
 arithmetic floored at the end, never floating point.
 """

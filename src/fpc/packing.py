@@ -13,10 +13,10 @@ t-subsets, hashes each distinct one once and gives every word, per position
 combination, its subset's rank among that combination's distinct subsets,
 NOT_KEPT where the sparsifier drops it; `shared_patterns` reads each word's
 kept pattern off those ids; `accept_pattern` is decided once per distinct
-pattern; and `greedy_select` walks the words in the order
-`random.Random(seed).shuffle` gives, replayed by `shuffle.shuffled_range`,
-dropping in one numpy test per block every word that holds a used
-(combination, id) pair.
+pattern, from l, t, lambda and m alone; and `greedy_select` walks the words
+in the order `random.Random(seed).shuffle` gives, replayed by
+`shuffle.shuffled_range`, dropping in one numpy test per block every word
+that holds a used (combination, id) pair.
 What an unverified `fpc construct` never runs lives elsewhere: the re-checks
 of a verified build (`validate_packing`, `validate_induced`) in
 `fpc.validate`, the per-word reference routes (`survived_set`,
@@ -45,7 +45,7 @@ from _blake2 import blake2b
 import numpy as np
 
 from .core import Word
-from .extremal import PositionFamily, complete_family, matching_number, position_masks
+from .extremal import _largest_matching, position_masks
 from .record import Record
 from .shuffle import shuffled_range
 
@@ -429,17 +429,17 @@ def shared_patterns(ids: np.ndarray, l: int, t: int) -> tuple[list[frozenset[int
     return sets, index
 
 
-def accept_pattern(pattern: frozenset[int], family: PositionFamily, lam: int) -> bool:
+def accept_pattern(pattern: frozenset[int], l: int, t: int, lam: int, m: int) -> bool:
     """Accept a kept pattern iff its missing pattern has no lam+1 pairwise
-    disjoint members, the exact condition the cover-free argument consumes."""
-    # The missing pattern cannot be feasible once it outgrows the largest
-    # no-(lam+1)-matching family, whose complement is `family`. Rejecting
-    # early is always safe; accepting is decided exactly below.
-    if len(pattern) < len(family.edges):
+    disjoint members, the exact condition the cover-free argument consumes.
+    m is the size of the largest t-family on [l] with no lam+1 pairwise
+    disjoint members, `BoundsReport.m`: a missing pattern larger than m
+    cannot be feasible, so it is rejected before any search. Otherwise
+    `_largest_matching` over the missing masks, stopped at lam+1, decides."""
+    if len(pattern) < math.comb(l, t) - m:
         return False
-    l, t = family.l, family.t
-    missing = PositionFamily(l, t, complete_family(l, t).edges - pattern)
-    return matching_number(missing) <= lam
+    missing = [mask for mask in position_masks(l, t) if mask not in pattern]
+    return len(_largest_matching(missing, l, t, stop=lam + 1)) <= lam
 
 
 # ---------------------------------------------------------------------------

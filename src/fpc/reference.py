@@ -4,13 +4,15 @@ time.
 `survived_set` finds a word's kept pattern by hashing each labeled t-subset
 with `r_membership`, which `sparsify` in `fpc.packing` matches byte for
 byte over whole columns; `accept_candidate` is `accept_pattern` on one
-candidate, and `greedy_matching` runs `greedy_select` over candidate objects.
-The tests and the traced benchmark replica check the pipeline against these;
-no command loads this module.
+candidate, with m read off the complement family it is given; and
+`greedy_matching` runs `greedy_select` over candidate objects. The tests
+and the traced benchmark replica check the pipeline against these; no
+command loads this module.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Literal, Sequence
 
@@ -64,13 +66,15 @@ def accept_candidate(
     family: PositionFamily,
     lam: int,
 ) -> bool:
-    """`accept_pattern` on the candidate's pattern. `mode` takes one value,
-    "relaxed", and stays in the signature because callers that pass it,
-    `perfbench/replica.py` among them, pin it; any other value raises
-    ValueError."""
+    """`accept_pattern` on the candidate's pattern, where `family` is the
+    complement of the reserved extremal family, so that m is C(l, t) minus
+    its size. `mode` takes one value, "relaxed", and stays in the signature
+    because callers that pass it, `perfbench/replica.py` among them, pin it;
+    any other value raises ValueError."""
     if mode != "relaxed":
         raise ValueError(f"unknown mode {mode!r}")
-    return accept_pattern(cand.pattern, family, lam)
+    l, t = family.l, family.t
+    return accept_pattern(cand.pattern, l, t, lam, math.comb(l, t) - len(family))
 
 
 def greedy_matching(

@@ -11,25 +11,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 from .extremal import position_masks
-from .packing import Candidate, TransversalPacking
+from .packing import Candidate
 
 
-def validate_packing(packing, t: Optional[int] = None) -> bool:
+def validate_packing(words: Iterable[Sequence[int]], t: int) -> bool:
     """True iff no two words agree in more than t coordinates, that is, iff
-    on every t+1 positions the words' projections are distinct. `packing`
-    is a `TransversalPacking`, whose t is the default, or a collection of
-    equal-length words with t given; words of unequal length, and a t below
-    0, raise ValueError."""
-    if isinstance(packing, TransversalPacking):
-        words = packing.transversals
-        t = packing.t if t is None else t
-    else:
-        words = list(map(tuple, packing))
-        if t is None:
-            raise ValueError("t is required for a bare word collection")
+    on every t+1 positions the words' projections are distinct. Words of
+    unequal length, and a t below 0, raise ValueError."""
+    words = list(map(tuple, words))
     if t < 0:
         raise ValueError(f"t={t} below 0")
     lengths = set(map(len, words))

@@ -50,6 +50,7 @@ class TestCodeFile:
         [
             ("nope\n3 2\n1 1\n", "magic"),
             ("fpc 1\n3\n1 1\n", "header"),
+            ("fpc 1\n", "missing 'q l' header line"),
             ("fpc 1\n3 2\n1 1\n1 1\n", "duplicate"),
             ("fpc 1\n3 2\n1 1 1\n", "expected 2 symbols"),
             ("fpc 1\n3 2\n1 4\n", "outside"),
@@ -72,6 +73,10 @@ class TestCodeFile:
         with pytest.raises(CodeFileError, match=err):
             parse_code_file(text)
 
+    def test_multiline_comment_refused(self):
+        with pytest.raises(CodeFileError, match="comments must be single lines"):
+            format_code_file(Code(3, 2, [(1, 2)]), ["one\ntwo"])
+
     def test_comments_ignored(self):
         code = parse_code_file("fpc 1\n3 2\n# hello\n1 1\n# mid\n2 2\n")
         assert code.words == ((1, 1), (2, 2))
@@ -93,6 +98,9 @@ class TestBoundsCommand:
         assert run("bounds", "2", "4") == 1
         assert run("bounds", "2", "4", "x") == 1
         assert run("bounds", "0", "4", "16") == 1
+        capsys.readouterr()
+        assert run("bounds", "2", "4", "1") == 1
+        assert capsys.readouterr().err == "error: q must be at least 2\n"
 
 
 class TestOracleCommand:
@@ -187,7 +195,9 @@ class TestConstructVerifyAudit:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verified"] is True
-        assert payload["code_size"] == payload["selected_count"]
+        # Each count under one name, and the rate as code_size / q^t.
+        assert not {"candidate_count", "selected_count"} & payload.keys()
+        assert payload["rate"] == str(Fraction(payload["code_size"], 13**2))
 
     def test_construct_json_bounds_match_bounds_command(self, tmp_path, capsys):
         out = tmp_path / "code.fpc"
@@ -590,6 +600,11 @@ class TestDiagnoseCommand:
         lines = capsys.readouterr().out.splitlines()
         assert sorted(lines) == sorted(f"{k} = {v}" for k, v in payload.items())
         assert lines[:3] == ["c = 2", "l = 4", "q = 5"]
+
+    def test_generated_seed_is_printed(self, capsys):
+        assert run("diagnose", "--c", "2", "--l", "4", "--q", "5", "--json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seed_generated"] is True and isinstance(payload["seed"], int)
 
     def test_greedy_packing(self, capsys):
         rc = run("diagnose", "--c", "2", "--l", "4", "--q", "6", "--seed", "3", "--json")

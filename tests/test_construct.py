@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -82,13 +83,13 @@ class TestConstruct:
 
     def test_verified_and_bounded(self, built_all):
         for cfg, code, report in built_all:
-            assert report.verified is not None and report.verified.ok
+            assert report.verified is True
             assert is_frameproof(code, cfg.c).ok
             assert is_cover_free(code, cfg.c).ok
             assert report.code_size <= report.bounds.blackburn
             if report.bounds.improved is not None:
                 assert report.code_size <= report.bounds.improved
-            assert report.code_size == report.as_dict()["selected_count"] == len(code)
+            assert report.code_size == report.as_dict()["code_size"] == len(code)
             assert report.rate == Fraction(len(code), cfg.q**report.bounds.t)
 
     def test_eta_one_yields_empty_code(self):
@@ -96,18 +97,33 @@ class TestConstruct:
             ConstructionConfig(c=2, l=4, q=13, eta=1.0, seed=1)
         )
         assert len(code) == 0
-        assert report.verified.ok
+        assert report.verified is True
 
     def test_greedy_packing_for_composite_q(self):
         code, report = construct(ConstructionConfig(c=2, l=4, q=6, eta=0.05, seed=2))
         assert report.as_dict()["packing"] == "greedy"
         assert report.packing_size == len(greedy_packing(4, 2, 6, seed=2))
-        assert report.verified.ok
+        assert report.verified is True
 
     def test_prime_power_field_end_to_end(self):
         code, report = construct(ConstructionConfig(c=2, l=4, q=9, eta=0.05, seed=5))
         assert report.packing_size == 9**3
-        assert report.verified.ok
+        assert report.verified is True
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_timed_stages(self, verify):
+        # The top-level stages run one after another inside construct(), so
+        # their times sum to at most its wall time; verify's layers run
+        # inside it.
+        stages = ["packing", "candidates", "accept", "matching"]
+        layers = ["validate_induced", "is_frameproof", "is_cover_free", "verify"]
+        cfg = ConstructionConfig(c=2, l=4, q=13, eta=0.05, seed=7, verify=verify)
+        started = time.perf_counter()
+        _code, report = construct(cfg)
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        assert list(report.timings_ms) == stages + (layers if verify else [])
+        top = stages + ["verify"] if verify else stages
+        assert sum(report.timings_ms[k] for k in top) <= wall_ms
 
     def test_verify_disabled(self):
         _code, report = construct(
@@ -119,9 +135,9 @@ class TestConstruct:
     def test_accepts_once_per_distinct_pattern(self, monkeypatch):
         calls = []
 
-        def counting(pattern, family, lam):
+        def counting(pattern, l, t, lam, m):
             calls.append(pattern)
-            return accept_pattern(pattern, family, lam)
+            return accept_pattern(pattern, l, t, lam, m)
 
         # `fpc.construct` names the function too; patch the module.
         monkeypatch.setattr(sys.modules[construct.__module__], "accept_pattern", counting)
@@ -214,6 +230,42 @@ class TestPipelineChecks:
         msg = _diagnose_violation(witness, [victim], 2, 1)
         assert "matching breach" in msg
 
+    @pytest.mark.parametrize(
+        "witness,pattern,expected",
+        [
+            # The witness word was never selected.
+            (
+                Witness((9, 9, 9, 9), ((1, 2, 5, 5), (5, 5, 3, 4))),
+                frozenset(),
+                "witness word is not among the selected transversals",
+            ),
+            # The coalition agrees with the victim in 0 and 1 positions.
+            (
+                Witness((1, 2, 3, 4), ((5, 5, 5, 5), (1, 5, 5, 5))),
+                frozenset(),
+                "no t-agreements at all; the witness itself is suspect",
+            ),
+            # Its two t-agreements, {1,2} and {1,3}, meet: nu = 1 <= lam.
+            (
+                Witness((1, 2, 3, 4), ((1, 2, 5, 5), (1, 5, 3, 5))),
+                frozenset(),
+                "only 1 <= lam disjoint t-agreements; the covering argument "
+                "should have been impossible - suspect the checkers",
+            ),
+            # {1,2} and {3,4} are disjoint and both missing from the pattern.
+            (
+                Witness((1, 2, 3, 4), ((1, 2, 5, 5), (5, 5, 3, 4))),
+                frozenset({0b0101, 0b1010}),
+                "2 > lam disjoint t-agreements all missing from the victim's pattern: "
+                "candidate acceptance admitted an infeasible pattern",
+            ),
+        ],
+        ids=["not-selected", "no-agreement", "nu-at-most-lam", "all-missing"],
+    )
+    def test_diagnosis_names_each_arm(self, witness, pattern, expected):
+        victim = Candidate((1, 2, 3, 4), pattern)
+        assert _diagnose_violation(witness, [victim], 2, 1) == expected
+
 
 class TestTrivialCode:
     def test_example(self):
@@ -231,6 +283,11 @@ class TestTrivialCode:
         code = trivial_code(l, q)
         assert is_frameproof(code, l).ok
         assert is_frameproof(code, l + 1).ok
+
+    @pytest.mark.parametrize("l,q", [(2, 1), (0, 3)])
+    def test_bad_parameters_refused(self, l, q):
+        with pytest.raises(ValueError, match="need q >= 2 and l >= 1"):
+            trivial_code(l, q)
 
 
 class TestSearchMax:
@@ -253,6 +310,8 @@ class TestSearchMax:
     def test_cap_refusal(self):
         with pytest.raises(ValueError, match="cap"):
             search_max(2, 4, 3)
+        with pytest.raises(ValueError, match="c must be at least 2"):
+            search_max(1, 2, 2)
 
     def test_budget_exhaustion_reported(self):
         best, optimal = search_max(2, 3, 2, budget=3)

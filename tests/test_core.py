@@ -110,6 +110,9 @@ class TestCode:
             Code(3, 2, [(0, 1)])
         with pytest.raises(ValueError):
             Code(2, 2, [(True, 2), (2, 1)])
+        for q, l in ((0, 2), (3, 0)):
+            with pytest.raises(ValueError, match="q and l must be positive"):
+                Code(q, l, [])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
@@ -183,8 +186,9 @@ class TestFrameproof:
         assert len(code) == 2 * (3 - 1)
 
     def test_c_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            is_frameproof(BAD_CODE, 1)
+        for check in (is_frameproof, is_cover_free):
+            with pytest.raises(ValueError, match="c must be at least 2"):
+                check(BAD_CODE, 1)
 
     def test_budget_guard(self):
         code = Code(4, 4, list(itertools.product([1, 2], repeat=4)))
@@ -553,6 +557,10 @@ class TestPi:
             pi_inverse([frozenset({(1, 1), (1, 2)})], 3)  # duplicate position
         with pytest.raises(ValueError):
             pi_inverse([frozenset({(1, 1), (3, 2)})], 3)  # gap in positions
+        with pytest.raises(ValueError, match="cannot infer word length from an empty edge list"):
+            pi_inverse([], 3)
+        with pytest.raises(ValueError, match=r"has size 2, expected 3"):
+            pi_inverse([frozenset({(1, 1), (2, 2)})], 3, l=3)
 
 
 class TestOwnProfile:

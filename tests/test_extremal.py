@@ -118,6 +118,10 @@ class TestMExact:
     def test_parameter_guard(self):
         with pytest.raises(ValueError):
             m_exact(3, 2, 1)  # l < t(lam+1)
+        for t, lam in ((0, 1), (2, -1)):
+            for run in (m_exact, emc_value, emc_families):
+                with pytest.raises(ValueError, match="need t >= 1 and lam >= 0"):
+                    run(6, t, lam)
 
     @pytest.mark.parametrize("l,t,lam", [(4, 2, 1), (5, 2, 1), (6, 2, 1), (4, 1, 2), (5, 1, 3)])
     def test_against_subset_scan(self, l, t, lam):

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fpc.extremal import PositionFamily, complete_family, position_masks
+from fpc.extremal import (
+    PositionFamily,
+    bounds_report,
+    complete_family,
+    matching_number,
+    position_masks,
+)
 from fpc.construct import build_extremal_complement
 from fpc.diagnose import degree_diagnostics, embeddings_per_edge, pattern_images
 import fpc.packing
@@ -21,6 +27,7 @@ from fpc.packing import (
     NotPrimePowerError,
     SparsifierConfig,
     TransversalPacking,
+    accept_pattern,
     greedy_packing,
     greedy_select,
     rs_packing,
@@ -69,19 +76,23 @@ class TestGF:
         with pytest.raises(NotPrimePowerError):
             GF(q)
 
+    def test_prime_power_above_table_cap_refused(self):
+        # 529 = 23^2; a prime of any order has its field.
+        with pytest.raises(ValueError, match="table-backed GF\\(529\\) capped at order 512"):
+            GF(529)
+
 
 class TestRsPacking:
     def test_count_and_validity(self):
         p = rs_packing(4, 2, 5)
         assert len(p) == 125
-        assert validate_packing(p)
-        assert validate_packing(p.transversals, 2)
+        assert validate_packing(p.transversals, p.t)
         assert len(set(p.transversals)) == 125
 
     def test_low_uniformity(self):
         p = rs_packing(4, 1, 5)
         assert len(p) == 25
-        assert validate_packing(p)
+        assert validate_packing(p.transversals, p.t)
         # MDS tightness: some pair realizes the full allowed agreement.
         best = max(
             sum(a == b for a, b in zip(u, v))
@@ -144,7 +155,7 @@ class TestRsPacking:
     def test_prime_power_field(self):
         p = rs_packing(4, 1, 9)
         assert len(p) == 81
-        assert validate_packing(p)
+        assert validate_packing(p.transversals, p.t)
 
     def test_non_prime_power_suggests_greedy(self):
         with pytest.raises(ValueError, match="greedy_packing"):
@@ -167,11 +178,11 @@ class TestGreedyPacking:
     def test_vacuous_agreement(self):
         p = greedy_packing(4, 3, 2, seed=1)
         assert len(p) == 16
-        assert validate_packing(p)
+        assert validate_packing(p.transversals, p.t)
 
     def test_validity_and_floor(self):
         p = greedy_packing(4, 2, 5, seed=7)
-        assert validate_packing(p)
+        assert validate_packing(p.transversals, p.t)
         assert len(p) >= 0.5 * 5**3
 
     def test_seed_determinism(self):
@@ -190,6 +201,10 @@ class TestGreedyPacking:
     def test_word_cap(self):
         with pytest.raises(ValueError, match="cap"):
             greedy_packing(8, 2, 9, seed=0)
+        with pytest.raises(ValueError, match="need t\\+1 <= l, got t=4, l=4"):
+            greedy_packing(4, 4, 5, seed=0)
+        with pytest.raises(ValueError, match="q must be at least 2"):
+            greedy_packing(4, 2, 1, seed=0)
 
     def test_builds_above_two_million_words(self):
         # 38^4 = 2,085,136 words, with ids of their labeled 3-subsets, are
@@ -200,7 +215,7 @@ class TestGreedyPacking:
         p = greedy_packing(4, 2, 38, seed=1)
         assert p.words.dtype == np.uint8 and p.words.flags.c_contiguous
         started = time.perf_counter()
-        assert validate_packing(p)
+        assert validate_packing(p.transversals, p.t)
         assert time.perf_counter() - started < 5.0
         assert len(p) >= 0.5 * 38**3
 
@@ -267,8 +282,6 @@ class TestValidatePacking:
         # As validate_induced refuses t below 1, with no empty projection.
         with pytest.raises(ValueError, match=f"t={t} below 0"):
             validate_packing([(1, 2), (2, 1)], t=t)
-        with pytest.raises(ValueError, match=f"t={t} below 0"):
-            validate_packing(rs_packing(4, 2, 5), t=t)
 
     @pytest.mark.parametrize("words", [[(1, 2, 3), (1, 2)], [(1, 2), (3, 4, 5), (1, 2)]])
     def test_ragged_words_refused(self, words):
@@ -612,6 +625,32 @@ class TestAcceptCandidate:
         sparse = Candidate((1, 1, 1, 1), frozenset({0b0011}))
         assert not accept_candidate(sparse, "relaxed", self.F24, 1)
 
+    @pytest.mark.parametrize("c,l", [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (4, 6), (3, 7)])
+    def test_accept_pattern_is_the_matching_rule(self, c, l):
+        # The early reject by the bounds' m only skips patterns whose
+        # missing pattern has lam+1 disjoint members. Every pattern where
+        # there are at most 2^10, else 400 of seeded random sizes.
+        bounds = bounds_report(c, l, 2)
+        t, lam, m = bounds.t, bounds.lam, bounds.m.value
+        masks = position_masks(l, t)
+        if len(masks) <= 10:
+            patterns = [
+                frozenset(itertools.compress(masks, bits))
+                for bits in itertools.product((0, 1), repeat=len(masks))
+            ]
+        else:
+            rng = random.Random(10 * c + l)
+            patterns = [
+                frozenset(rng.sample(masks, rng.randint(0, len(masks)))) for _ in range(400)
+            ]
+        decisions = set()
+        for pattern in patterns:
+            missing = PositionFamily(l, t, frozenset(masks) - pattern)
+            accept = accept_pattern(pattern, l, t, lam, m)
+            assert accept == (matching_number(missing) <= lam), sorted(pattern)
+            decisions.add(accept)
+        assert decisions == {False, True}
+
     def test_only_relaxed_mode(self):
         cand = Candidate((1, 1, 1, 1), frozenset(self.F24.edges))
         with pytest.raises(ValueError, match="unknown mode"):
@@ -945,6 +984,13 @@ class TestDiagnostics:
         assert diag.max_codegree <= 1
         assert diag.lambda_F == 2
 
+    def test_family_on_other_positions_refused(self):
+        packing = rs_packing(4, 2, 5)
+        cfg = SparsifierConfig(eta=0.05, seed=3)
+        for family in (complete_family(5, 2), complete_family(4, 3)):
+            with pytest.raises(ValueError, match="t-uniform on the packing's positions"):
+                degree_diagnostics(packing, cfg, family)
+
     def test_complete_family_eta0_exact(self):
         packing = rs_packing(4, 2, 5)
         diag = degree_diagnostics(
@@ -977,7 +1023,7 @@ class TestDiagnostics:
     def test_packing_codegree_equals_pair_counts(self, c, packing, eta):
         # The codegree read off the kept patterns must equal the count of
         # candidates keeping each pair of labeled subsets.
-        assert validate_packing(packing)
+        assert validate_packing(packing.transversals, packing.t)
         cfg = SparsifierConfig(eta=eta, seed=4)
         family = build_extremal_complement(c, packing.l)[1]
         diag = degree_diagnostics(packing, cfg, family)
