@@ -266,7 +266,7 @@ def _verify_pipeline(
             assert fp.witness is not None
             from .diagnose import _diagnose_violation
 
-            diagnosis = _diagnose_violation(fp.witness, selected, t, lam)
+            diagnosis = _diagnose_violation(fp.witness, t, lam)
             raise ConstructionError(
                 f"constructed code is not {cfg.c}-frameproof: "
                 f"{fp.witness.word} in desc{fp.witness.coalition}. {diagnosis}"

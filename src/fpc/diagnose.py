@@ -8,9 +8,9 @@ the target family by membership in the cached image set, `pattern_images`,
 once per distinct pattern. It trusts its packing's words to agree in at most
 t positions, as `validate_packing` checks, so the largest codegree follows
 from the distinct kept patterns alone. `_diagnose_violation` traces a
-frameproof witness against a verified build back through the covering
-argument. Of the commands, only `fpc diagnose` loads this module, and
-`fpc construct` only when its verification fails.
+frameproof witness back through the covering argument, once the build's
+induced-packing check has passed. Of the commands, only `fpc diagnose` loads
+this module, and `fpc construct` only when its verification fails.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .core import Witness
 from .extremal import PositionFamily, matching_number
 from .packing import (
-    Candidate,
     SparsifierConfig,
     TransversalPacking,
     _kept,
@@ -155,36 +154,25 @@ def degree_diagnostics(
     )
 
 
-def _diagnose_violation(
-    witness: Witness, selected: list[Candidate], t: int, lam: int
-) -> str:
-    """Trace a cover-free violation back through the covering argument:
-    a covered transversal must meet lam+1 coalition members in pairwise
-    disjoint t-sets, all missing from its survived pattern."""
-    by_word = {cand.transversal: cand for cand in selected}
-    victim = by_word.get(witness.word)
-    if victim is None:
-        return "witness word is not among the selected transversals"
+def _diagnose_violation(witness: Witness, t: int, lam: int) -> str:
+    """Trace a frameproof witness back through the covering argument, for a
+    build whose induced-packing check passed: a covered codeword must meet
+    lam+1 coalition members in pairwise disjoint t-sets, all missing from its
+    survived pattern. That check already bounds every agreement by t and
+    keeps every exact-t agreement out of the pattern, so only the number of
+    disjoint ones is left to tell."""
     l = len(witness.word)
     exact_t = []
     for other in witness.coalition:
         agree = [p for p in range(l) if witness.word[p] == other[p]]
-        if len(agree) > t:
-            return f"packing breach: agreement {len(agree)} > t with {other}"
         if len(agree) == t:
             exact_t.append(sum(1 << p for p in agree))
-    if not exact_t:
-        return "no t-agreements at all; the witness itself is suspect"
-    fam = PositionFamily(l, t, frozenset(exact_t))
-    nu = matching_number(fam)
+    nu = matching_number(PositionFamily(l, t, frozenset(exact_t)))
     if nu <= lam:
         return (
             f"only {nu} <= lam disjoint t-agreements; the covering argument "
             "should have been impossible - suspect the checkers"
         )
-    in_pattern = [m for m in exact_t if m in victim.pattern]
-    if in_pattern:
-        return "a t-agreement survived in the victim's pattern: matching breach"
     return (
         f"{nu} > lam disjoint t-agreements all missing from the victim's "
         "pattern: candidate acceptance admitted an infeasible pattern"

@@ -49,13 +49,6 @@ class PositionFamily(Record):
     def __len__(self) -> int:
         return len(self.edges)
 
-    def edge_positions(self) -> list[frozenset[int]]:
-        """Edges as 1-based position sets, sorted for stable display."""
-        return [
-            frozenset(p + 1 for p in range(self.l) if e >> p & 1)
-            for e in sorted(self.edges)
-        ]
-
 
 @functools.cache
 def position_masks(l: int, t: int) -> tuple[int, ...]:

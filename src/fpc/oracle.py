@@ -1,13 +1,13 @@
 """Exhaustive references that the closed forms and the pipeline are tested
-against, and the descendant tests they rest on.
+against, and the descendant test they rest on.
 
 `m_exact` settles small instances of the extremal matching number by branch
 and bound, which `fpc oracle` sets beside `emc_value`'s closed form.
-`search_max` finds a largest frameproof code of tiny parameters outright, and
-`trivial_code` is the one-off baseline code of size l(q-1). `desc_contains`
-and `desc_size` test and count a coalition's descendants directly. Of the
-commands, only `fpc oracle` loads this module; the pipeline and the checkers
-need none of it.
+`search_max` finds a largest frameproof code of tiny parameters outright,
+`trivial_code` is the one-off baseline code of size l(q-1), and
+`desc_contains` tests a descendant of a coalition directly. Of the commands,
+only `fpc oracle` loads this module; the pipeline and the checkers need none
+of it.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ def desc_contains(y: Sequence[int], coalition: Sequence[Word]) -> bool:
         if all(x[i] != s for x in coal):
             return False
     return True
-
-
-def desc_size(coalition: Sequence[Word]) -> int:
-    """Number of descendants: product of per-coordinate symbol-set sizes."""
-    first = next(iter(coalition), None)
-    if first is None:
-        raise ValueError("coalition must be nonempty")
-    coal = _check_coalition(coalition, len(first))
-    size = 1
-    for col in zip(*coal):
-        size *= len(set(col))
-    return size
 
 
 def trivial_code(l: int, q: int) -> Code:

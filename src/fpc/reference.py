@@ -5,34 +5,25 @@ time.
 with `r_membership`, which `sparsify` in `fpc.packing` matches byte for
 byte over whole columns; `accept_candidate` is `accept_pattern` on one
 candidate, with m read off the complement family it is given; and
-`greedy_matching` runs `greedy_select` over candidate objects. The tests
-and the traced benchmark replica check the pipeline against these; no
-command loads this module.
+`greedy_matching` walks the candidates one at a time in the order
+`random.Random(seed).shuffle` gives, which `greedy_select` replays in numpy
+blocks. The tests and the traced benchmark replica check the pipeline
+against these; no command loads this module.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import struct
 from typing import Literal, Sequence
 
 # hashlib's own blake2b, as in `fpc.packing`.
 from _blake2 import blake2b
 
-import numpy as np
-
 from .core import Word
-from .extremal import PositionFamily, position_masks
-from .packing import (
-    NOT_KEPT,
-    Candidate,
-    LabeledSubset,
-    SparsifierConfig,
-    _shadow,
-    accept_pattern,
-    greedy_select,
-    sparsify,
-)
+from .extremal import PositionFamily
+from .packing import Candidate, LabeledSubset, SparsifierConfig, _shadow, accept_pattern
 
 
 def _encode_labeled(a: LabeledSubset) -> bytes:
@@ -82,26 +73,21 @@ def greedy_matching(
     seed: int,
     strategy: Literal["greedy"] = "greedy",
 ) -> list[Candidate]:
-    """Select candidates with pairwise disjoint survived sets: `greedy_select`
-    over the ids `sparsify` gives every labeled subset at eta 0, with each
-    slot the candidate's pattern lacks set to NOT_KEPT.
+    """Select candidates with pairwise disjoint survived sets: walk them in
+    the order `random.Random(seed).shuffle` gives their indices and keep each
+    whose survived set meets no labeled subset kept so far.
     `strategy` takes one value, "greedy", and stays in the signature because
     callers that pass it, `perfbench/replica.py` among them, pin it; any
     other value raises ValueError."""
     if strategy != "greedy":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not candidates:
-        return []
-    symbols = np.array([cand.transversal for cand in candidates], dtype=np.int64)
-    distinct: dict[frozenset[int], int] = {}
-    pattern_ids = [distinct.setdefault(cand.pattern, len(distinct)) for cand in candidates]
-    t = next((mask.bit_count() for pattern in distinct for mask in pattern), 0)
-    if t:
-        masks = position_masks(symbols.shape[1], t)
-        lacks = np.array([[m not in p for m in masks] for p in distinct], dtype=bool)
-        ids = sparsify(symbols, t, SparsifierConfig(eta=0.0, seed=0))
-        ids[lacks[pattern_ids]] = NOT_KEPT
-    else:
-        ids = np.zeros((len(candidates), 0), dtype=np.int32)
-    chosen = greedy_select(ids, np.arange(len(candidates)), seed)
-    return [candidates[k] for k in chosen]
+    order = list(range(len(candidates)))
+    random.Random(seed).shuffle(order)
+    used: set[LabeledSubset] = set()
+    selected = []
+    for k in order:
+        survived = candidates[k].survived
+        if used.isdisjoint(survived):
+            used |= survived
+            selected.append(candidates[k])
+    return selected

@@ -30,22 +30,16 @@ from fpc.packing import (
     greedy_packing,
     rs_packing,
 )
-from fpc.reference import accept_candidate, survived_set
+from fpc.reference import accept_candidate, greedy_matching, survived_set
 
 
 class TestExtremalComplement:
     def test_star_and_triangle(self):
         A, F = build_extremal_complement(2, 4)
-        assert {frozenset(e) for e in A.edge_positions()} == {
-            frozenset({1, 2}),
-            frozenset({1, 3}),
-            frozenset({1, 4}),
-        }
-        assert {frozenset(e) for e in F.edge_positions()} == {
-            frozenset({2, 3}),
-            frozenset({2, 4}),
-            frozenset({3, 4}),
-        }
+        # Bit i is position i+1: the star {1,2}, {1,3}, {1,4} and the
+        # triangle {2,3}, {2,4}, {3,4}.
+        assert A.edges == {0b0011, 0b0101, 0b1001}
+        assert F.edges == {0b0110, 0b1010, 0b1100}
 
     def test_lambda0_complement_is_everything(self):
         A, F = build_extremal_complement(2, 5)
@@ -182,6 +176,24 @@ class TestConstruct:
         assert len(build_packing(cfg)) == 529**2
 
 
+@pytest.mark.parametrize("c,l,q", [(2, 4, 13), (3, 5, 11), (3, 6, 16), (2, 4, 6)])
+def test_reference_route_builds_constructs_code(c, l, q):
+    # The per-word route of the traced benchmark replica, one word or
+    # candidate at a time, ends in the code `construct` builds. (2,4,6) takes
+    # the greedy packing. `greedy_matching` walks the order that
+    # `random.Random(seed).shuffle` gives, so this also checks `fpc.shuffle`'s
+    # replay of it through the whole pipeline.
+    cfg = ConstructionConfig(c=c, l=l, q=q, seed=7, verify=False)
+    t, lam = lambda_of(c, l)
+    sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
+    _, complement = build_extremal_complement(c, l)
+    candidates = [survived_set(U, t, sparsifier) for U in build_packing(cfg).transversals]
+    accepted = [cand for cand in candidates if accept_candidate(cand, "relaxed", complement, lam)]
+    selected = greedy_matching(accepted, cfg.seed)
+    code, _report = construct(cfg)
+    assert Code(q, l, [cand.transversal for cand in selected]) == code
+
+
 def test_pipeline_peak_memory_stays_near_its_matrices():
     # The word matrix and the id matrix are the largest arrays the pipeline
     # keeps: at (2,4,31), 4 one-byte symbols and 6 two-byte ids per word.
@@ -212,59 +224,33 @@ class TestPipelineChecks:
         with pytest.raises(ConstructionError, match="induced"):
             _verify_pipeline(code, [a, b], cfg, 2, 1, budget=10**8, timings={})
 
-    def test_diagnosis_reports_packing_breach(self):
-        witness = Witness((1, 1, 1, 1), ((1, 1, 1, 2), (2, 2, 2, 1)))
-        victim = survived_set((1, 1, 1, 1), 2, SparsifierConfig(eta=0.0, seed=0))
-        others = [
-            survived_set(w, 2, SparsifierConfig(eta=0.0, seed=0))
-            for w in witness.coalition
-        ]
-        msg = _diagnose_violation(witness, [victim] + others, 2, 1)
-        assert "packing breach" in msg
-
-    def test_diagnosis_flags_surviving_agreement(self):
-        # Victim covered by words meeting it in exactly-2 agreements that its
-        # own pattern retained: the matching stage must have let them through.
-        witness = Witness((1, 2, 3, 4), ((1, 2, 5, 5), (5, 5, 3, 4)))
-        victim = survived_set((1, 2, 3, 4), 2, SparsifierConfig(eta=0.0, seed=0))
-        msg = _diagnose_violation(witness, [victim], 2, 1)
-        assert "matching breach" in msg
-
     @pytest.mark.parametrize(
-        "witness,pattern,expected",
+        "witness,expected",
         [
-            # The witness word was never selected.
-            (
-                Witness((9, 9, 9, 9), ((1, 2, 5, 5), (5, 5, 3, 4))),
-                frozenset(),
-                "witness word is not among the selected transversals",
-            ),
             # The coalition agrees with the victim in 0 and 1 positions.
             (
                 Witness((1, 2, 3, 4), ((5, 5, 5, 5), (1, 5, 5, 5))),
-                frozenset(),
-                "no t-agreements at all; the witness itself is suspect",
+                "only 0 <= lam disjoint t-agreements; the covering argument "
+                "should have been impossible - suspect the checkers",
             ),
             # Its two t-agreements, {1,2} and {1,3}, meet: nu = 1 <= lam.
             (
                 Witness((1, 2, 3, 4), ((1, 2, 5, 5), (1, 5, 3, 5))),
-                frozenset(),
                 "only 1 <= lam disjoint t-agreements; the covering argument "
                 "should have been impossible - suspect the checkers",
             ),
-            # {1,2} and {3,4} are disjoint and both missing from the pattern.
+            # {1,2} and {3,4} are disjoint, and the build's induced-packing
+            # check has kept both out of the victim's pattern.
             (
                 Witness((1, 2, 3, 4), ((1, 2, 5, 5), (5, 5, 3, 4))),
-                frozenset({0b0101, 0b1010}),
                 "2 > lam disjoint t-agreements all missing from the victim's pattern: "
                 "candidate acceptance admitted an infeasible pattern",
             ),
         ],
-        ids=["not-selected", "no-agreement", "nu-at-most-lam", "all-missing"],
+        ids=["no-agreement", "nu-at-most-lam", "all-missing"],
     )
-    def test_diagnosis_names_each_arm(self, witness, pattern, expected):
-        victim = Candidate((1, 2, 3, 4), pattern)
-        assert _diagnose_violation(witness, [victim], 2, 1) == expected
+    def test_diagnosis_names_each_arm(self, witness, expected):
+        assert _diagnose_violation(witness, 2, 1) == expected
 
 
 class TestTrivialCode:

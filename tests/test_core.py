@@ -11,7 +11,7 @@ from fpc.construct import ConstructionConfig, construct
 from fpc.core import BudgetExceededError, Code, Verdict, Witness, validate_word
 from fpc.cover_free import is_cover_free
 from fpc.frameproof import is_frameproof
-from fpc.oracle import desc_contains, desc_size, trivial_code
+from fpc.oracle import desc_contains, trivial_code
 
 BAD_CODE = Code(3, 2, [(1, 1), (2, 2), (1, 2)])
 
@@ -78,13 +78,6 @@ class TestDescendants:
             desc_contains((1, 2, 3), [(1, 1)])
         with pytest.raises(ValueError):
             desc_contains((1, 2), [])
-
-    def test_size(self):
-        assert desc_size([(1, 1), (2, 2)]) == 4
-        assert desc_size([(1, 2, 3)]) == 1
-        assert desc_size([(1, 2, 3), (1, 2, 3)]) == 1  # duplicates collapse
-        with pytest.raises(ValueError):
-            desc_size([])
 
     @given(small_codes(max_words=5), st.data())
     def test_monotone_in_coalition(self, code, data):

@@ -187,17 +187,15 @@ class TestEmcValue:
 class TestEmcFamilies:
     def test_small_case(self):
         cover, clique = emc_families(4, 2, 1)
-        assert {frozenset(e) for e in cover.edge_positions()} == {
-            frozenset({1, 2}),
-            frozenset({1, 3}),
-            frozenset({1, 4}),
-        }
+        # The star at position 1: {1,2}, {1,3}, {1,4} as bitmasks.
+        assert cover.edges == {0b0011, 0b0101, 0b1001}
         assert len(clique) == math.comb(3, 2)
 
     def test_sizes_match_terms(self):
         cover, clique = emc_families(6, 2, 2)
         assert (len(cover), len(clique)) == (9, 10)
-        assert all(pos <= 5 for e in clique.edge_positions() for pos in e)
+        # The clique lies on positions 1..5.
+        assert all(e < 1 << 5 for e in clique.edges)
 
     @pytest.mark.parametrize("l,t,lam", [(4, 2, 1), (6, 2, 2), (6, 3, 1), (5, 2, 0), (9, 3, 2)])
     def test_feasible_and_extremal(self, l, t, lam):
