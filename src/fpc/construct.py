@@ -4,14 +4,14 @@ The pipeline lays a transversal packing over the symbols (Reed-Solomon where
 `rs_applies`, else greedy), sparsifies each transversal's labeled t-subsets,
 keeps candidates whose missing pattern has no lam+1 pairwise disjoint
 members, and extracts a conflict-free selection. The stages share the
-packing's (n, l) word matrix: the sparsifier gives each row an id per
-labeled subset, NOT_KEPT where the subset is dropped, in the narrowest type
-its bound allows; `shared_patterns` reads each row's kept pattern off those
-ids; acceptance is decided once per distinct pattern, and the matching
-indexes the accepted rows of the id matrix without copying them. Only the
-selected rows become tuples, and the `Code`, inside the timed matching
-stage; only a verified build makes them `Candidate` objects, each with the
-one frozenset that `shared_patterns` gives its pattern, for
+packing's (n, l) word matrix and name labeled subsets by their global keys:
+the sparsifier gives one kept table over those keys and each row's
+kept-pattern bits; `shared_patterns` ranks the distinct patterns;
+acceptance is decided once per distinct pattern, and the matching shuffles
+the accepted rows in place and derives each block's keys from its words.
+Only the selected rows become tuples, and the `Code`, inside the timed
+matching stage; only a verified build makes them `Candidate` objects, each
+with the one frozenset that `shared_patterns` gives its pattern, for
 `validate_induced`. `build_packing` sizes and builds the packing for
 `construct` and `fpc diagnose` alike. The selected transversals are the
 code; verification re-checks the frameproof property exactly rather than
@@ -49,6 +49,7 @@ from .packing import (
     TransversalPacking,
     accept_pattern,
     check_matrix_bytes,
+    flagged_rows,
     greedy_packing,
     greedy_select,
     rs_applies,
@@ -57,6 +58,7 @@ from .packing import (
     sparsify,
 )
 from .record import Record
+from .shuffle import shuffle
 
 
 class ConstructionConfig(Record):
@@ -141,7 +143,7 @@ def build_extremal_complement(c: int, l: int) -> tuple[PositionFamily, PositionF
 def build_packing(cfg: ConstructionConfig) -> TransversalPacking:
     """The packing `cfg.packing` names at the config's point, once
     `check_matrix_bytes` has let through the q^(t+1) words that bound any
-    packing and their labeled t-subset ids."""
+    packing, with their labeled t-subsets."""
     t, _lam = lambda_of(cfg.c, cfg.l)
     check_matrix_bytes(cfg.q ** (t + 1), cfg.l, t)
     if cfg.packing == "rs":
@@ -169,27 +171,28 @@ def construct(
 
     with _timed(timings, "candidates"):
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-        subset_ids = sparsify(pack.words, t, sparsifier)
-        patterns, pattern_ids = shared_patterns(subset_ids, cfg.l, t)
+        kept, patterns = sparsify(pack.words, t, sparsifier)
+        sets, pattern_ids = shared_patterns(patterns, cfg.l, t)
+        del patterns
 
     with _timed(timings, "accept"):
         m = bounds.m.value
-        accepts = np.array([accept_pattern(p, cfg.l, t, lam, m) for p in patterns], dtype=bool)
-        accepted = np.flatnonzero(accepts[pattern_ids]).astype(np.int32)
+        accepts = np.array([accept_pattern(p, cfg.l, t, lam, m) for p in sets], dtype=bool)
+        accepted = flagged_rows(accepts, pattern_ids)
 
     with _timed(timings, "matching"):
-        chosen = greedy_select(subset_ids, accepted, cfg.seed)
+        accepted_count = len(accepted)
+        chosen = greedy_select(pack.words, kept, shuffle(accepted, cfg.seed))
         words = list(map(tuple, pack.words[chosen].tolist()))
         if cfg.verify:
             selected = [
-                Candidate(word, patterns[k])
-                for word, k in zip(words, pattern_ids[chosen].tolist())
+                Candidate(word, sets[k]) for word, k in zip(words, pattern_ids[chosen].tolist())
             ]
         code = Code(cfg.q, cfg.l, words)
 
     # Verification needs none of the pipeline's arrays; free them first.
-    packing_size, accepted_count = len(pack), len(accepted)
-    del pack, subset_ids, pattern_ids, accepts, accepted
+    packing_size = len(pack)
+    del pack, kept, pattern_ids, accepts, accepted
 
     verified: Optional[bool] = None
     note = ""

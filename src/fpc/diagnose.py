@@ -3,9 +3,9 @@ of a failed verification.
 
 `degree_diagnostics` counts every labeled t-subset over 1..q exactly from
 the words' per-combination keys, which `fpc.packing` builds for the
-sparsifier, and finds the candidates whose pattern is a relabeled copy of
-the target family by membership in the cached image set, `pattern_images`,
-once per distinct pattern. It trusts its packing's words to agree in at most
+sparsifier, a row chunk at a time, and finds the candidates whose pattern
+is a relabeled copy of the target family by membership in the cached image
+set, `pattern_images`, once per distinct pattern. It trusts its packing's words to agree in at most
 t positions, as `validate_packing` checks, so the largest codegree follows
 from the distinct kept patterns alone. `_diagnose_violation` traces a
 frameproof witness back through the covering argument, once the build's
@@ -28,6 +28,7 @@ from .packing import (
     SparsifierConfig,
     TransversalPacking,
     _kept,
+    _row_chunks,
     _subset_keys,
     shared_patterns,
     sparsify,
@@ -104,24 +105,29 @@ def degree_diagnostics(
         raise ValueError("family must be t-uniform on the packing's positions")
     lam_f = embeddings_per_edge(family)
 
-    sets, pattern_ids = shared_patterns(sparsify(packing.words, t, cfg), l, t)
+    patterns = sparsify(packing.words, t, cfg)[1]
+    sets, pattern_ids = shared_patterns(patterns, l, t)
+    del patterns
     images = pattern_images(family)
-    copies = np.array([p in images for p in sets], dtype=bool)[pattern_ids]
-    del pattern_ids
+    is_copy = np.array([p in images for p in sets], dtype=bool)
 
     # Per labeled subset on the q^t grid of each combination: its degree in
     # the packing, its degree among the copies, and whether the sparsifier
     # keeps it. Only kept subsets enter dH_mean, and a copy that holds a kept
-    # subset keeps it. Degrees are counts of the words' keys.
+    # subset keeps it. Degrees are counts of the words' keys, a row chunk at
+    # a time.
     radix = max(q, int(packing.words.max())) + 1
-    grid_keys = (np.indices((q,) * t).reshape(t, -1).T + 1) @ radix ** np.arange(t)
+    grid_keys = _subset_keys(np.indices((q,) * t).reshape(t, -1).T + 1, range(t), radix)
     degrees, dH, in_r = [], [], []
     for combo in itertools.combinations(range(l), t):
-        keys = _subset_keys(packing.words, combo, radix)
-        degrees.append(np.bincount(keys, minlength=radix**t)[grid_keys])
-        dH.append(np.bincount(keys[copies], minlength=radix**t)[grid_keys])
+        counts = np.zeros((2, radix**t), dtype=np.int64)
+        for rows in _row_chunks(len(packing)):
+            keys = _subset_keys(packing.words[rows], combo, radix)
+            counts[0] += np.bincount(keys, minlength=radix**t)
+            counts[1] += np.bincount(keys[is_copy[pattern_ids[rows]]], minlength=radix**t)
+        degrees.append(counts[0, grid_keys])
+        dH.append(counts[1, grid_keys])
         in_r.append(_kept(combo, grid_keys, radix, cfg))
-    del keys
     degrees, dH, in_r = (np.concatenate(counts) for counts in (degrees, dH, in_r))
 
     delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))

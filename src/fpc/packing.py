@@ -8,15 +8,19 @@ tables for every prime power q; `greedy_packing` is the maximal-by-inclusion
 fallback for any q, the matching's own greedy pass over all q^l words at
 t+1. One byte estimate, `check_matrix_bytes`, refuses either packing before
 it is built. Every stage works on the packing's (n, l) word matrix of the
-narrowest unsigned type that holds q: `sparsify`, the one ranker of labeled
-t-subsets, hashes each distinct one once and gives every word, per position
-combination, its subset's rank among that combination's distinct subsets,
-NOT_KEPT where the sparsifier drops it; `shared_patterns` reads each word's
-kept pattern off those ids; `accept_pattern` is decided once per distinct
-pattern, from l, t, lambda and m alone; and `greedy_select` walks the words
-in the order `random.Random(seed).shuffle` gives, replayed by
-`shuffle.shuffled_range`, dropping in one numpy test per block every word
-that holds a used (combination, id) pair.
+narrowest unsigned type that holds q, the only per-word array that grows
+with l: a labeled t-subset is named by its global key, its combination's
+index times radix^t plus its `_subset_keys` key, which each stage derives
+from the words where it needs it. `sparsify` hashes each labeled subset
+that some word holds once, into one bool kept table over the global keys,
+and ORs each word's kept-pattern bits together one combination at a time;
+`shared_patterns` ranks the distinct patterns; `accept_pattern` is decided
+once per distinct pattern, from l, t, lambda and m alone; and
+`greedy_select` walks the words in a given order, in the pipeline the one
+`random.Random(seed).shuffle` gives, replayed in place by `shuffle.shuffle`,
+dropping in one numpy test per block every word that holds a used kept key.
+Every per-word pass runs a row chunk of `_ROW_CHUNK` rows at a time, so no
+index copy, key array or row list it makes grows with n.
 What an unverified `fpc construct` never runs lives elsewhere: the re-checks
 of a verified build (`validate_packing`, `validate_induced`) in
 `fpc.validate`, the per-word reference routes (`survived_set`,
@@ -47,7 +51,7 @@ import numpy as np
 from .core import Word
 from .extremal import _largest_matching, position_masks
 from .record import Record
-from .shuffle import shuffled_range
+from .shuffle import shuffle
 
 LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
 
@@ -55,11 +59,18 @@ LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-base
 # measurement chose 512. A prime power's mul table is reduced from a
 # q x q x (2k - 1) array, 34 MB at q = 512.
 _GF_TABLE_CAP = 512
-# Most bytes that a word matrix and its labeled-subset ids, the largest
-# arrays of the pipeline and of `greedy_packing`, may take together, as
-# `check_matrix_bytes` estimates them: an upper bound at int64 symbols and
-# int32 ids, above what the narrowed arrays take.
+# Most bytes that a word matrix and the per-word arrays over its labeled
+# subsets may take together, as `check_matrix_bytes` estimates them, and
+# most bytes of one kept table, which `sparsify` checks.
 _MATRIX_BYTE_CAP = 1 << 30
+# Rows that one step of a per-word pass covers: every index copy, key array
+# and row list such a pass makes is at most this long, whatever n is.
+_ROW_CHUNK = 1 << 14
+
+
+def _row_chunks(n: int) -> Iterable[slice]:
+    """0..n-1 as consecutive slices of at most `_ROW_CHUNK` rows."""
+    return (slice(start, min(start + _ROW_CHUNK, n)) for start in range(0, n, _ROW_CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +184,16 @@ class TransversalPacking:
 
 
 def check_matrix_bytes(n: int, l: int, k: int) -> None:
-    """Refuse, before it is built, an (n, l) word matrix whose ids of the
-    labeled k-subsets would take it past `_MATRIX_BYTE_CAP`. The estimate
-    is an upper bound computed at int64 symbols and int32 ids, 8l +
-    4·C(l, k) bytes per word; the matrices the pipeline builds are narrower
-    (one byte per symbol up to q = 255, and ids of the type their count
-    needs)."""
+    """Refuse, before it is built, an (n, l) word matrix that, with the
+    per-word arrays over its labeled k-subsets, would take it past
+    `_MATRIX_BYTE_CAP`. The estimate, 8l + 4·C(l, k) bytes per word, is an
+    upper bound: int64 symbols and four bytes for each labeled subset. The
+    arrays the pipeline builds are far narrower (one byte per symbol up to
+    q = 255, and a few bytes per word besides)."""
     need = n * (8 * l + 4 * math.comb(l, k))
     if need > _MATRIX_BYTE_CAP:
         raise ValueError(
-            f"{n} words of length {l} and the ids of their labeled {k}-subsets need an "
+            f"{n} words of length {l}, with their labeled {k}-subsets, need an "
             f"estimated {need / 2**30:.2f} GiB, above the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
         )
 
@@ -212,27 +223,30 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
         )
     field = GF(q)
     # In `itertools.product` order, coefficient vector i lists the base-q
-    # digits of i, most significant first; coeffs[0] is the constant term.
-    # Horner's rule evaluates all vectors at once, one point at a time, in
-    # one accumulator: mul[x] is the row of products with x, mul being
-    # symmetric, and a + c is entry a*q + c of the raveled add table. Both
-    # takes write in place; clip mode, a no-op on these in-range indices,
-    # keeps numpy from buffering the output. Symbols take the type that
-    # holds q, and the accumulator and tables the one that holds q^2.
+    # digits of i, most significant first, and digit j is the coefficient of
+    # x^j: the constant term c_0 is the slowest digit, and the rows that
+    # share it form one run of q^t. So f(x) = c_0 + x·g(x), and x·g(x) is
+    # evaluated once per point over the q^t grid of (c_1, ..., c_t), by
+    # Horner's rule as lookups in the mul table and the raveled add table.
+    # Each run of rows is then one lookup of the 2-D add table, for as many
+    # runs at a time as fit in a row chunk. Symbols take the type that
+    # holds q, and the grid, values and tables the one that holds q^2.
     symbol, lookup = np.min_scalar_type(q), np.min_scalar_type(q * q)
-    coeffs = np.indices((q,) * (t + 1), dtype=symbol).reshape(t + 1, -1)
-    words = np.empty((coeffs.shape[1], l), dtype=symbol)
-    mul, add = field.mul.astype(lookup), field.add.astype(lookup).ravel()
-    acc, index = np.empty((2, coeffs.shape[1]), dtype=lookup)
+    span = q**t
+    words = np.empty((q * span, l), dtype=symbol)
+    mul, add = field.mul.astype(lookup), field.add.astype(lookup)
+    grid = np.indices((q,) * t, dtype=lookup).reshape(t, span)
+    runs = max(1, _ROW_CHUNK // span)
     for x in range(l):
-        acc[:] = coeffs[t]
-        for c in reversed(coeffs[:t]):
-            mul[x].take(acc, out=index, mode="clip")
-            index *= q
-            index += c
-            add.take(index, out=acc, mode="clip")
-        acc += 1
-        words[:, x] = acc
+        value = np.zeros(span, dtype=lookup)
+        for c in reversed(grid):
+            value = add.ravel()[mul[x][value] * q + c]
+        value = mul[x][value]
+        for c0 in range(0, q, runs):
+            constants = np.arange(c0, min(c0 + runs, q), dtype=lookup)[:, None]
+            symbols = add[constants, value]
+            symbols += 1
+            words[c0 * span : (c0 + len(constants)) * span, x] = symbols.ravel()
     return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
@@ -242,9 +256,11 @@ def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
     Keeps a word iff none of its labeled (t+1)-subsets was claimed before,
     which is exactly the agreement-<=t condition. No size guarantee. The
     q^l words, one matrix in `itertools.product` order that the byte cap
-    must hold, get their labeled (t+1)-subset ids from `sparsify` at eta 0;
-    `greedy_select` walks them in the order `random.Random(seed).shuffle`
-    gives, and the packing is the kept rows, sorted.
+    must hold, are 0-based while `greedy_select` walks them, in the order
+    `random.Random(seed).shuffle` gives, with every labeled (t+1)-subset
+    kept, as the sparsifier keeps them at eta 0; so the kept table spans
+    C(l, t+1) * q^(t+1) keys. The packing is the kept rows, sorted, shifted
+    to 1-based symbols.
     """
     if t + 1 > l:
         raise ValueError(f"need t+1 <= l, got t={t}, l={l}")
@@ -252,10 +268,12 @@ def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
         raise ValueError("q must be at least 2")
     check_matrix_bytes(q**l, l, t + 1)
     words = np.indices((q,) * l, dtype=np.min_scalar_type(q)).reshape(l, -1).T
+    kept = np.ones((math.comb(l, t + 1),) + (q,) * (t + 1), dtype=bool)
+    order = shuffle(np.arange(len(words), dtype=np.int32), seed)
+    chosen = np.sort(greedy_select(words, kept, order))
+    words = words[chosen]
     words += 1
-    ids = sparsify(words, t + 1, SparsifierConfig(eta=0.0, seed=0))
-    kept = np.sort(greedy_select(ids, np.arange(len(words)), seed))
-    return TransversalPacking(l=l, q=q, t=t, words=words[kept])
+    return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
 def _shadow(w: Word, k: int) -> Iterable[tuple[LabeledSubset, int]]:
@@ -297,10 +315,6 @@ class Candidate(namedtuple("Candidate", "transversal pattern")):
         )
 
 
-# The labeled-subset id `sparsify` gives every slot whose subset is not kept.
-NOT_KEPT = 0
-
-
 # Largest key space, per key, that `_rank` ranks by a presence table.
 _DENSE_RANK_RATIO = 4
 
@@ -310,30 +324,38 @@ def _rank(values: np.ndarray, space: int, inverse: np.ndarray) -> np.ndarray:
     distinct values are returned, in the dtype of `values`, and the inverse
     is written into `inverse`, whose dtype must hold their count. A key
     space of at most `_DENSE_RANK_RATIO` times len(values) is ranked by a
-    presence table and its running count, so no copy of `values` is
-    sorted."""
+    presence table and its running count, a row chunk at a time, so no copy
+    of `values` is sorted or widened to an index."""
     if space > _DENSE_RANK_RATIO * len(values):
         distinct, inverse[:] = np.unique(values, return_inverse=True)
         return distinct
     present = np.zeros(space, dtype=bool)
-    present[values] = True
+    for rows in _row_chunks(len(values)):
+        present[values[rows]] = True
     rank = np.cumsum(present, dtype=inverse.dtype)
     rank -= 1  # wraps below the least value present, where no value looks
-    rank.take(values, out=inverse, mode="clip")
+    for rows in _row_chunks(len(values)):
+        rank.take(values[rows], out=inverse[rows], mode="clip")
     return np.flatnonzero(present).astype(values.dtype)
 
 
-def _subset_keys(symbols: np.ndarray, combo: Sequence[int], radix: int) -> np.ndarray:
+def _subset_keys(
+    symbols: np.ndarray, combo: Sequence[int], radix: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Each word's labeled subset on the 0-based positions `combo` as one
     key whose base-`radix` digits are its symbols, the first position
-    lowest: Horner's rule from the last position down, in one new array of
-    the signed type that holds radix**len(combo). Signed, because numpy
-    promotes uint64 with a signed symbol type to float64."""
-    keys = symbols[:, combo[-1]].astype(np.min_scalar_type(-1 - radix ** len(combo)))
-    for p in reversed(combo[:-1]):
-        keys *= radix
-        keys += symbols[:, p]
-    return keys
+    highest: Horner's rule in `out`, or in one new array of the signed type
+    that holds radix**len(combo). Signed, because numpy promotes uint64
+    with a signed symbol type to float64. When each entry of `combo` is an
+    array of positions, one per combination, `out` has a column per
+    combination."""
+    if out is None:
+        out = np.empty(len(symbols), dtype=np.min_scalar_type(-1 - radix ** len(combo)))
+    out[:] = symbols[:, combo[0]]
+    for p in combo[1:]:
+        out *= radix
+        out += symbols[:, p]
+    return out
 
 
 # `fpc.reference._encode_labeled`'s ">HI" record of one (position, symbol)
@@ -357,7 +379,7 @@ def _kept(
     records = np.empty(len(keys), dtype=fields)
     for j, p in enumerate(combo):
         records[f"p{j}"] = p + 1
-        records[f"s{j}"] = keys // radix**j % radix
+        records[f"s{j}"] = keys // radix ** (len(combo) - 1 - j) % radix
     # Copying a keyed state skips re-hashing the key block for every record.
     key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
     keyed = blake2b(key=key, digest_size=8)
@@ -370,63 +392,82 @@ def _kept(
     return np.frombuffer(b"".join(digests), dtype=">u8") <= np.uint64(threshold - 1)
 
 
-def sparsify(words, t: int, cfg: SparsifierConfig) -> np.ndarray:
-    """The ids of each word's labeled t-subsets, NOT_KEPT where the
-    sparsifier drops the subset. `words` is an (n, l) symbol matrix, used
-    as it is when its dtype is an integer one, or anything np.asarray turns
-    into one, which is converted to int64.
+def sparsify(words, t: int, cfg: SparsifierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The sparsifier's kept table and each word's kept pattern. `words` is
+    an (n, l) symbol matrix, used as it is when its dtype is an integer one,
+    or anything np.asarray turns into one, which is converted to int64.
 
-    ids[k, i] is the rank, from NOT_KEPT + 1 up, of word k's labeled
-    t-subset on combination i of `position_masks(l, t)` among the distinct
-    subsets on that combination, so a subset is named by its combination and
-    its id together. A word's kept pattern is the set of slots whose id is
-    not NOT_KEPT, and it equals `survived_set`'s. Each distinct labeled
-    subset is hashed once, byte for byte as `r_membership` hashes it. Symbols
-    must lie in 0..2^32-1, as `r_membership`'s encoding needs. Ids take the
-    narrowest unsigned type that holds the most distinct labeled subsets on
-    one combination, min(n, radix**t). Each combination builds its own keys
-    and inverse."""
+    kept[i, s_1, ..., s_t] says whether the sparsifier keeps the labeled
+    t-subset with symbols s_1..s_t on combination i of `position_masks(l,
+    t)`; radix, the table's last extent, is the largest symbol + 1. A
+    subset's global key is its flat index in the table: i * radix**t plus
+    its `_subset_keys` key. Each labeled subset that some word holds is
+    hashed once, byte for byte as `r_membership` hashes it; the others stay
+    False. Bit i of patterns[k] is set iff word k's subset on combination i
+    is kept, so the pattern equals `survived_set`'s; patterns take the
+    narrowest unsigned type that holds C(l, t) bits, or object when
+    C(l, t) >= 64. Symbols must lie in 0..2^32-1, as `r_membership`'s
+    encoding needs, and the table must fit the byte cap. The keys are built
+    a row chunk at a time, twice per combination: once to mark the subsets
+    present, and once to read their kept bits into the patterns."""
     symbols = np.asarray(words)
     if symbols.dtype.kind not in "iu":
         symbols = np.asarray(words, dtype=np.int64)
     if symbols.size == 0:
-        return np.zeros((0, 0), dtype=np.int32)
+        return np.zeros((0,) + (1,) * t, dtype=bool), np.zeros(len(symbols), dtype=np.uint8)
     radix = int(symbols.max()) + 1
     if symbols.min() < 0 or radix > 2**32:
         raise ValueError("sparsifier symbols must lie in 0..2^32-1")
-    if radix**t >= 2**63:
-        raise ValueError(f"symbol keys need radix**t below 2^63; got radix {radix}, t = {t}")
     n, l = symbols.shape
-    ids = np.empty((n, math.comb(l, t)), dtype=np.min_scalar_type(min(n, radix**t)))
-    for i, combo in enumerate(itertools.combinations(range(l), t)):
-        inverse = np.empty(n, ids.dtype)
-        keys = _rank(_subset_keys(symbols, combo, radix), radix**t, inverse)
-        key_ids = np.arange(NOT_KEPT + 1, NOT_KEPT + 1 + len(keys), dtype=ids.dtype)
-        key_ids[~_kept(combo, keys, radix, cfg)] = NOT_KEPT
-        ids[:, i] = key_ids[inverse]
-    return ids
+    combos = list(itertools.combinations(range(l), t))
+    if len(combos) * radix**t > _MATRIX_BYTE_CAP:
+        raise ValueError(
+            f"the kept table of {len(combos)} x {radix}^{t} labeled subsets is above "
+            f"the {_MATRIX_BYTE_CAP / 2**30:g} GiB cap"
+        )
+    kept = np.zeros((len(combos),) + (radix,) * t, dtype=bool)
+    table = kept.reshape(len(combos), -1)
+    for combo, row in zip(combos, table):
+        for rows in _row_chunks(n):
+            row[_subset_keys(symbols[rows], combo, radix)] = True
+        present = np.flatnonzero(row)
+        row[present] = _kept(combo, present, radix, cfg)
+    dtype = np.min_scalar_type((1 << len(combos)) - 1) if len(combos) < 64 else object
+    patterns = np.zeros(n, dtype=dtype)
+    for rows in _row_chunks(n):
+        block, out = symbols[rows], patterns[rows]
+        for i, (combo, row) in enumerate(zip(combos, table)):
+            bit = patterns.dtype.type(1 << i)
+            np.bitwise_or(out, bit, out=out, where=row[_subset_keys(block, combo, radix)])
+    return kept, patterns
 
 
-def shared_patterns(ids: np.ndarray, l: int, t: int) -> tuple[list[frozenset[int]], np.ndarray]:
-    """The distinct kept patterns in `sparsify`'s ids, each as one frozenset
-    of position masks that every candidate with that pattern shares, and
-    each word's index into that list, in the narrowest unsigned type that
-    holds the most distinct patterns there can be. The patterns are read
-    off the ids as ints, one bitwise pass per column: bit i is set iff slot
-    i is kept. They take the narrowest unsigned type that holds C(l, t)
-    bits, or object when C(l, t) >= 64."""
+def shared_patterns(patterns: np.ndarray, l: int, t: int) -> tuple[list[frozenset[int]], np.ndarray]:
+    """The distinct kept patterns among `sparsify`'s patterns, each as one
+    frozenset of position masks that every candidate with that pattern
+    shares, and each word's index into that list, in the narrowest unsigned
+    type that holds the most distinct patterns there can be."""
     masks = position_masks(l, t)
     space = 1 << len(masks)
-    dtype = np.min_scalar_type(space - 1) if len(masks) < 64 else object
-    patterns = np.zeros(len(ids), dtype=dtype)
-    for i, column in enumerate(ids.T):
-        np.bitwise_or(patterns, patterns.dtype.type(1 << i), out=patterns, where=column != NOT_KEPT)
     index = np.empty(len(patterns), dtype=np.min_scalar_type(min(len(patterns), space)))
     sets = [
         frozenset(m for i, m in enumerate(masks) if int(pattern) >> i & 1)
         for pattern in _rank(patterns, space, index).tolist()
     ]
     return sets, index
+
+
+def flagged_rows(flags: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(flags[index]) as int32, a row chunk at a time into one
+    array of len(index) rows, shrunk in place to the rows found, so that
+    neither an index copy of `index` nor an int64 row list is made."""
+    found, count = np.empty(len(index), dtype=np.int32), 0
+    for rows in _row_chunks(len(index)):
+        part = np.flatnonzero(flags.take(index[rows]))
+        np.add(part, rows.start, out=found[count : count + len(part)], casting="unsafe")
+        count += len(part)
+    found.resize(count, refcheck=False)  # no view of `found` is alive
+    return found
 
 
 def accept_pattern(pattern: frozenset[int], l: int, t: int, lam: int, m: int) -> bool:
@@ -458,57 +499,63 @@ _SELECT_BLOCK = 256
 _SELECT_BLOCK_CAP = 4096
 
 
-def greedy_select(ids: np.ndarray, rows: np.ndarray, seed: int) -> list[int]:
-    """The rows of `ids` whose kept labeled subsets are pairwise disjoint,
-    in selection order, taken from `rows` by walking a seed-shuffled order;
-    `ids` is `sparsify`'s id matrix, whose ids name a subset only together
-    with their column. The selection is maximal among `rows` and depends
-    only on the inputs and the seed. The order is the one
-    `random.Random(seed).shuffle` gives a list of len(rows) items, replayed
-    by `shuffled_range`.
+def greedy_select(words: np.ndarray, kept: np.ndarray, order: np.ndarray) -> list[int]:
+    """The rows of the symbol matrix `words` whose kept labeled subsets are
+    pairwise disjoint, in selection order: the greedy pass over the rows
+    `order` lists, in that order, which keeps each row that holds no kept
+    subset a row kept before it holds. `kept` is a kept table as `sparsify`
+    gives it, which names each subset by its global key. The selection is
+    maximal among the rows of `order`. The pipeline walks a seed-shuffled
+    order, which `shuffle` permutes in place.
 
-    The walk marks (column, id) pairs as tokens column·span + id, span
-    being the largest id + 1, written per block into one token buffer; the
-    tokens of NOT_KEPT are never taken. The order is walked in blocks that
-    start at `_SELECT_BLOCK` rows and double, up to `_SELECT_BLOCK_CAP`,
-    after a block of which fewer than a quarter of the rows pass. One numpy
-    test drops every row that holds a token used before the block; the rest
-    are resolved in order against the tokens taken inside the block, so the
-    selection equals the sequential greedy pass whatever the block sizes.
-    That test reads the block's used flags into a bool buffer whose rows
-    are zero-padded to whole 8-byte words and tests each row as that many
-    uint64 words, since numpy's reduction along a short axis costs more
-    than a few whole-column compares."""
-    order, rows = shuffled_range(len(rows), seed), np.asarray(rows)
-    width, span = ids.shape[1], int(ids.max(initial=NOT_KEPT)) + 1
-    dtype = np.promote_types(ids.dtype, np.min_scalar_type(width * span))
-    offsets = np.arange(0, width * span, span, dtype=dtype)
-    blank = set((offsets + NOT_KEPT).tolist())
-    tokens = np.empty((_SELECT_BLOCK_CAP, width), dtype=dtype)
-    used = np.zeros(width * span, dtype=bool)
-    words = max(1, -(-width // 8))
-    flags = np.zeros((_SELECT_BLOCK_CAP, 8 * words), dtype=bool)
+    The order is walked in blocks that start at `_SELECT_BLOCK` rows and
+    double, up to `_SELECT_BLOCK_CAP`, after a block of which fewer than a
+    quarter of the rows pass. Each block's global keys are built from its
+    words into one key buffer, and one numpy test drops every row that
+    holds a key used before the block; the used table marks kept keys only,
+    so a key that is not kept never clashes there. The rest are resolved in
+    order against the keys taken inside the block, a key that is not kept
+    read as one shared sentinel that no row takes, so the selection equals
+    the sequential greedy pass whatever the block sizes. That test reads the
+    block's used flags into a bool buffer whose rows are zero-padded to
+    whole 8-byte words and tests each row as that many uint64 words, since
+    numpy's reduction along a short axis costs more than a few whole-column
+    compares."""
+    t, radix = kept.ndim - 1, kept.shape[-1]
+    # positions[j] lists position j of every combination, so that
+    # `_subset_keys` builds all of a block's keys in one pass.
+    positions = np.array(list(itertools.combinations(range(words.shape[1]), t))).T
+    flat, width = kept.reshape(-1), len(kept)
+    sentinel = flat.size
+    # Signed, as in `_subset_keys`.
+    keys = np.empty((_SELECT_BLOCK_CAP, width), dtype=np.min_scalar_type(-1 - sentinel))
+    offsets = np.arange(0, sentinel, radix**t, dtype=keys.dtype)
+    used = np.zeros(sentinel, dtype=bool)
+    words_per_row = max(1, -(-width // 8))
+    flags = np.zeros((_SELECT_BLOCK_CAP, 8 * words_per_row), dtype=bool)
     selected: list[int] = []
     start, size = 0, _SELECT_BLOCK
     while start < len(order):
-        block = rows[order[start : start + size]]
+        block = order[start : start + size]
         start += size
-        held = np.add(ids[block], offsets, out=tokens[: len(block)])
-        # Clip mode skips the bounds check, which these in-range tokens
-        # pass; the padding columns stay zero.
+        held = _subset_keys(words[block], positions, radix, out=keys[: len(block)])
+        held += offsets
+        # Clip mode skips the bounds check, which these in-range keys pass;
+        # the padding columns stay zero.
         used.take(held, out=flags[: len(block), :width], mode="clip")
         packed = flags[: len(block)].view(np.uint64)
         free = packed[:, 0] == 0
-        for j in range(1, words):
+        for j in range(1, words_per_row):
             free &= packed[:, j] == 0
-        passed = block[free].tolist()
+        passed, names = block[free].tolist(), held[free]
+        names[~flat[names]] = sentinel
         if 4 * len(passed) < len(block) and size < _SELECT_BLOCK_CAP:
             size = min(2 * size, _SELECT_BLOCK_CAP)
         taken: set[int] = set()
-        for k, row in zip(passed, held[free].tolist()):
+        for k, row in zip(passed, names.tolist()):
             if taken.isdisjoint(row):
                 taken.update(row)
-                taken -= blank
+                taken.discard(sentinel)
                 selected.append(k)
         used[list(taken)] = True
     return selected

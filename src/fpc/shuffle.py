@@ -1,8 +1,8 @@
-"""`random.Random(seed).shuffle` of the list 0..n-1, replayed in numpy.
+"""`random.Random(seed).shuffle`, replayed in numpy on an int32 array.
 
-`shuffled_range(n, seed)` returns the permutation that the shuffle leaves
-in a list of n items, as an int32 array, without a Python step per item, so
-that code files built from its order keep the bytes a list shuffle gives.
+`shuffle(values, seed)` permutes `values` in place as the shuffle permutes
+a list of the same items, without a Python step per item, so that code
+files built from its order keep the bytes a list shuffle gives.
 It mirrors CPython's `Random.shuffle`, `_randbelow` and the word order of
 `getrandbits`, which are the same in every version that `requires-python`
 admits; the tests compare it with `random.shuffle` itself. The draws are
@@ -131,12 +131,12 @@ def _apply_draws(order: np.ndarray, lo: int, draws: np.ndarray) -> None:
     order[lo : lo + size] = final
 
 
-def shuffled_range(n: int, seed: int) -> np.ndarray:
-    """The list 0..n-1 after `random.Random(seed).shuffle`, as an int32
-    array, for n < 2^31: `_shuffle_draws` replays the draws and
-    `_apply_draws` their swaps, `_SWAP_CHUNK` steps at a time, in the one
-    array that holds the result."""
-    order = np.arange(n, dtype=np.int32)
+def shuffle(order: np.ndarray, seed: int) -> np.ndarray:
+    """Permute the 1-D int32 array `order` in place as
+    `random.Random(seed).shuffle` permutes a list of its items, and return
+    it: `_shuffle_draws` replays the draws and `_apply_draws` their swaps,
+    `_SWAP_CHUNK` steps at a time, in `order` itself."""
+    n = len(order)
     hi, pending = n, np.zeros(0, dtype=np.int32)  # steps hi..n-1 are applied
     for draws in _shuffle_draws(random.Random(seed), n):
         pending = np.concatenate((pending, draws))

@@ -1,5 +1,5 @@
 """The re-checks a verified build runs on the pipeline's output, trusting
-no `sparsify` id: `validate_packing`, the one agreement test, and
+no `sparsify` output: `validate_packing`, the one agreement test, and
 `validate_induced`, the induced-packing conditions of the selected
 candidates. Each is a count of the words' projections onto sets of
 positions, in plain Python. Of the commands, only a verified

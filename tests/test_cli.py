@@ -304,8 +304,9 @@ class TestConstructVerifyAudit:
         assert capsys.readouterr().err == "error: --out is empty\n"
 
     def test_oversized_build_refused_before_packing(self, tmp_path, monkeypatch, capsys):
-        # (2,10,11): 11^6 words x (8 * 10 + 4 * C(10, 5)) bytes is 1.80 GiB
-        # of word and id matrices, above the 1 GiB cap.
+        # (2,10,11): 11^6 words x (8 * 10 + 4 * C(10, 5)) bytes is an
+        # estimated 1.80 GiB for the words and their labeled 5-subsets,
+        # above the 1 GiB cap.
         class PackingBuilt(Exception):
             pass
 
@@ -328,12 +329,12 @@ class TestConstructVerifyAudit:
     def test_oversized_greedy_packing_refused_before_building(self, tmp_path, monkeypatch, capsys):
         # (2,16,2) takes the greedy packing. Its 2^9 words x (8 * 16 + 4 *
         # C(16, 8)) bytes pass the cap, but the 2^16 words it lays, with
-        # their labeled 9-subset ids, need 2^16 x (8 * 16 + 4 * C(16, 9))
+        # their labeled 9-subsets, need 2^16 x (8 * 16 + 4 * C(16, 9))
         # bytes, 2.80 GiB.
-        def sparsify_called(*args, **kwargs):
-            raise AssertionError("sparsify ran before the byte cap was checked")
+        def select_called(*args, **kwargs):
+            raise AssertionError("greedy_select ran before the byte cap was checked")
 
-        monkeypatch.setattr("fpc.packing.sparsify", sparsify_called)
+        monkeypatch.setattr("fpc.packing.greedy_select", select_called)
         out = tmp_path / "x.fpc"
         started = time.perf_counter()
         assert run("construct", "--c", "2", "--l", "16", "--q", "2", "--no-verify", "--out", str(out)) == 1
@@ -622,8 +623,9 @@ class TestDiagnoseCommand:
         assert "capped at l = 9" in capsys.readouterr().err
 
     def test_oversized_packing_refused_before_building(self, monkeypatch, capsys):
-        # (2,4,269): 269^3 words x (8 * 4 + 4 * C(4, 2)) bytes is 1.015 GiB
-        # of word and id matrices, above the 1 GiB cap that construct keeps.
+        # (2,4,269): 269^3 words x (8 * 4 + 4 * C(4, 2)) bytes is an
+        # estimated 1.015 GiB for the words and their labeled 2-subsets,
+        # above the 1 GiB cap that construct keeps.
         class PackingBuilt(Exception):
             pass
 

@@ -176,11 +176,12 @@ class TestConstruct:
         assert len(build_packing(cfg)) == 529**2
 
 
-@pytest.mark.parametrize("c,l,q", [(2, 4, 13), (3, 5, 11), (3, 6, 16), (2, 4, 6)])
+@pytest.mark.parametrize("c,l,q", [(2, 4, 13), (3, 5, 11), (3, 6, 16), (2, 4, 6), (2, 6, 7)])
 def test_reference_route_builds_constructs_code(c, l, q):
     # The per-word route of the traced benchmark replica, one word or
     # candidate at a time, ends in the code `construct` builds. (2,4,6) takes
-    # the greedy packing. `greedy_matching` walks the order that
+    # the greedy packing, and (2,6,7) names labeled 3-subsets by global keys
+    # over 20 combinations. `greedy_matching` walks the order that
     # `random.Random(seed).shuffle` gives, so this also checks `fpc.shuffle`'s
     # replay of it through the whole pipeline.
     cfg = ConstructionConfig(c=c, l=l, q=q, seed=7, verify=False)
@@ -194,23 +195,40 @@ def test_reference_route_builds_constructs_code(c, l, q):
     assert Code(q, l, [cand.transversal for cand in selected]) == code
 
 
-def test_pipeline_peak_memory_stays_near_its_matrices():
-    # The word matrix and the id matrix are the largest arrays the pipeline
-    # keeps: at (2,4,31), 4 one-byte symbols and 6 two-byte ids per word.
-    # Besides them it holds a few narrow arrays of one entry per word and
-    # the index temporaries numpy makes; 60 bytes per word bounds them all.
-    cfg = ConstructionConfig(2, 4, 31, seed=7, verify=False)
-    construct(cfg)  # the field tables, families and lazy imports
+def _traced_construct_peak(cfg):
+    """The traced peak of `construct(cfg)` above what was traced before it,
+    after a first run at (2,4,31) has made the lazy imports and families."""
+    construct(ConstructionConfig(2, 4, 31, seed=7, verify=False))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         construct(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_pipeline_peak_memory_stays_near_its_matrices():
+    # The word matrix is the largest array the pipeline keeps: at (2,4,31),
+    # 4 one-byte symbols per word. Besides it, it holds a few narrow arrays
+    # of one entry per word, and temporaries of one row chunk; 60 bytes per
+    # word bounds them all.
+    peak = _traced_construct_peak(ConstructionConfig(2, 4, 31, seed=7, verify=False))
     n = 31**3
     assert peak <= 60 * n, f"traced peak {peak / n:.1f} bytes per word"
+
+
+def test_pipeline_peak_memory_is_a_small_multiple_of_the_words():
+    # At seed-7 (2,4,101), 1,030,301 words, the per-word arrays besides the
+    # word matrix are one byte a word (the patterns, then their index) and
+    # four (the accepted rows, which the walk shuffles in place); every
+    # index copy, key array and row list is one row chunk long. So the
+    # traced peak stays under three times the word matrix's 4.1 MB.
+    cfg = ConstructionConfig(2, 4, 101, seed=7, verify=False)
+    words_nbytes = 101**3 * 4
+    peak = _traced_construct_peak(cfg)
+    assert peak < 3 * words_nbytes, f"traced peak {peak / words_nbytes:.2f} x the word matrix"
 
 
 class TestPipelineChecks:

@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 import time
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +22,12 @@ from fpc.diagnose import degree_diagnostics, embeddings_per_edge, pattern_images
 import fpc.packing
 from fpc.packing import (
     GF,
-    NOT_KEPT,
     Candidate,
     NotPrimePowerError,
     SparsifierConfig,
     TransversalPacking,
     accept_pattern,
+    flagged_rows,
     greedy_packing,
     greedy_select,
     rs_packing,
@@ -35,6 +35,7 @@ from fpc.packing import (
     sparsify,
 )
 from fpc.reference import accept_candidate, greedy_matching, r_membership, survived_set
+from fpc.shuffle import shuffle
 from fpc.validate import validate_induced, validate_packing
 
 
@@ -207,8 +208,8 @@ class TestGreedyPacking:
             greedy_packing(4, 2, 1, seed=0)
 
     def test_builds_above_two_million_words(self):
-        # 38^4 = 2,085,136 words, with ids of their labeled 3-subsets, are
-        # within the byte cap. The packing has tens of thousands of words;
+        # 38^4 = 2,085,136 words, with the estimate for their labeled
+        # 3-subsets, are within the byte cap. The packing has tens of thousands of words;
         # validate_packing counts their projections, one set per 3 of the 4
         # positions, where a loop over word pairs would take minutes.
         assert 38**4 > 2_000_000
@@ -370,22 +371,27 @@ def _pattern_int(cand):
     return sum(1 << i for i, m in enumerate(masks) if m in cand.pattern)
 
 
-def _assert_ids_name_kept_subsets(words, t, cfg, ids):
-    """ids[k, i] is NOT_KEPT iff bit i of word k's `survived_set` pattern is
-    clear, and the other (slot, id) pairs name the kept labeled subsets one
-    to one."""
-    assert len(ids) == len(words)
-    names: dict[tuple, tuple[int, int]] = {}
-    patterns = [_pattern_int(survived_set(w, t, cfg)) for w in words]
-    for w, pattern, row in zip(words, patterns, ids.tolist()):
-        for i, combo in enumerate(itertools.combinations(range(len(w)), t)):
-            if pattern >> i & 1:
-                assert row[i] != NOT_KEPT
-                name = (i, row[i])
-                assert names.setdefault(tuple((p, w[p]) for p in combo), name) == name
-            else:
-                assert row[i] == NOT_KEPT
-    assert len(set(names.values())) == len(names)
+def _assert_names_kept_subsets(words, t, cfg, kept, patterns):
+    """patterns[k] is word k's `survived_set` pattern, and the True entries
+    of `kept` are exactly the labeled subsets of the words that
+    `r_membership` keeps, one entry per subset: kept[i, s_1, ..., s_t] for
+    the subset with symbols s_1..s_t on combination i."""
+    assert len(patterns) == len(words)
+    assert patterns.tolist() == [_pattern_int(survived_set(w, t, cfg)) for w in words]
+    combos = list(itertools.combinations(range(len(words[0])), t))
+    expected = {
+        (i,) + tuple(w[p] for p in combo)
+        for w in words
+        for i, combo in enumerate(combos)
+        if r_membership(tuple((p + 1, w[p]) for p in combo), cfg)
+    }
+    assert kept.shape == (len(combos),) + (max(map(max, words)) + 1,) * t
+    assert set(map(tuple, np.argwhere(kept).tolist())) == expected
+
+
+def _matrix(words):
+    """Equal-length words as an int64 matrix."""
+    return np.array(words, dtype=np.int64)
 
 
 class TestSparsify:
@@ -402,16 +408,14 @@ class TestSparsify:
     def test_equals_survived_set(self, packing, eta):
         pack = packing()
         cfg = SparsifierConfig(eta=eta, seed=7)
-        ids = sparsify(pack.words, pack.t, cfg)
+        kept, patterns = sparsify(pack.words, pack.t, cfg)
+        slots = math.comb(pack.l, pack.t)
         if eta == 0.0:
-            assert (ids != NOT_KEPT).all()
-        # Ids take the narrowest type that holds the most distinct labeled
-        # subsets on one combination.
-        slots, radix = math.comb(pack.l, pack.t), int(pack.words.max()) + 1
-        assert ids.dtype == np.min_scalar_type(min(len(pack), radix**pack.t))
-        assert ids.shape == (len(pack), slots)
-        _assert_ids_name_kept_subsets(pack.transversals, pack.t, cfg, ids)
-        sets, index = shared_patterns(ids, pack.l, pack.t)
+            assert (patterns == (1 << slots) - 1).all()
+        # Patterns take the narrowest type that holds C(l, t) bits.
+        assert patterns.dtype == np.min_scalar_type((1 << slots) - 1)
+        _assert_names_kept_subsets(pack.transversals, pack.t, cfg, kept, patterns)
+        sets, index = shared_patterns(patterns, pack.l, pack.t)
         expected = [survived_set(U, pack.t, cfg).pattern for U in pack.transversals]
         assert [sets[k] for k in index.tolist()] == expected
 
@@ -420,7 +424,9 @@ class TestSparsify:
     @pytest.mark.parametrize("t,top", [(1, 2**32 - 1), (2, 2**31 - 2), (3, 40)])
     def test_batch_hash_equals_r_membership(self, seed, eta, t, top):
         # Seeds outside 0..2^64-1 reach the key only through its 64-bit mask,
-        # and symbols near 2^32 fill the 4-byte field of each record.
+        # and symbols near 2^32 fill the 4-byte field of each record. Their
+        # kept table would pass the byte cap, so `_kept` hashes their keys
+        # directly; at top 40 `sparsify` runs whole.
         rng = random.Random(seed % 1009)
         symbols = [1, 2, top - 1, top]
         words = [
@@ -428,84 +434,88 @@ class TestSparsify:
             for _ in range(60)
         ]
         cfg = SparsifierConfig(eta=eta, seed=seed)
-        _assert_ids_name_kept_subsets(words, t, cfg, sparsify(words, t, cfg))
+        radix = max(map(max, words)) + 1
+        for combo in itertools.combinations(range(4), t):
+            keys = fpc.packing._subset_keys(_matrix(words), combo, radix)
+            expected = [r_membership(tuple((p + 1, w[p]) for p in combo), cfg) for w in words]
+            assert fpc.packing._kept(combo, keys, radix, cfg).tolist() == expected
+        if top == 40:
+            _assert_names_kept_subsets(words, t, cfg, *sparsify(words, t, cfg))
 
-    def test_wide_patterns_are_python_ints(self, monkeypatch):
-        # C(8, 4) = 70 id columns do not fit an int64 pattern, so
-        # `shared_patterns` ranks Python ints.
+    def test_wide_patterns_are_python_ints(self):
+        # C(8, 4) = 70 slots do not fit an int64 pattern, so the patterns are
+        # Python ints, which `shared_patterns` ranks.
         rng = random.Random(3)
         words = [tuple(rng.randint(1, 9) for _ in range(8)) for _ in range(20)]
         cfg = SparsifierConfig(eta=0.3, seed=5)
-        ids = sparsify(words, 4, cfg)
-        assert ids.shape == (20, 70)
-        _assert_ids_name_kept_subsets(words, 4, cfg, ids)
-        rank, ranked = fpc.packing._rank, []
-
-        def tracked(values, space, inverse):
-            ranked.append(values.copy())
-            return rank(values, space, inverse)
-
-        monkeypatch.setattr(fpc.packing, "_rank", tracked)
-        sets, index = shared_patterns(ids, 8, 4)
-        [patterns] = ranked
+        kept, patterns = sparsify(words, 4, cfg)
+        assert kept.shape == (70,) + (10,) * 4
         assert patterns.dtype == object
-        assert patterns.tolist() == [_pattern_int(survived_set(w, 4, cfg)) for w in words]
+        _assert_names_kept_subsets(words, 4, cfg, kept, patterns)
+        sets, index = shared_patterns(patterns, 8, 4)
         assert [sets[k] for k in index.tolist()] == [survived_set(w, 4, cfg).pattern for w in words]
 
     @pytest.mark.parametrize(
-        "run,ranks",
+        "run,held",
         [
-            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.05, seed=7)), 6),
+            (lambda pack: sparsify(pack.words, 2, SparsifierConfig(eta=0.0, seed=7)), (1, 9)),
             (
                 lambda pack: degree_diagnostics(
-                    pack, SparsifierConfig(eta=0.05, seed=7), build_extremal_complement(2, 4)[1]
+                    pack, SparsifierConfig(eta=0.0, seed=7), build_extremal_complement(2, 4)[1]
                 ),
-                # The six combinations and the distinct patterns.
-                7,
+                (2, 32),
             ),
         ],
         ids=["sparsify", "degree_diagnostics"],
     )
-    def test_one_inverse_alive_at_a_time(self, monkeypatch, run, ranks):
-        # Each combination's word-sized inverse, and any other inverse, is
-        # freed before the next ranking, or two of them are held.
-        rank = fpc.packing._rank
-        inverses = []
+    def test_no_word_sized_temporary(self, monkeypatch, run, held):
+        # With 1,024-row chunks the traced peak is what the pass must hold,
+        # per word (the patterns, and for the diagnostics their index too)
+        # and per labeled subset of the key grid, plus the chunks'
+        # temporaries. One word-sized array of keys, 2 bytes a word here,
+        # would break the bound. At eta 0 nothing is hashed.
+        monkeypatch.setattr(fpc.packing, "_ROW_CHUNK", 1024)
+        pack = rs_packing(4, 2, 47)
+        run(pack)  # the lazy imports and cached families
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run(pack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        per_word, per_subset = held
+        allowed = per_word * len(pack) + per_subset * 6 * 48**2 + 32 * 1024
+        assert peak <= allowed < peak + 2 * len(pack)
 
-        def tracked(values, space, inverse):
-            alive = [ref() for ref in inverses]
-            assert all(a is None or a is inverse for a in alive), "an earlier inverse is alive"
-            inverses.append(weakref.ref(inverse))
-            return rank(values, space, inverse)
-
-        pack = rs_packing(4, 2, 7)
-        monkeypatch.setattr(fpc.packing, "_rank", tracked)
-        run(pack)
-        assert len(inverses) == ranks
-
-    def test_ids_take_the_type_of_one_combinations_count(self):
-        # Up to 201^2 = 40,401 distinct subsets on each of C(4, 2) = 6
-        # combinations: 6 times that is above 65,535, but one combination's
-        # ranks fit uint16. At eta 0 nothing is hashed.
+    def test_global_keys_span_every_combination(self):
+        # 200 symbols on each of C(4, 2) = 6 combinations: one combination's
+        # keys fit int32 as 201^2 does, and so do the global keys, 6 * 201^2
+        # of them. At eta 0 nothing is hashed and every present subset is
+        # kept.
         rng = np.random.default_rng(4)
         words = rng.integers(1, 201, size=(60000, 4), dtype=np.uint8)
-        ids = sparsify(words, 2, SparsifierConfig(eta=0.0, seed=0))
-        assert ids.dtype == np.uint16
-        for column, combo in zip(ids.T, itertools.combinations(range(4), 2)):
-            keys = words[:, combo].astype(np.int64) @ [1, 201]
-            assert np.array_equal(column, np.unique(keys, return_inverse=True)[1] + NOT_KEPT + 1)
-        rows = rng.permutation(len(words))[:50000]
-        assert greedy_select(ids, rows, 3) == _sequential_select(ids, rows.tolist(), 3)
+        kept, patterns = sparsify(words, 2, SparsifierConfig(eta=0.0, seed=0))
+        assert kept.shape == (6, 201, 201) and (patterns == 63).all()
+        for row, combo in zip(kept, itertools.combinations(range(4), 2)):
+            present = np.zeros((201, 201), dtype=bool)
+            present[words[:, combo[0]], words[:, combo[1]]] = True
+            assert np.array_equal(row, present)
+        rows = rng.permutation(len(words))[:50000].astype(np.int32)
+        expected = _sequential_select(words, kept, rows.tolist())
+        assert greedy_select(words, kept, rows) == expected
 
     def test_empty(self):
-        ids = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
-        assert ids.size == 0
-        sets, index = shared_patterns(ids, 4, 2)
+        kept, patterns = sparsify([], 2, SparsifierConfig(eta=0.1, seed=0))
+        assert kept.size == 0 and patterns.size == 0
+        sets, index = shared_patterns(patterns, 4, 2)
         assert sets == [] and index.size == 0
 
     def test_refuses_keys_beyond_int64(self):
-        # (2^16 + 1)^4 > 2^63: the int64 keys would wrap silently.
-        with pytest.raises(ValueError, match="below 2\\^63"):
+        # (2^16 + 1)^4 > 2^63: int64 keys would wrap silently. Their kept
+        # table, C(5, 4) * (2^16 + 1)^4 bytes, is refused before that.
+        with pytest.raises(ValueError, match="above the 1 GiB cap"):
             sparsify([(2**16,) * 5], 4, SparsifierConfig(eta=0.1, seed=0))
 
     @pytest.mark.parametrize("symbol", [2**32, 2**40, -1])
@@ -515,58 +525,45 @@ class TestSparsify:
         with pytest.raises(ValueError, match="0..2\\^32-1"):
             sparsify([(1, symbol, 3)], 1, SparsifierConfig(eta=0.1, seed=0))
 
-    @staticmethod
-    def _subset_ranks(monkeypatch, symbols, t, ratio):
-        # ratio 0 sends every key space to np.unique; a huge one to the table.
-        monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
-        radix, n = int(symbols.max()) + 1, len(symbols)
-        ranks = []
-        for combo in itertools.combinations(range(symbols.shape[1]), t):
-            inverse = np.empty(n, np.min_scalar_type(min(n, radix**t)))
-            keys = fpc.packing._rank(
-                fpc.packing._subset_keys(symbols, combo, radix), radix**t, inverse
-            )
-            ranks.append((keys, inverse))
-        return radix, ranks
-
     @pytest.mark.parametrize("n", [1, 2, 50, 700])
     @pytest.mark.parametrize("t,top", [(1, 3), (2, 12), (3, 5)])
     def test_dense_ranks_equal_sorted_ranks(self, monkeypatch, n, t, top):
+        # `_rank` of the patterns of random words, through the presence
+        # table (a huge ratio) and through np.unique (ratio 0), with row
+        # chunks of 7 so that the table's passes cross chunk edges.
         rng = np.random.default_rng(n * 31 + t)
         symbols = rng.integers(0, top + 1, size=(n, 5))
-        radix, dense = self._subset_ranks(monkeypatch, symbols, t, 10**9)
-        _, unique = self._subset_ranks(monkeypatch, symbols, t, 0)
-        for combo, (keys, inverse), (ukeys, uinverse) in zip(
-            itertools.combinations(range(5), t), dense, unique
-        ):
-            # Keys take the signed type that holds radix**t, and either route
-            # ranks into the inverse that the caller sized for the most
-            # distinct keys.
-            assert keys.dtype == ukeys.dtype == np.min_scalar_type(-1 - radix**t)
-            assert inverse.dtype == uinverse.dtype == np.min_scalar_type(min(n, radix**t))
-            assert np.array_equal(keys, ukeys) and np.array_equal(inverse, uinverse)
-            assert np.array_equal(keys[inverse], symbols[:, combo] @ radix ** np.arange(t))
+        _, patterns = sparsify(symbols, t, SparsifierConfig(eta=0.4, seed=n))
+        space = 1 << math.comb(5, t)
+        monkeypatch.setattr(fpc.packing, "_ROW_CHUNK", 7)
+        ranks = []
+        for ratio in (10**9, 0):
+            monkeypatch.setattr(fpc.packing, "_DENSE_RANK_RATIO", ratio)
+            inverse = np.empty(n, np.min_scalar_type(min(n, space)))
+            ranks.append((fpc.packing._rank(patterns, space, inverse), inverse))
+        (distinct, inverse), (udistinct, uinverse) = ranks
+        assert distinct.dtype == udistinct.dtype == patterns.dtype
+        assert np.array_equal(distinct, udistinct) and np.array_equal(inverse, uinverse)
+        assert np.array_equal(distinct[inverse], patterns)
 
-    @pytest.mark.parametrize("t,top", [(1, 2**32 - 1), (2, 2**31 - 2)])
-    def test_wide_symbols_rank_as_their_offsets(self, monkeypatch, t, top):
-        # Symbols near the 32-bit limit have a key space far beyond the word
-        # count, so np.unique ranks them; the same words shifted down to 0..9
-        # rank through the table, and the ranks are the same.
+    @pytest.mark.parametrize("t,top", [(1, 2**32 - 1), (2, 2**31 - 2), (3, 40)])
+    def test_keys_decode_to_their_symbols(self, t, top):
+        # Each key's base-radix digits are the subset's symbols, the first
+        # position highest, up to symbols near the 32-bit limit; the key
+        # takes the signed type that holds radix**t.
         rng = np.random.default_rng(top)
-        small = rng.integers(0, 10, size=(300, 4))
-        wide_radix, wide = self._subset_ranks(monkeypatch, small + (top - 9), t, 4)
-        radix, dense = self._subset_ranks(monkeypatch, small, t, 10**9)
-        for (wkeys, winverse), (keys, inverse) in zip(wide, dense):
-            assert np.array_equal(winverse, inverse)
-            for j in range(t):
-                assert np.array_equal(
-                    wkeys // wide_radix**j % wide_radix - (top - 9), keys // radix**j % radix
-                )
+        symbols = rng.integers(0, 10, size=(300, 4)) + (top - 9)
+        radix = top + 1
+        for combo in itertools.combinations(range(4), t):
+            keys = fpc.packing._subset_keys(symbols, combo, radix)
+            assert keys.dtype == np.min_scalar_type(-1 - radix**t)
+            for j, p in enumerate(combo):
+                assert np.array_equal(keys // radix ** (t - 1 - j) % radix, symbols[:, p])
 
     @pytest.mark.parametrize("l,t,q", [(4, 2, 13), (6, 2, 16)])
     def test_symbol_dtype_leaves_the_output_alone(self, l, t, q):
         # The packing's uint8 matrix, the same words widened, and its tuples
-        # give equal ids and selections.
+        # give equal kept tables, patterns and selections.
         pack = rs_packing(l, t, q)
         assert pack.words.dtype == np.uint8
         cfg = SparsifierConfig(eta=0.05, seed=7)
@@ -577,21 +574,33 @@ class TestSparsify:
             list(pack.transversals),
         ]
         runs = [sparsify(words, t, cfg) for words in forms]
-        rows = np.arange(0, len(pack), 3)
-        ids, selected = runs[0], greedy_select(runs[0], rows, seed=5)
+        rows = shuffle(np.arange(0, len(pack), 3, dtype=np.int32), 5)
+        kept, patterns = runs[0]
+        selected = greedy_select(pack.words, kept, rows)
         assert len(selected) > 1
-        for other_ids in runs[1:]:
-            assert np.array_equal(other_ids, ids)
-            assert greedy_select(other_ids, rows, seed=5) == selected
+        for words, (other_kept, other_patterns) in zip(forms[1:], runs[1:]):
+            assert np.array_equal(other_kept, kept) and np.array_equal(other_patterns, patterns)
+            assert greedy_select(np.asarray(words), other_kept, rows) == selected
 
     def test_shared_patterns(self):
         pack = rs_packing(4, 2, 7)
         cfg = SparsifierConfig(eta=0.3, seed=2)
-        sets, ids = shared_patterns(sparsify(pack.words, 2, cfg), 4, 2)
-        assert ids.dtype == np.uint8  # at most 2^C(4, 2) = 64 patterns
+        sets, index = shared_patterns(sparsify(pack.words, 2, cfg)[1], 4, 2)
+        assert index.dtype == np.uint8  # at most 2^C(4, 2) = 64 patterns
         assert len(set(sets)) == len(sets)
-        for U, k in zip(pack.transversals, ids.tolist()):
+        for U, k in zip(pack.transversals, index.tolist()):
             assert sets[k] == survived_set(U, 2, cfg).pattern
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+    def test_flagged_rows_equal_flatnonzero(self, monkeypatch, n):
+        # Chunks of 1,024 rows, and the rows found at both chunk edges.
+        monkeypatch.setattr(fpc.packing, "_ROW_CHUNK", 1024)
+        rng = np.random.default_rng(n)
+        flags = rng.random(9) < 0.5
+        index = rng.integers(0, 9, size=n, dtype=np.uint8)
+        rows = flagged_rows(flags, index)
+        assert rows.dtype == np.int32
+        assert rows.tolist() == np.flatnonzero(flags[index]).tolist()
 
 
 class TestAcceptCandidate:
@@ -686,30 +695,33 @@ def _matching_pool(l, t, q, eta):
 
 
 @functools.lru_cache(maxsize=None)
-def _pool_ids(l, t, q, eta):
-    """`sparsify`'s ids for the words of `_matching_pool(l, t, q, eta)`."""
-    ids = sparsify(rs_packing(l, t, q).words, t, SparsifierConfig(eta=eta, seed=13))
-    ids.flags.writeable = False
-    return ids
+def _pool_kept(l, t, q, eta):
+    """The words of `_matching_pool(l, t, q, eta)` and `sparsify`'s kept
+    table for them."""
+    words = rs_packing(l, t, q).words
+    kept, _patterns = sparsify(words, t, SparsifierConfig(eta=eta, seed=13))
+    words.flags.writeable = kept.flags.writeable = False
+    return words, kept
 
 
-def _watch_blocks(monkeypatch, start, cap):
-    """Set `greedy_select`'s first block and block cap; returns the list to
-    which each block's size is appended as `greedy_select` slices it from
-    the shuffled order."""
+class _Order(np.ndarray):
+    """An order that appends the size of each slice taken of it to `sizes`."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.sizes.append(key.stop - key.start)
+        return super().__getitem__(key).view(np.ndarray)
+
+
+def _watch_blocks(monkeypatch, start, cap, order):
+    """Set `greedy_select`'s first block and block cap; returns `order` as
+    an array that appends each block's size to its `sizes` list as
+    `greedy_select` slices the block from it."""
     monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK", start)
     monkeypatch.setattr(fpc.packing, "_SELECT_BLOCK_CAP", cap)
-    sizes = []
-
-    class Order(np.ndarray):
-        def __getitem__(self, key):
-            if isinstance(key, slice):
-                sizes.append(key.stop - key.start)
-            return super().__getitem__(key).view(np.ndarray)
-
-    shuffled = fpc.packing.shuffled_range
-    monkeypatch.setattr(fpc.packing, "shuffled_range", lambda n, seed: shuffled(n, seed).view(Order))
-    return sizes
+    watched = np.asarray(order).view(_Order)
+    watched.sizes = []
+    return watched
 
 
 def _assert_doubles_to_cap(sizes, start, cap):
@@ -719,41 +731,56 @@ def _assert_doubles_to_cap(sizes, start, cap):
     assert all(b in (a, min(2 * a, cap)) for a, b in zip(sizes, sizes[1:]))
 
 
-def _sequential_select(ids, rows, seed):
-    """The pass `greedy_select` runs in blocks: walk `rows` in the order
-    `random.Random(seed).shuffle` gives, keep each row none of whose kept
-    (slot, id) pairs an earlier kept row holds."""
+def _shuffled(rows, seed):
+    """`rows` in the order `random.Random(seed).shuffle` gives a list of them."""
     order = list(rows)
     random.Random(seed).shuffle(order)
+    return order
+
+
+def _sequential_select(words, kept, order):
+    """The pass `greedy_select` runs in blocks: walk the rows of `words` in
+    `order`, keep each row none of whose kept (combination, symbols) pairs
+    an earlier kept row holds."""
+    t = kept.ndim - 1
+    combos = list(itertools.combinations(range(words.shape[1]), t))
     used, selected = set(), []
     for k in order:
-        held = {(i, name) for i, name in enumerate(ids[k].tolist()) if name != NOT_KEPT}
+        held = set()
+        for i, combo in enumerate(combos):
+            name = (i,) + tuple(words[k, list(combo)].tolist())
+            if kept[name]:
+                held.add(name)
         if used.isdisjoint(held):
             used |= held
             selected.append(k)
     return selected
 
 
+# (l, t) with C(l, t) slots per row, and the symbols per position that give
+# about 40 labeled subsets per combination.
+_WIDTHS = {1: (1, 1, 40), 6: (4, 2, 6), 8: (8, 1, 40), 9: (9, 1, 40), 15: (6, 2, 6), 16: (16, 1, 40), 20: (6, 3, 3)}
+
+
 class TestMatching:
-    @pytest.mark.parametrize("width", [1, 6, 8, 9, 15, 16, 20])
+    @pytest.mark.parametrize("width", sorted(_WIDTHS))
     @pytest.mark.parametrize("seed", [0, 11])
     def test_padded_used_test_equals_sequential_greedy(self, monkeypatch, width, seed):
         # The used test pads each row to whole 8-byte words. Widths 6, 15
         # and 20 are C(l,t) or greedy_packing's C(l,t+1) at grid points; 1,
-        # 8, 9 and 16 sit at the edges of one and two words. Each column
-        # numbers its own ids 1..40, as `sparsify` numbers each
-        # combination's subsets, so equal ids in two columns do not clash. A
-        # tenth of the slots hold NOT_KEPT, and 12,000 rows over 40 ids per
-        # column clash ever more, so the blocks double from the first size
-        # to the cap.
+        # 8, 9 and 16 sit at the edges of one and two words. Each
+        # combination has about 40 labeled subsets, a tenth of them not
+        # kept, and 12,000 rows clash ever more, so the blocks double from
+        # the first size to the cap.
+        l, t, symbols = _WIDTHS[width]
         rng = np.random.default_rng(width)
-        ids = rng.integers(1, 41, size=(15000, width), dtype=np.uint16)
-        ids[rng.random(ids.shape) < 0.1] = NOT_KEPT
-        rows = rng.permutation(len(ids))[:12000]
+        words = rng.integers(1, symbols + 1, size=(15000, l), dtype=np.uint8)
+        kept = rng.random((width,) + (symbols + 1,) * t) >= 0.1
+        order = _shuffled(rng.permutation(len(words))[:12000].tolist(), seed)
         start, cap = fpc.packing._SELECT_BLOCK, fpc.packing._SELECT_BLOCK_CAP
-        sizes = _watch_blocks(monkeypatch, start, cap)
-        assert greedy_select(ids, rows, seed) == _sequential_select(ids, rows.tolist(), seed)
-        _assert_doubles_to_cap(sizes, start, cap)
+        watched = _watch_blocks(monkeypatch, start, cap, np.array(order, dtype=np.int32))
+        assert greedy_select(words, kept, watched) == _sequential_select(words, kept, order)
+        _assert_doubles_to_cap(watched.sizes, start, cap)
 
     def test_empty(self):
         assert greedy_matching([], seed=1) == []
@@ -794,10 +821,12 @@ class TestMatching:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_greedy(self, point, seed):
-        # `greedy_select` over `sparsify`'s ids against the one-candidate-at-
-        # a-time pass over the same words' survived sets.
+        # `greedy_select` over `sparsify`'s kept table and the shuffled rows
+        # against the one-candidate-at-a-time pass over the same words'
+        # survived sets.
         cands = _matching_pool(*point)
-        chosen = greedy_select(_pool_ids(*point), np.arange(len(cands)), seed)
+        order = shuffle(np.arange(len(cands), dtype=np.int32), seed)
+        chosen = greedy_select(*_pool_kept(*point), order)
         assert [cands[k] for k in chosen] == greedy_matching(cands, seed)
 
     @pytest.mark.parametrize(
@@ -813,20 +842,21 @@ class TestMatching:
     )
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 1])
     def test_blocks_equal_reference_greedy(self, monkeypatch, block, seed):
-        # `greedy_select` over `sparsify`'s ids, the route `construct` takes,
-        # against the one-candidate-at-a-time pass. At eta 0.5 about half
-        # the slots hold NOT_KEPT, and 2,197 shuffled words cross the block
-        # boundaries many times; a block keeps words that clash with each
-        # other, so the in-block resolution matters. An int is a fixed block;
-        # a (start, cap) pair is a block that doubles from start, as the
-        # walk meets ever more used ids, and reaches its cap.
+        # `greedy_select` over `sparsify`'s kept table, the route `construct`
+        # takes, against the one-candidate-at-a-time pass. At eta 0.5 about
+        # half the subsets are not kept, and 2,197 shuffled words cross the
+        # block boundaries many times; a block keeps words that clash with
+        # each other, so the in-block resolution matters. An int is a fixed
+        # block; a (start, cap) pair is a block that doubles from start, as
+        # the walk meets ever more used keys, and reaches its cap.
         start, cap = block if isinstance(block, tuple) else (block, block)
-        sizes = _watch_blocks(monkeypatch, start, cap)
         cands = _matching_pool(4, 2, 13, 0.5)
         assert len(cands) > 8 * cap
-        chosen = greedy_select(_pool_ids(4, 2, 13, 0.5), np.arange(len(cands)), seed)
+        order = shuffle(np.arange(len(cands), dtype=np.int32), seed)
+        watched = _watch_blocks(monkeypatch, start, cap, order)
+        chosen = greedy_select(*_pool_kept(4, 2, 13, 0.5), watched)
         assert [cands[k] for k in chosen] == greedy_matching(cands, seed)
-        _assert_doubles_to_cap(sizes, start, cap)
+        _assert_doubles_to_cap(watched.sizes, start, cap)
 
     @pytest.mark.parametrize(
         "block", [3, fpc.packing._SELECT_BLOCK, pytest.param((1, 32), id="1-doubling-to-32")]
@@ -835,22 +865,22 @@ class TestMatching:
         # As above, with the rows a subset of the packing, as the accepted
         # rows are in `construct`.
         start, cap = block if isinstance(block, tuple) else (block, block)
-        sizes = _watch_blocks(monkeypatch, start, cap)
         cands = _matching_pool(4, 2, 13, 0.5)
-        rows = np.arange(0, len(cands), 3)
-        chosen = greedy_select(_pool_ids(4, 2, 13, 0.5), rows, 9)
+        rows = np.arange(0, len(cands), 3, dtype=np.int32)
+        watched = _watch_blocks(monkeypatch, start, cap, shuffle(rows.copy(), 9))
+        chosen = greedy_select(*_pool_kept(4, 2, 13, 0.5), watched)
         assert [cands[k] for k in chosen] == greedy_matching([cands[k] for k in rows], 9)
-        _assert_doubles_to_cap(sizes, start, cap)
+        _assert_doubles_to_cap(watched.sizes, start, cap)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 257, 5000])
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 1, -3])
     def test_select_order_is_the_list_shuffle(self, n, seed):
         # With no kept subsets every row is selected, in the shuffled order,
         # which must be the order `random.shuffle` gives a list of the rows.
-        rows = np.arange(n)[::-1]
-        expected = rows.tolist()
-        random.Random(seed).shuffle(expected)
-        assert greedy_select(np.zeros((n, 1), np.int32), rows, seed) == expected
+        rows = np.arange(n, dtype=np.int32)[::-1].copy()
+        expected = _shuffled(rows.tolist(), seed)
+        words = np.zeros((n, 2), dtype=np.uint8)
+        assert greedy_select(words, np.zeros((2, 1), dtype=bool), shuffle(rows, seed)) == expected
 
     def test_empty_patterns_all_selected(self):
         cands = [Candidate((k, 1, 2), frozenset()) for k in range(1, 40)]
@@ -1033,7 +1063,7 @@ class TestDiagnostics:
         # Words over q = 3 agree in more than t = 2 positions, so this is no
         # packing; the degree counts take any words. The reference counts
         # labeled-subset tuples as `degree_diagnostics` did before it counted
-        # ids.
+        # keys.
         rng = random.Random(8)
         words = sorted({tuple(rng.randint(1, 3) for _ in range(4)) for _ in range(50)})
         packing = TransversalPacking(l=4, q=3, t=2, words=np.array(words))

@@ -13,6 +13,11 @@ def _list_shuffle(n, seed):
     return order
 
 
+def _replay(n, seed):
+    """The list 0..n-1 through `fpc.shuffle.shuffle`."""
+    return fpc.shuffle.shuffle(np.arange(n, dtype=np.int32), seed)
+
+
 class TestShuffleReplay:
     SIZES = sorted({0, 1, 2, 3} | {2**k + d for k in range(1, 18) for d in (-1, 0, 1)})
 
@@ -21,7 +26,7 @@ class TestShuffleReplay:
         # Each bit length of the bounds starts at a power of two, so these
         # sizes start and end the draws on every side of a bit-length edge.
         for n in self.SIZES:
-            got = fpc.shuffle.shuffled_range(n, seed)
+            got = _replay(n, seed)
             assert got.dtype == np.int32
             assert got.tolist() == _list_shuffle(n, seed), n
 
@@ -33,17 +38,28 @@ class TestShuffleReplay:
         monkeypatch.setattr(fpc.shuffle, "_DRAW_WINDOW", window)
         monkeypatch.setattr(fpc.shuffle, "_SWAP_CHUNK", chunk)
         for n in [0, 1, 2, 3, 4, 5, 17, 63, 64, 65, 300, 1025]:
-            assert fpc.shuffle.shuffled_range(n, seed).tolist() == _list_shuffle(n, seed), n
+            assert _replay(n, seed).tolist() == _list_shuffle(n, seed), n
 
     def test_chunk_edges_at_default_sizes(self):
         chunk = fpc.shuffle._SWAP_CHUNK
         for n in [chunk - 1, chunk, chunk + 1, chunk + 2, 2 * chunk + 1, 3 * chunk]:
-            assert fpc.shuffle.shuffled_range(n, 11).tolist() == _list_shuffle(n, 11), n
+            assert _replay(n, 11).tolist() == _list_shuffle(n, 11), n
 
     @given(n=st.integers(0, 3000), seed=st.integers(-(2**80), 2**80))
     @settings(max_examples=60, deadline=None)
     def test_equals_list_shuffle_any_seed(self, n, seed):
-        assert fpc.shuffle.shuffled_range(n, seed).tolist() == _list_shuffle(n, seed)
+        assert _replay(n, seed).tolist() == _list_shuffle(n, seed)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 300, 20000])
+    def test_shuffles_any_values_in_place(self, n):
+        # The walk's rows are arbitrary int32 values, negative ones and
+        # repeats included, and the array that holds them is the result.
+        values = np.random.default_rng(n).integers(-(2**31), 2**31, size=n, dtype=np.int32)
+        values[: n // 2] = values[n // 2 : 2 * (n // 2)]
+        expected = values.tolist()
+        random.Random(9).shuffle(expected)
+        assert fpc.shuffle.shuffle(values, 9) is values
+        assert values.tolist() == expected
 
     def test_draws_are_randbelow(self):
         # The draws alone, against the generator's own bounded draws.
