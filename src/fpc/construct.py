@@ -3,17 +3,28 @@
 The pipeline lays a transversal packing over the symbols (Reed-Solomon where
 `rs_applies`, else greedy), sparsifies each transversal's labeled t-subsets,
 keeps candidates whose missing pattern has no lam+1 pairwise disjoint
-members, and extracts a conflict-free selection. The stages share the
-packing's (n, l) word matrix and name labeled subsets by their global keys:
-the sparsifier gives one kept table over those keys and each row's
-kept-pattern bits; `shared_patterns` ranks the distinct patterns;
-acceptance is decided once per distinct pattern, and the matching shuffles
-the accepted rows in place and derives each block's keys from its words.
-Only the selected rows become tuples, and the `Code`, inside the timed
-matching stage; only a verified build makes them `Candidate` objects, each
-with the one frozenset that `shared_patterns` gives its pattern, for
-`validate_induced`. `build_packing` sizes and builds the packing for
-`construct` and `fpc diagnose` alike. The selected transversals are the
+members, and extracts a conflict-free selection. It has two routes, which
+give the same code and report, timings aside; `construct` picks one from
+the point's size before it imports numpy, by `takes_plain_route`.
+
+- `plain_route`, up to `PLAIN_LIMIT` keys, is plain Python over the lists
+  of `fpc.plain`: the packing through the `GF` tables, one keyed blake2b
+  per labeled subset, acceptance once per distinct pattern, then
+  `random.Random(seed).shuffle` and a set-based greedy walk. It loads no
+  numpy, whose import costs more than the whole build there.
+- `numpy_route` shares the packing's (n, l) word matrix across its stages
+  and names labeled subsets by their global keys: the sparsifier gives one
+  kept table over those keys and each row's kept-pattern bits;
+  `shared_patterns` ranks the distinct patterns; acceptance is decided once
+  per distinct pattern, and the matching shuffles the accepted rows in
+  place, replaying the same shuffle, and derives each block's keys from its
+  words.
+
+On either route only the selected rows become tuples, and the `Code`,
+inside the timed matching stage; only a verified build makes them
+`Candidate` objects, those with equal patterns sharing one frozenset, for
+`validate_induced`. `build_packing` sizes and builds the numpy packing for
+the numpy route and `fpc diagnose` alike. The selected transversals are the
 code; verification re-checks the frameproof property exactly rather than
 trusting any pipeline stage, and only it loads the two checkers' modules
 and `fpc.validate`. Acceptance and the report take t, lambda, m and the
@@ -26,14 +37,14 @@ baseline code and the exhaustive maximizer in `fpc.oracle`.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
+from .candidate import Candidate, SparsifierConfig, accept_pattern
 from .core import BudgetExceededError, Code, ConstructionError, DEFAULT_BUDGET
 from .extremal import (
     BoundsReport,
@@ -42,23 +53,24 @@ from .extremal import (
     complete_family,
     extremal_family,
     lambda_of,
+    position_masks,
 )
-from .packing import (
-    Candidate,
-    SparsifierConfig,
-    TransversalPacking,
-    accept_pattern,
-    check_matrix_bytes,
-    flagged_rows,
-    greedy_packing,
-    greedy_select,
-    rs_applies,
-    rs_packing,
-    shared_patterns,
-    sparsify,
-)
+from .field import rs_applies
 from .record import Record
-from .shuffle import shuffle
+
+if TYPE_CHECKING:
+    from .packing import TransversalPacking
+
+# The most keys, rows walked times keys per row, at which `construct` takes
+# the plain route. Set from cold `fpc construct` children of each route
+# (seed 7, verify on, medians of 11 alternating pairs, 2-core x86-64 host,
+# CPython 3.11; the numpy route's time includes its import): the plain route
+# was faster and smaller at (3,6,25), 234,375 keys (132.2 against 150.2 ms,
+# 10 of 11 pairs; 30.2 against 31.2 MB), and at the greedy (2,4,15),
+# 202,500 keys (135.7 against 143.4 ms; 30.7 against 30.8 MB), and slower
+# and larger at (2,5,13), 285,610 keys (204.8 against 190.3 ms; 36.9
+# against 30.9 MB), and at (3,6,27), 295,245 keys (158.7 against 151.9 ms).
+PLAIN_LIMIT = 240_000
 
 
 class ConstructionConfig(Record):
@@ -144,6 +156,8 @@ def build_packing(cfg: ConstructionConfig) -> TransversalPacking:
     """The packing `cfg.packing` names at the config's point, once
     `check_matrix_bytes` has let through the q^(t+1) words that bound any
     packing, with their labeled t-subsets."""
+    from .packing import check_matrix_bytes, greedy_packing, rs_packing
+
     t, _lam = lambda_of(cfg.c, cfg.l)
     check_matrix_bytes(cfg.q ** (t + 1), cfg.l, t)
     if cfg.packing == "rs":
@@ -151,19 +165,52 @@ def build_packing(cfg: ConstructionConfig) -> TransversalPacking:
     return greedy_packing(cfg.l, t, cfg.q, cfg.seed)
 
 
+def takes_plain_route(cfg: ConstructionConfig) -> bool:
+    """Whether `construct` builds cfg on the plain route: the rows its
+    packing walks times the keys per row, q^(t+1)·C(l, t) for the rs packing
+    and q^l·C(l, t+1) for the greedy packing's walk, are at most
+    `PLAIN_LIMIT`."""
+    t, _lam = lambda_of(cfg.c, cfg.l)
+    if cfg.packing == "rs":
+        work = cfg.q ** (t + 1) * math.comb(cfg.l, t)
+    else:
+        work = cfg.q**cfg.l * math.comb(cfg.l, t + 1)
+    return work <= PLAIN_LIMIT
+
+
+# What a route returns: the code, the selected candidates when cfg.verify
+# (else None), the packing's size and the number of accepted candidates.
+_Built = tuple[Code, Optional[list[Candidate]], int, int]
+
+
 def construct(
     cfg: ConstructionConfig, budget: int = DEFAULT_BUDGET
 ) -> tuple[Code, ConstructionReport]:
     """Run the full pipeline and, when cfg.verify, prove the result exactly.
 
+    The pipeline runs on the plain route where `takes_plain_route`, else on
+    the numpy route; both give the same code and report, timings aside.
     Verification failure raises ConstructionError with a mechanism diagnosis:
     it would mean a bug, never an expected outcome. A verification that would
     blow the comparison budget yields verified=None with a note instead.
     """
     bounds = bounds_report(cfg.c, cfg.l, cfg.q)
-    t, lam = bounds.t, bounds.lam
     timings: dict[str, float] = {}
+    route = plain_route if takes_plain_route(cfg) else numpy_route
+    code, selected, packing_size, accepted_count = route(cfg, bounds, timings)
+    report = _report(cfg, bounds, budget, timings, code, selected, packing_size, accepted_count)
+    return code, report
 
+
+def numpy_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str, float]) -> _Built:
+    """The four stages over the packing's word matrix, each timed in
+    `timings`."""
+    import numpy as np
+
+    from .packing import flagged_rows, greedy_select, shared_patterns, sparsify
+    from .shuffle import shuffle
+
+    t, lam = bounds.t, bounds.lam
     # The packing goes first so that an oversized point is refused before
     # any work.
     with _timed(timings, "packing"):
@@ -181,24 +228,73 @@ def construct(
         accepted = flagged_rows(accepts, pattern_ids)
 
     with _timed(timings, "matching"):
-        accepted_count = len(accepted)
         chosen = greedy_select(pack.words, kept, shuffle(accepted, cfg.seed))
         words = list(map(tuple, pack.words[chosen].tolist()))
+        selected = None
         if cfg.verify:
             selected = [
                 Candidate(word, sets[k]) for word, k in zip(words, pattern_ids[chosen].tolist())
             ]
         code = Code(cfg.q, cfg.l, words)
+    return code, selected, len(pack), len(accepted)
 
-    # Verification needs none of the pipeline's arrays; free them first.
-    packing_size = len(pack)
-    del pack, kept, pattern_ids, accepts, accepted
 
+def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str, float]) -> _Built:
+    """The four stages of `numpy_route` in plain Python, each timed in
+    `timings` under the same name, on the columns of `fpc.plain`."""
+    import random
+    from itertools import compress
+
+    from . import plain
+
+    t, lam = bounds.t, bounds.lam
+    with _timed(timings, "packing"):
+        if cfg.packing == "rs":
+            columns = plain.rs_columns(cfg.l, t, cfg.q)
+        else:
+            columns = plain.greedy_columns(cfg.l, t, cfg.q, cfg.seed)
+
+    with _timed(timings, "candidates"):
+        sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
+        rows, patterns, kept = plain.sparsify(columns, cfg.q, t, sparsifier)
+        masks = position_masks(cfg.l, t)
+        sets = {
+            bits: frozenset(mask for i, mask in enumerate(masks) if bits >> i & 1)
+            for bits in set(patterns)
+        }
+
+    with _timed(timings, "accept"):
+        m = bounds.m.value
+        accepts = {bits: accept_pattern(p, cfg.l, t, lam, m) for bits, p in sets.items()}
+        accepted = list(compress(range(len(patterns)), map(accepts.__getitem__, patterns)))
+
+    with _timed(timings, "matching"):
+        random.Random(cfg.seed).shuffle(accepted)
+        chosen = plain.walk(rows, accepted, kept)
+        words = plain.symbols(columns, cfg.q, chosen)
+        selected = None
+        if cfg.verify:
+            selected = [Candidate(word, sets[patterns[k]]) for word, k in zip(words, chosen)]
+        code = Code(cfg.q, cfg.l, words)
+    return code, selected, len(patterns), len(accepted)
+
+
+def _report(
+    cfg: ConstructionConfig,
+    bounds: BoundsReport,
+    budget: int,
+    timings: dict[str, float],
+    code: Code,
+    selected: Optional[list[Candidate]],
+    packing_size: int,
+    accepted_count: int,
+) -> ConstructionReport:
+    """Verify what a route built, when cfg.verify, and report it."""
     verified: Optional[bool] = None
     note = ""
     if cfg.verify:
         try:
-            _verify_pipeline(code, selected, cfg, t, lam, budget, timings)
+            _verify_pipeline(code, selected, cfg, bounds.t, bounds.lam, budget, timings)
             verified = True
         except BudgetExceededError as exc:
             note = f"verification skipped: {exc}"
@@ -210,7 +306,7 @@ def construct(
             f"constructed {len(code)} words above the proven bound {bounds.blackburn}; "
             "this is a checker or pipeline bug"
         )
-    report = ConstructionReport(
+    return ConstructionReport(
         config=cfg,
         bounds=bounds,
         packing_size=packing_size,
@@ -220,7 +316,6 @@ def construct(
         verified_note=note,
         timings_ms=timings,
     )
-    return code, report
 
 
 @contextmanager

@@ -22,10 +22,10 @@ from collections import namedtuple
 
 import numpy as np
 
+from .candidate import SparsifierConfig
 from .core import Witness
 from .extremal import PositionFamily, matching_number
 from .packing import (
-    SparsifierConfig,
     TransversalPacking,
     _kept,
     _row_chunks,
@@ -105,7 +105,7 @@ def degree_diagnostics(
         raise ValueError("family must be t-uniform on the packing's positions")
     lam_f = embeddings_per_edge(family)
 
-    patterns = sparsify(packing.words, t, cfg)[1]
+    kept, patterns = sparsify(packing.words, t, cfg)
     sets, pattern_ids = shared_patterns(patterns, l, t)
     del patterns
     images = pattern_images(family)
@@ -115,11 +115,14 @@ def degree_diagnostics(
     # the packing, its degree among the copies, and whether the sparsifier
     # keeps it. Only kept subsets enter dH_mean, and a copy that holds a kept
     # subset keeps it. Degrees are counts of the words' keys, a row chunk at
-    # a time.
+    # a time. A subset some word holds has its kept bit in `sparsify`'s kept
+    # table, whose radix is the largest symbol held + 1; only the subsets no
+    # word holds are hashed here.
     radix = max(q, int(packing.words.max())) + 1
-    grid_keys = _subset_keys(np.indices((q,) * t).reshape(t, -1).T + 1, range(t), radix)
+    grid = np.indices((q,) * t).reshape(t, -1).T + 1
+    grid_keys = _subset_keys(grid, range(t), radix)
     degrees, dH, in_r = [], [], []
-    for combo in itertools.combinations(range(l), t):
+    for combo, kept_row in zip(itertools.combinations(range(l), t), kept.reshape(len(kept), -1)):
         counts = np.zeros((2, radix**t), dtype=np.int64)
         for rows in _row_chunks(len(packing)):
             keys = _subset_keys(packing.words[rows], combo, radix)
@@ -127,7 +130,11 @@ def degree_diagnostics(
             counts[1] += np.bincount(keys[is_copy[pattern_ids[rows]]], minlength=radix**t)
         degrees.append(counts[0, grid_keys])
         dH.append(counts[1, grid_keys])
-        in_r.append(_kept(combo, grid_keys, radix, cfg))
+        held = degrees[-1] > 0
+        bits = np.empty(len(grid_keys), dtype=bool)
+        bits[held] = kept_row[_subset_keys(grid[held], range(t), kept.shape[-1])]
+        bits[~held] = _kept(combo, grid_keys[~held], radix, cfg)
+        in_r.append(bits)
     degrees, dH, in_r = (np.concatenate(counts) for counts in (degrees, dH, in_r))
 
     delta = max(0.0, 1.0 - len(packing) / q ** (t + 1))

@@ -97,6 +97,9 @@ def _largest_matching(edges: list[int], l: int, t: int, stop: int) -> tuple[int,
         return False
 
     extend(0, 0, (), 0)
+    # `extend` holds itself through its closure; unbinding it breaks the
+    # cycle, so the search's objects are freed here, not by the collector.
+    del extend
     return best
 
 

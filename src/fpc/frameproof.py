@@ -135,23 +135,29 @@ def is_frameproof(code: Code, c: int, budget: int = DEFAULT_BUDGET) -> Verdict:
             for m in rests
         )
 
-    everywhere = tuple(range(l))
-    for x in range(n):
-        if reach(x, everywhere, s):
-            break
-    else:
-        return Verdict(True)
-    w = words[x]
-    coalition: list[int] = []
-    uncovered = everywhere
-    for j in range(n):
-        if j == x:
-            continue
-        left = s - len(coalition) - 1
-        rest = tuple(k for k in uncovered if words[j][k] != w[k])
-        if not rest or left and reach(x, rest, left):
-            coalition.append(j)
-            uncovered = rest
-            if not left:
+    # `reach` holds itself, and with it `own` and `index`, through its
+    # closure; unbinding it on every way out breaks that cycle, so they are
+    # freed on return, not by the collector.
+    try:
+        everywhere = tuple(range(l))
+        for x in range(n):
+            if reach(x, everywhere, s):
                 break
-    return Verdict(False, Witness(w, tuple(words[j] for j in coalition)))
+        else:
+            return Verdict(True)
+        w = words[x]
+        coalition: list[int] = []
+        uncovered = everywhere
+        for j in range(n):
+            if j == x:
+                continue
+            left = s - len(coalition) - 1
+            rest = tuple(k for k in uncovered if words[j][k] != w[k])
+            if not rest or left and reach(x, rest, left):
+                coalition.append(j)
+                uncovered = rest
+                if not left:
+                    break
+        return Verdict(False, Witness(w, tuple(words[j] for j in coalition)))
+    finally:
+        del reach

@@ -1,10 +1,11 @@
-"""Near-perfect transversal packings and the sparsify/select machinery.
+"""Near-perfect transversal packings and the sparsify/select machinery of
+the pipeline's numpy route.
 
 A packing here is a set of words any two of which agree in at most t
 coordinates; equivalently their labeled (t+1)-subsets are pairwise distinct.
 `rs_packing` realizes the perfect case (q^(t+1) words) by evaluating all
-polynomials of degree <= t over GF(q), whose add and mul are q x q lookup
-tables for every prime power q; `greedy_packing` is the maximal-by-inclusion
+polynomials of degree <= t over GF(q), through numpy copies of the pure
+Python `fpc.field.GF` tables; `greedy_packing` is the maximal-by-inclusion
 fallback for any q, the matching's own greedy pass over all q^l words at
 t+1. One byte estimate, `check_matrix_bytes`, refuses either packing before
 it is built. Every stage works on the packing's (n, l) word matrix of the
@@ -14,23 +15,23 @@ index times radix^t plus its `_subset_keys` key, which each stage derives
 from the words where it needs it. `sparsify` hashes each labeled subset
 that some word holds once, into one bool kept table over the global keys,
 and ORs each word's kept-pattern bits together one combination at a time;
-`shared_patterns` ranks the distinct patterns; `accept_pattern` is decided
-once per distinct pattern, from l, t, lambda and m alone; and
-`greedy_select` walks the words in a given order, in the pipeline the one
+`shared_patterns` ranks the distinct patterns, on each of which
+`fpc.candidate.accept_pattern` is decided once; and `greedy_select` walks
+the words in a given order, in the pipeline the one
 `random.Random(seed).shuffle` gives, replayed in place by `shuffle.shuffle`,
 dropping in one numpy test per block every word that holds a used kept key.
 Every per-word pass runs a row chunk of `_ROW_CHUNK` rows at a time, so no
 index copy, key array or row list it makes grows with n.
-What an unverified `fpc construct` never runs lives elsewhere: the re-checks
-of a verified build (`validate_packing`, `validate_induced`) in
-`fpc.validate`, the per-word reference routes (`survived_set`,
-`r_membership`, `accept_candidate`, `greedy_matching`) in `fpc.reference`,
-and the degree diagnostics of `fpc diagnose` in `fpc.diagnose`.
 
-The sparsifier's hash is `blake2b` from CPython's built-in `_blake2`, the
-object `hashlib.blake2b` is, imported directly so that no OpenSSL is loaded.
-Supported interpreters must ship `_blake2`; on a build without it this
-module does not import.
+`fpc.construct` loads this module, and numpy with it, only for a point
+above its plain route's limit, and `fpc diagnose` always. What neither
+runs lives elsewhere: the pipeline's numpy-free pieces (`SparsifierConfig`
+and its keyed hash, `Candidate`, `accept_pattern`) in `fpc.candidate`, the
+field in `fpc.field`, the plain route in `fpc.plain`, the re-checks of a
+verified build (`validate_packing`, `validate_induced`) in `fpc.validate`,
+the per-word reference routes (`survived_set`, `r_membership`,
+`accept_candidate`, `greedy_matching`) in `fpc.reference`, and the degree
+diagnostics of `fpc diagnose` in `fpc.diagnose`.
 """
 
 from __future__ import annotations
@@ -39,26 +40,17 @@ import functools
 import importlib
 import itertools
 import math
-import struct
-from collections import namedtuple
 from typing import Iterable, Sequence
-
-# hashlib's own blake2b; `import hashlib` would also load OpenSSL's _hashlib.
-from _blake2 import blake2b
 
 import numpy as np
 
+from .candidate import SparsifierConfig
 from .core import Word
-from .extremal import _largest_matching, position_masks
+from .extremal import position_masks
+from .field import _GF_TABLE_CAP, GF, rs_applies
 from .record import Record
 from .shuffle import shuffle
 
-LabeledSubset = tuple[tuple[int, int], ...]  # ((position, symbol), ...), 1-based
-
-# GF refuses prime powers of order above this; primes pass at any order. No
-# measurement chose 512. A prime power's mul table is reduced from a
-# q x q x (2k - 1) array, 34 MB at q = 512.
-_GF_TABLE_CAP = 512
 # Most bytes that a word matrix and the per-word arrays over its labeled
 # subsets may take together, as `check_matrix_bytes` estimates them, and
 # most bytes of one kept table, which `sparsify` checks.
@@ -71,91 +63,6 @@ _ROW_CHUNK = 1 << 14
 def _row_chunks(n: int) -> Iterable[slice]:
     """0..n-1 as consecutive slices of at most `_ROW_CHUNK` rows."""
     return (slice(start, min(start + _ROW_CHUNK, n)) for start in range(0, n, _ROW_CHUNK))
-
-
-# ---------------------------------------------------------------------------
-# Finite field arithmetic
-# ---------------------------------------------------------------------------
-
-
-class NotPrimePowerError(ValueError):
-    pass
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise NotPrimePowerError(f"{q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise NotPrimePowerError(f"{q} is not a prime power")
-    return p, k
-
-
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """The remainder of num / den over GF(p), lowest coefficient first, with
-    no leading zeros (zero is [0])."""
-    num = num[:]
-    deg_d = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    for shift in range(len(num) - deg_d - 1, -1, -1):
-        coef = num[shift + deg_d] * inv_lead % p
-        if coef:
-            for j, dj in enumerate(den):
-                num[shift + j] = (num[shift + j] - coef * dj) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    k = len(f) - 1
-    for d in range(1, k // 2 + 1):
-        for low in itertools.product(range(p), repeat=d):
-            g = list(low) + [1]
-            if _poly_mod(f, g, p) == [0]:
-                return False
-    return True
-
-
-class GF:
-    """GF(q) as two q x q tables, `add` and `mul`, over the elements 0..q-1.
-
-    Element i is the polynomial over GF(p) whose coefficients are the base-p
-    digits of i, lowest digit first. Products are reduced modulo the first
-    monic irreducible of degree k in `itertools.product` order. A prime q is
-    the case k = 1, whose modulus is x, so its tables are arithmetic mod p.
-    """
-
-    def __init__(self, q: int):
-        self.q = q
-        self.p, self.k = p, k = _prime_power(q)
-        if k > 1 and q > _GF_TABLE_CAP:
-            raise ValueError(
-                f"table-backed GF({q}) capped at order {_GF_TABLE_CAP}; use a prime q"
-            )
-        modulus = self._find_irreducible()
-        place = p ** np.arange(k)
-        digits = np.arange(q)[:, None] // place % p
-        self.add = (digits[:, None] + digits[None, :]) % p @ place
-        prod = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-        for i in range(k):
-            prod[:, :, i : i + k] += digits[:, None, i, None] * digits[None, :, :]
-        # x^d = x^(d-k) * (x^k - modulus) mod modulus, highest degree first.
-        for d in range(2 * k - 2, k - 1, -1):
-            prod[:, :, d - k : d] -= prod[:, :, d, None] % p * modulus[:k]
-        self.mul = prod[:, :, :k] % p @ place
-
-    def _find_irreducible(self) -> list[int]:
-        for low in itertools.product(range(self.p), repeat=self.k):
-            f = list(low) + [1]
-            if _is_irreducible(f, self.p):
-                return f
-        raise AssertionError("no irreducible polynomial found")
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +105,6 @@ def check_matrix_bytes(n: int, l: int, k: int) -> None:
         )
 
 
-def rs_applies(l: int, q: int) -> bool:
-    """Whether `rs_packing` builds words of length l over q symbols: q is a
-    prime power of at least l, and a prime if above `_GF_TABLE_CAP`."""
-    try:
-        _p, k = _prime_power(q)
-    except NotPrimePowerError:
-        return False
-    return q >= l and (k == 1 or q <= _GF_TABLE_CAP)
-
-
 def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     """All q^(t+1) evaluation vectors of degree-<=t polynomials over GF(q).
 
@@ -234,7 +131,8 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     symbol, lookup = np.min_scalar_type(q), np.min_scalar_type(q * q)
     span = q**t
     words = np.empty((q * span, l), dtype=symbol)
-    mul, add = field.mul.astype(lookup), field.add.astype(lookup)
+    # Only the rows of the l evaluation points are read from `mul`.
+    mul, add = np.array(field.mul[:l], dtype=lookup), np.array(field.add, dtype=lookup)
     grid = np.indices((q,) * t, dtype=lookup).reshape(t, span)
     runs = max(1, _ROW_CHUNK // span)
     for x in range(l):
@@ -276,43 +174,9 @@ def greedy_packing(l: int, t: int, q: int, seed: int) -> TransversalPacking:
     return TransversalPacking(l=l, q=q, t=t, words=words)
 
 
-def _shadow(w: Word, k: int) -> Iterable[tuple[LabeledSubset, int]]:
-    """Each labeled k-subset of w with its position bitmask."""
-    labeled = [(p + 1, s) for p, s in enumerate(w)]
-    return zip(itertools.combinations(labeled, k), position_masks(len(w), k))
-
-
 # ---------------------------------------------------------------------------
 # Sparsifier and candidates
 # ---------------------------------------------------------------------------
-
-
-class SparsifierConfig(Record):
-    """Keep each labeled t-subset independently with probability 1 - eta."""
-
-    __slots__ = ("eta", "seed")
-
-    def __init__(self, eta: float, seed: int):
-        if not (0.0 <= eta <= 1.0):
-            raise ValueError(f"eta={eta} outside [0, 1]")
-        super().__init__(eta, seed)
-
-
-class Candidate(namedtuple("Candidate", "transversal pattern")):
-    """A transversal U (a Word) and its kept pattern: the frozenset of t-bit
-    position masks of the labeled t-subsets of U that the sparsifier keeps.
-    The pipeline's candidates take their patterns from `shared_patterns`, so
-    those with equal patterns share one frozenset. `survived` derives the
-    subsets from U's t-shadow on each access; derive them once per use."""
-
-    __slots__ = ()
-
-    @property
-    def survived(self) -> frozenset[LabeledSubset]:
-        t = next(iter(self.pattern), 0).bit_count()
-        return frozenset(
-            a for a, mask in _shadow(self.transversal, t) if mask in self.pattern
-        )
 
 
 # Largest key space, per key, that `_rank` ranks by a presence table.
@@ -368,11 +232,10 @@ def _kept(
 ) -> np.ndarray:
     """`fpc.reference.r_membership` of each labeled subset on the 0-based
     positions `combo` whose symbols are the base-`radix` digits of `keys`:
-    the hash key, the threshold and the `_encode_labeled` records are built
-    once for all keys, and one keyed blake2b runs per key. At eta 1 and
-    eta 0 every digest falls on one side of the threshold, so none is
-    computed."""
-    threshold = int((1.0 - cfg.eta) * 2.0**64)
+    the `_encode_labeled` records are built once for all keys, and one
+    copy of `cfg.keyed()` runs per key. At eta 1 and eta 0 every digest
+    falls on one side of the threshold, so none is computed."""
+    threshold = cfg.threshold
     if threshold <= 0 or threshold >= 2**64:
         return np.full(len(keys), threshold > 0)
     fields = [(f"{kind}{j}", fmt) for j in range(len(combo)) for kind, fmt in _RECORD]
@@ -380,9 +243,7 @@ def _kept(
     for j, p in enumerate(combo):
         records[f"p{j}"] = p + 1
         records[f"s{j}"] = keys // radix ** (len(combo) - 1 - j) % radix
-    # Copying a keyed state skips re-hashing the key block for every record.
-    key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    keyed = blake2b(key=key, digest_size=8)
+    keyed = cfg.keyed()
     data, width = records.tobytes(), records.itemsize
     digests = []
     for i in range(0, len(data), width):
@@ -468,19 +329,6 @@ def flagged_rows(flags: np.ndarray, index: np.ndarray) -> np.ndarray:
         count += len(part)
     found.resize(count, refcheck=False)  # no view of `found` is alive
     return found
-
-
-def accept_pattern(pattern: frozenset[int], l: int, t: int, lam: int, m: int) -> bool:
-    """Accept a kept pattern iff its missing pattern has no lam+1 pairwise
-    disjoint members, the exact condition the cover-free argument consumes.
-    m is the size of the largest t-family on [l] with no lam+1 pairwise
-    disjoint members, `BoundsReport.m`: a missing pattern larger than m
-    cannot be feasible, so it is rejected before any search. Otherwise
-    `_largest_matching` over the missing masks, stopped at lam+1, decides."""
-    if len(pattern) < math.comb(l, t) - m:
-        return False
-    missing = [mask for mask in position_masks(l, t) if mask not in pattern]
-    return len(_largest_matching(missing, l, t, stop=lam + 1)) <= lam
 
 
 # ---------------------------------------------------------------------------

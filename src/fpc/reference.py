@@ -2,12 +2,12 @@
 time.
 
 `survived_set` finds a word's kept pattern by hashing each labeled t-subset
-with `r_membership`, which `sparsify` in `fpc.packing` matches byte for
-byte over whole columns; `accept_candidate` is `accept_pattern` on one
+with `r_membership`, which the `sparsify` of `fpc.packing` and of
+`fpc.plain` match byte for byte over whole columns; `accept_candidate` is `accept_pattern` on one
 candidate, with m read off the complement family it is given; and
 `greedy_matching` walks the candidates one at a time in the order
 `random.Random(seed).shuffle` gives, which `greedy_select` replays in numpy
-blocks. The tests and the traced benchmark replica check the pipeline
+blocks and `fpc.plain.walk` walks as a set. The tests and the traced benchmark replica check the pipeline
 against these; no command loads this module.
 """
 
@@ -18,12 +18,9 @@ import random
 import struct
 from typing import Literal, Sequence
 
-# hashlib's own blake2b, as in `fpc.packing`.
-from _blake2 import blake2b
-
+from .candidate import Candidate, LabeledSubset, SparsifierConfig, _shadow, accept_pattern
 from .core import Word
 from .extremal import PositionFamily
-from .packing import Candidate, LabeledSubset, SparsifierConfig, _shadow, accept_pattern
 
 
 def _encode_labeled(a: LabeledSubset) -> bytes:
@@ -38,10 +35,9 @@ def r_membership(a: LabeledSubset, cfg: SparsifierConfig) -> bool:
     membership is O(1) memory and bit-reproducible for a given seed. The
     threshold is 2^64 at eta = 0 and 0 at eta = 1, so both ends are exact.
     """
-    key = struct.pack(">Q", cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    digest = blake2b(_encode_labeled(a), key=key, digest_size=8).digest()
-    u = int.from_bytes(digest, "big")
-    return u < int((1.0 - cfg.eta) * 2.0**64)
+    h = cfg.keyed()
+    h.update(_encode_labeled(a))
+    return int.from_bytes(h.digest(), "big") < cfg.threshold
 
 
 def survived_set(U: Word, t: int, cfg: SparsifierConfig) -> Candidate:

@@ -2,8 +2,10 @@
 no `sparsify` output: `validate_packing`, the one agreement test, and
 `validate_induced`, the induced-packing conditions of the selected
 candidates. Each is a count of the words' projections onto sets of
-positions, in plain Python. Of the commands, only a verified
-`fpc construct` or `fpc sweep` loads this module.
+positions, in plain Python, and the module imports only the pipeline's
+numpy-free `fpc.candidate`, so verifying a build of the plain route loads
+no numpy. Of the commands, only a verified `fpc construct` or `fpc sweep`
+loads this module.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .candidate import Candidate
 from .extremal import position_masks
-from .packing import Candidate
 
 
 def validate_packing(words: Iterable[Sequence[int]], t: int) -> bool:

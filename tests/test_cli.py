@@ -313,7 +313,7 @@ class TestConstructVerifyAudit:
         def rs_called(*args, **kwargs):
             raise PackingBuilt
 
-        monkeypatch.setattr("fpc.construct.rs_packing", rs_called)
+        monkeypatch.setattr("fpc.packing.rs_packing", rs_called)
         out = tmp_path / "x.fpc"
         started = time.perf_counter()
         assert run("construct", "--c", "2", "--l", "10", "--q", "11", "--no-verify", "--out", str(out)) == 1
@@ -632,7 +632,7 @@ class TestDiagnoseCommand:
         def rs_called(*args, **kwargs):
             raise PackingBuilt
 
-        monkeypatch.setattr("fpc.construct.rs_packing", rs_called)
+        monkeypatch.setattr("fpc.packing.rs_packing", rs_called)
         started = time.perf_counter()
         assert run("diagnose", "--c", "2", "--l", "4", "--q", "269", "--seed", "1") == 1
         assert time.perf_counter() - started < 1.0
@@ -653,10 +653,11 @@ class TestDiagnoseCommand:
 def test_checking_commands_start_without_numpy(tmp_path):
     # One fresh interpreter per command. --help loads no other fpc module,
     # no handler module among them, verify only its handler, fileio, core
-    # and the frameproof checker, and only the commands that build a
-    # packing load numpy. No record is a dataclass, so no command loads
-    # dataclasses or the inspect module it imports (construct is held to
-    # dataclasses only, as numpy loads inspect itself). Neither construct
+    # and the frameproof checker, and only a build past the plain route's
+    # limit loads numpy: the (2,4,13) build runs without it. No record is a
+    # dataclass, so no command loads dataclasses or the inspect module it
+    # imports (the numpy build is held to dataclasses only, as numpy loads
+    # inspect itself). Neither construct
     # nor verify loads the audit, the diagnostics, the exhaustive or the
     # per-word references, which only their own commands or the tests run,
     # and construct loads the checkers and validate only to verify.
@@ -685,7 +686,7 @@ def test_checking_commands_start_without_numpy(tmp_path):
         (
             ["construct", "--c", "2", "--l", "4", "--q", "13", "--seed", "7",
              "--out", str(tmp_path / "q13.fpc")],
-            ("dataclasses",) + not_run,
+            ("numpy",) + no_records + not_run,
             "verified = True",
         ),
         (
@@ -719,6 +720,48 @@ assert not loaded, f"{argv[0]} imported {{loaded}}"
         )
         assert result.returncode == 0, result.stderr
         assert expected in result.stdout
+
+
+@pytest.mark.parametrize(
+    "point,verify,numpy_loaded",
+    [(("3", "6", "16"), "--verify", False), (("2", "4", "47"), "--no-verify", True)],
+)
+def test_small_builds_skip_numpy(tmp_path, point, verify, numpy_loaded):
+    # construct decides its route from the point's size before it imports
+    # numpy: a verified (3,6,16) build runs the plain route without it, and
+    # (2,4,47) loads it for the numpy route.
+    c, l, q = point
+    argv = ["construct", "--c", c, "--l", l, "--q", q, "--seed", "7", verify,
+            "--out", str(tmp_path / "code.fpc")]
+    child = f"""
+import sys
+from fpc.cli import main
+assert main({argv!r}) == 0
+assert ("numpy" in sys.modules) is {numpy_loaded!r}, sorted(sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_numpy_free_modules_import_without_numpy():
+    # construct, the candidates, the field, the plain route, the re-checks
+    # and the per-word references import no numpy; only fpc.packing,
+    # fpc.shuffle and fpc.diagnose do.
+    modules = ["construct", "candidate", "field", "plain", "validate", "reference"]
+    child = f"""
+import sys
+for name in {modules!r}:
+    __import__("fpc." + name)
+assert "numpy" not in sys.modules, sorted(sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_construct_leaves_openssl_unloaded(tmp_path):

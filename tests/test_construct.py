@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import sys
@@ -7,29 +8,35 @@ from fractions import Fraction
 
 import pytest
 
+import fpc.construct
 from fpc.construct import (
     ConstructionConfig,
     ConstructionError,
     build_extremal_complement,
     build_packing,
     construct,
+    numpy_route,
+    plain_route,
+    takes_plain_route,
+    _report,
     _verify_pipeline,
 )
 from fpc.audit import own_subsequence_audit
 from fpc.core import Code, Witness
 from fpc.cover_free import is_cover_free
 from fpc.diagnose import _diagnose_violation
-from fpc.extremal import blackburn_upper, improved_upper, lambda_of, matching_number
+from fpc.extremal import (
+    blackburn_upper,
+    bounds_report,
+    improved_upper,
+    lambda_of,
+    matching_number,
+)
 from fpc.fileio import format_code_file
 from fpc.frameproof import is_frameproof
 from fpc.oracle import search_max, trivial_code
-from fpc.packing import (
-    Candidate,
-    SparsifierConfig,
-    accept_pattern,
-    greedy_packing,
-    rs_packing,
-)
+from fpc.candidate import Candidate, SparsifierConfig, accept_pattern
+from fpc.packing import greedy_packing, rs_packing
 from fpc.reference import accept_candidate, greedy_matching, survived_set
 
 
@@ -133,17 +140,20 @@ class TestConstruct:
             calls.append(pattern)
             return accept_pattern(pattern, l, t, lam, m)
 
-        # `fpc.construct` names the function too; patch the module.
+        # `fpc.construct` names the function too, and both routes call it
+        # there; patch the module.
         monkeypatch.setattr(sys.modules[construct.__module__], "accept_pattern", counting)
         cfg = ConstructionConfig(c=2, l=4, q=13, eta=0.05, seed=7, verify=False)
-        _code, report = construct(cfg)
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
         _, complement = build_extremal_complement(cfg.c, cfg.l)
         candidates = [survived_set(U, 2, sparsifier) for U in rs_packing(4, 2, 13).transversals]
-        assert sorted(calls, key=sorted) == sorted({c.pattern for c in candidates}, key=sorted)
-        assert report.accepted_count == sum(
-            accept_candidate(c, "relaxed", complement, 1) for c in candidates
-        )
+        for route in (plain_route, numpy_route):
+            calls.clear()
+            _code, _selected, _size, accepted_count = route(cfg, bounds_report(2, 4, 13), {})
+            assert sorted(calls, key=sorted) == sorted({c.pattern for c in candidates}, key=sorted)
+            assert accepted_count == sum(
+                accept_candidate(c, "relaxed", complement, 1) for c in candidates
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -176,6 +186,77 @@ class TestConstruct:
         assert len(build_packing(cfg)) == 529**2
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("c,l,q", [(2, 4, 9), (3, 6, 16), (2, 4, 6), (2, 6, 7)])
+def test_plain_and_numpy_routes_agree(c, l, q, eta):
+    # The two routes, called directly, build the same code and the same
+    # verified report, timings aside: over GF(9) and GF(16), with the
+    # greedy packing at the composite q of (2,4,6), and at t = 3 over 20
+    # position combinations at (2,6,7). The plain route walks the order the
+    # interpreter's own `random.Random(seed).shuffle` gives, so this also
+    # checks `fpc.shuffle`'s replay of it.
+    cfg = ConstructionConfig(c=c, l=l, q=q, eta=eta, seed=7)
+    bounds = bounds_report(c, l, q)
+    built = []
+    for route in (plain_route, numpy_route):
+        timings = {}
+        code, selected, packing_size, accepted_count = route(cfg, bounds, timings)
+        report = _report(cfg, bounds, 10**10, timings, code, selected, packing_size, accepted_count)
+        assert list(timings)[:4] == ["packing", "candidates", "accept", "matching"]
+        built.append((code, sorted(selected), report._replace(timings_ms=None)))
+    assert built[0] == built[1]
+    assert built[0][2].verified is True
+
+
+def test_route_follows_the_size_estimate():
+    # The plain route takes a point iff its rows walked times keys per row
+    # are at most PLAIN_LIMIT: q^(t+1) C(l, t) for the rs packing, q^l
+    # C(l, t+1) for the greedy packing's walk.
+    def keys(c, l, q):
+        cfg = ConstructionConfig(c, l, q)
+        t, _lam = lambda_of(c, l)
+        if cfg.packing == "rs":
+            return q ** (t + 1) * math.comb(l, t)
+        return q**l * math.comb(l, t + 1)
+
+    points = [(3, 6, 16), (2, 4, 31), (3, 6, 25), (3, 6, 27), (2, 4, 47), (2, 4, 15), (2, 4, 18)]
+    for point in points:
+        cfg = ConstructionConfig(*point)
+        assert takes_plain_route(cfg) == (keys(*point) <= fpc.construct.PLAIN_LIMIT)
+    assert [takes_plain_route(ConstructionConfig(*point)) for point in points] == [
+        True, True, True, False, False, True, False
+    ]
+
+
+@pytest.mark.parametrize("c,l,q,verify", [(2, 4, 47, False), (3, 6, 16, True)])
+def test_builds_leave_no_garbage(c, l, q, verify):
+    # No build leaves a reference cycle for the cyclic collector: the two
+    # self-referencing searches, `_largest_matching`'s and
+    # `is_frameproof`'s, unbind themselves on the way out.
+    cfg = ConstructionConfig(c, l, q, seed=7, verify=verify)
+    construct(cfg)  # the lazy imports
+    gc.collect()
+    gc.disable()
+    try:
+        construct(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_frameproof_witness_leaves_no_garbage():
+    # The witness path of `is_frameproof` unbinds its search too.
+    code = Code(3, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+    is_frameproof(code, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert not is_frameproof(code, 2).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("c,l,q", [(2, 4, 13), (3, 5, 11), (3, 6, 16), (2, 4, 6), (2, 6, 7)])
 def test_reference_route_builds_constructs_code(c, l, q):
     # The per-word route of the traced benchmark replica, one word or
@@ -195,26 +276,28 @@ def test_reference_route_builds_constructs_code(c, l, q):
     assert Code(q, l, [cand.transversal for cand in selected]) == code
 
 
-def _traced_construct_peak(cfg):
-    """The traced peak of `construct(cfg)` above what was traced before it,
-    after a first run at (2,4,31) has made the lazy imports and families."""
-    construct(ConstructionConfig(2, 4, 31, seed=7, verify=False))
+def _traced_route_peak(route, cfg):
+    """The traced peak of `route` building cfg above what was traced before
+    it, after a first run of the route at (2,4,31) has made its lazy
+    imports and families."""
+    route(ConstructionConfig(2, 4, 31, seed=7, verify=False), bounds_report(2, 4, 31), {})
+    bounds = bounds_report(cfg.c, cfg.l, cfg.q)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        construct(cfg)
+        route(cfg, bounds, {})
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
 def test_pipeline_peak_memory_stays_near_its_matrices():
-    # The word matrix is the largest array the pipeline keeps: at (2,4,31),
-    # 4 one-byte symbols per word. Besides it, it holds a few narrow arrays
-    # of one entry per word, and temporaries of one row chunk; 60 bytes per
-    # word bounds them all.
-    peak = _traced_construct_peak(ConstructionConfig(2, 4, 31, seed=7, verify=False))
+    # The word matrix is the largest array the numpy route keeps: at
+    # (2,4,31), 4 one-byte symbols per word. Besides it, it holds a few
+    # narrow arrays of one entry per word, and temporaries of one row chunk;
+    # 60 bytes per word bounds them all.
+    peak = _traced_route_peak(numpy_route, ConstructionConfig(2, 4, 31, seed=7, verify=False))
     n = 31**3
     assert peak <= 60 * n, f"traced peak {peak / n:.1f} bytes per word"
 
@@ -226,9 +309,25 @@ def test_pipeline_peak_memory_is_a_small_multiple_of_the_words():
     # index copy, key array and row list is one row chunk long. So the
     # traced peak stays under three times the word matrix's 4.1 MB.
     cfg = ConstructionConfig(2, 4, 101, seed=7, verify=False)
+    assert not takes_plain_route(cfg)
     words_nbytes = 101**3 * 4
-    peak = _traced_construct_peak(cfg)
+    peak = _traced_route_peak(numpy_route, cfg)
     assert peak < 3 * words_nbytes, f"traced peak {peak / words_nbytes:.2f} x the word matrix"
+
+
+@pytest.mark.parametrize("c,l,q", [(3, 6, 25), (2, 4, 15)])
+def test_plain_route_peak_memory_at_its_largest_points(c, l, q):
+    # (3,6,25), 234,375 keys, and the greedy (2,4,15), 202,500, are the
+    # largest rs and greedy points the plain route takes at l <= 6. Its
+    # ints, one per weighted symbol and per name, each name held in a list
+    # per position set and in its word's tuple, come to 58-78 bytes per key;
+    # 100 bounds them, 24 MB at PLAIN_LIMIT.
+    cfg = ConstructionConfig(c, l, q, seed=7, verify=False)
+    t, _lam = lambda_of(c, l)
+    keys = q ** (t + 1) * math.comb(l, t) if cfg.packing == "rs" else q**l * math.comb(l, t + 1)
+    assert takes_plain_route(cfg)
+    peak = _traced_route_peak(plain_route, cfg)
+    assert peak <= 100 * keys, f"traced peak {peak / keys:.1f} bytes per key"
 
 
 class TestPipelineChecks:

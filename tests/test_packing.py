@@ -19,14 +19,12 @@ from fpc.extremal import (
 )
 from fpc.construct import build_extremal_complement
 from fpc.diagnose import degree_diagnostics, embeddings_per_edge, pattern_images
+import fpc.candidate
 import fpc.packing
+from fpc.candidate import Candidate, SparsifierConfig, accept_pattern
+from fpc.field import GF, NotPrimePowerError
 from fpc.packing import (
-    GF,
-    Candidate,
-    NotPrimePowerError,
-    SparsifierConfig,
     TransversalPacking,
-    accept_pattern,
     flagged_rows,
     greedy_packing,
     greedy_select,
@@ -58,19 +56,19 @@ class TestGF:
         f = GF(q)
         elems = range(q)
         for a in elems:
-            assert f.add[a, 0] == a and f.mul[a, 1] == a and f.mul[a, 0] == 0
+            assert f.add[a][0] == a and f.mul[a][1] == a and f.mul[a][0] == 0
         if q <= 9:
             for a in elems:
                 for b in elems:
-                    assert f.add[a, b] == f.add[b, a]
-                    assert f.mul[a, b] == f.mul[b, a]
+                    assert f.add[a][b] == f.add[b][a]
+                    assert f.mul[a][b] == f.mul[b][a]
                     for c in elems:
-                        assert f.mul[a, f.add[b, c]] == f.add[f.mul[a, b], f.mul[a, c]]
-                        assert f.mul[a, f.mul[b, c]] == f.mul[f.mul[a, b], c]
+                        assert f.mul[a][f.add[b][c]] == f.add[f.mul[a][b]][f.mul[a][c]]
+                        assert f.mul[a][f.mul[b][c]] == f.mul[f.mul[a][b]][c]
         for a in range(1, q):
-            assert any(f.mul[a, b] == 1 for b in elems)
+            assert any(f.mul[a][b] == 1 for b in elems)
         for a in elems:
-            assert any(f.add[a, b] == 0 for b in elems)
+            assert any(f.add[a][b] == 0 for b in elems)
 
     @pytest.mark.parametrize("q", [6, 10, 12, 15])
     def test_non_prime_powers_rejected(self, q):
@@ -138,7 +136,7 @@ class TestRsPacking:
                     for x in range(l):
                         acc = 0
                         for c in reversed(coeffs):
-                            acc = f.add[f.mul[x, acc], c]
+                            acc = f.add[f.mul[x][acc]][c]
                         word.append(int(acc) + 1)
                     expected.append(tuple(word))
                 assert rs_packing(l, t, q).transversals == tuple(expected)
@@ -337,7 +335,7 @@ class TestSparsifier:
         # importing it from _blake2 moves no bits.
         import hashlib
 
-        assert fpc.packing.blake2b is hashlib.blake2b
+        assert fpc.candidate.blake2b is hashlib.blake2b
 
 
 class TestSurvivedSet:

@@ -9,12 +9,8 @@ from fpc.construct import ConstructionConfig, ConstructionReport
 from fpc.core import Code, Verdict, Witness
 from fpc.diagnose import DegreeDiagnostics, pattern_images
 from fpc.extremal import PositionFamily, bounds_report, emc_value
-from fpc.packing import (
-    Candidate,
-    SparsifierConfig,
-    TransversalPacking,
-    rs_packing,
-)
+from fpc.candidate import Candidate, SparsifierConfig
+from fpc.packing import TransversalPacking, rs_packing
 from fpc.record import Record
 
 SMALL = ((1, 2), (2, 1), (3, 3))
