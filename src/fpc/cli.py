@@ -4,9 +4,10 @@ At module level this imports only argparse, importlib, os, sys and typing,
 so `fpc --help` loads no other fpc module. `main` imports only the chosen
 command's module, `fpc.commands.<command>`, which holds `cmd_<command>` and
 imports what that command runs; only diagnose, and construct and sweep at
-a point too large for the plain route, load numpy. No handler module imports this one: under `python -m fpc.cli` that
-would run this file a second time as a separate module. A refusal is a
-ValueError, which `main` reports with exit code 1.
+a point that the plain route does not take, load numpy. No handler module
+imports this one: under `python -m fpc.cli` that would run this file a
+second time as a separate module. A refusal is a ValueError, which `main`
+reports with exit code 1.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ _DESCRIPTION = """Command-line surface.
 
 Subcommands: bounds, oracle, construct, verify, audit, sweep, diagnose.
 --help, bounds, oracle, verify and audit start without numpy. construct and
-sweep build small points in plain Python and import numpy only for a point
-too large for that, which they tell from its size before any work; diagnose
-always imports it.
+sweep build small Reed-Solomon points in plain Python and import numpy only
+for a larger point or a greedy packing, which they tell before any work;
+diagnose always imports it.
 Exit codes: 0 success, 1 bad input or internal refusal, 2 a checked property
 failed (verify found a witness, audit found a violation). All randomness
 flows from --seed; a missing seed is generated and printed so any run can be

@@ -5,13 +5,15 @@ The pipeline lays a transversal packing over the symbols (Reed-Solomon where
 keeps candidates whose missing pattern has no lam+1 pairwise disjoint
 members, and extracts a conflict-free selection. It has two routes, which
 give the same code and report, timings aside; `construct` picks one from
-the point's size before it imports numpy, by `takes_plain_route`.
+the point's packing and size before it imports numpy, by
+`takes_plain_route`.
 
-- `plain_route`, up to `PLAIN_LIMIT` keys, is plain Python over the lists
-  of `fpc.plain`: the packing through the `GF` tables, one keyed blake2b
-  per labeled subset, acceptance once per distinct pattern, then
-  `random.Random(seed).shuffle` and a set-based greedy walk. It loads no
-  numpy, whose import costs more than the whole build there.
+- `plain_route`, for an rs packing of at most `PLAIN_LIMIT` keys, is plain
+  Python over the lists of `fpc.plain`: the packing through the `GF`
+  tables, one keyed blake2b per labeled subset, acceptance once per
+  distinct pattern, then `random.Random(seed).shuffle` and a set-based
+  greedy walk. It loads no numpy, whose import costs more than the whole
+  build there.
 - `numpy_route` shares the packing's (n, l) word matrix across its stages
   and names labeled subsets by their global keys: the sparsifier gives one
   kept table over those keys and each row's kept-pattern bits;
@@ -66,10 +68,9 @@ if TYPE_CHECKING:
 # (seed 7, verify on, medians of 11 alternating pairs, 2-core x86-64 host,
 # CPython 3.11; the numpy route's time includes its import): the plain route
 # was faster and smaller at (3,6,25), 234,375 keys (132.2 against 150.2 ms,
-# 10 of 11 pairs; 30.2 against 31.2 MB), and at the greedy (2,4,15),
-# 202,500 keys (135.7 against 143.4 ms; 30.7 against 30.8 MB), and slower
-# and larger at (2,5,13), 285,610 keys (204.8 against 190.3 ms; 36.9
-# against 30.9 MB), and at (3,6,27), 295,245 keys (158.7 against 151.9 ms).
+# 10 of 11 pairs; 30.2 against 31.2 MB), and slower and larger at (2,5,13),
+# 285,610 keys (204.8 against 190.3 ms; 36.9 against 30.9 MB), and at
+# (3,6,27), 295,245 keys (158.7 against 151.9 ms).
 PLAIN_LIMIT = 240_000
 
 
@@ -166,16 +167,12 @@ def build_packing(cfg: ConstructionConfig) -> TransversalPacking:
 
 
 def takes_plain_route(cfg: ConstructionConfig) -> bool:
-    """Whether `construct` builds cfg on the plain route: the rows its
-    packing walks times the keys per row, q^(t+1)·C(l, t) for the rs packing
-    and q^l·C(l, t+1) for the greedy packing's walk, are at most
-    `PLAIN_LIMIT`."""
+    """Whether `construct` builds cfg on the plain route: its packing is the
+    rs packing, and the rows that packing holds times the keys per row,
+    q^(t+1)·C(l, t), are at most `PLAIN_LIMIT`. A greedy packing, whose
+    crossover was never measured, always takes the numpy route."""
     t, _lam = lambda_of(cfg.c, cfg.l)
-    if cfg.packing == "rs":
-        work = cfg.q ** (t + 1) * math.comb(cfg.l, t)
-    else:
-        work = cfg.q**cfg.l * math.comb(cfg.l, t + 1)
-    return work <= PLAIN_LIMIT
+    return cfg.packing == "rs" and cfg.q ** (t + 1) * math.comb(cfg.l, t) <= PLAIN_LIMIT
 
 
 # What a route returns: the code, the selected candidates when cfg.verify
@@ -241,7 +238,8 @@ def numpy_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
 
 def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str, float]) -> _Built:
     """The four stages of `numpy_route` in plain Python, each timed in
-    `timings` under the same name, on the columns of `fpc.plain`."""
+    `timings` under the same name, on the columns of `fpc.plain`. cfg's
+    packing must be the rs packing."""
     import random
     from itertools import compress
 
@@ -249,10 +247,7 @@ def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
 
     t, lam = bounds.t, bounds.lam
     with _timed(timings, "packing"):
-        if cfg.packing == "rs":
-            columns = plain.rs_columns(cfg.l, t, cfg.q)
-        else:
-            columns = plain.greedy_columns(cfg.l, t, cfg.q, cfg.seed)
+        columns = plain.rs_columns(cfg.l, t, cfg.q)
 
     with _timed(timings, "candidates"):
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)

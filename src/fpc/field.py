@@ -1,14 +1,16 @@
-"""GF(q) for prime powers q, as two pure-Python q x q tables, and where a
-Reed-Solomon packing exists.
+"""GF(q) for prime powers q, as a pure-Python add table and mul rows, and
+where a Reed-Solomon packing exists.
 
 Both routes of the pipeline evaluate polynomials through these tables: the
-plain route of `fpc.construct` reads them as lists, and `rs_packing`
-converts them to numpy arrays. So the field loads no numpy.
+plain route of `fpc.construct` reads them as they are, and `rs_packing`
+converts the add table and the mul rows it reads to numpy arrays. So the
+field loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 # GF refuses prime powers of order above this; primes pass at any order. No
 # measurement chose 512.
@@ -70,17 +72,22 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 
 class GF:
-    """GF(q) as two q x q tables, `add` and `mul`, lists of rows over the
-    elements 0..q-1: add[a][b] is a + b, and mul[a][b] is a·b.
+    """GF(q) as an add table over the elements 0..q-1, add[a][b] = a + b,
+    and the rows of its mul table, mul_row(a)[b] = a·b.
 
     Element i is the polynomial over GF(p) whose coefficients are the base-p
     digits of i, lowest digit first. Products are reduced modulo the first
     monic irreducible of degree k in `itertools.product` order. A prime q is
     the case k = 1, whose modulus is x, so its tables are arithmetic mod p.
-    Sums add digit by digit: row a is a run of p sums per element of the
-    row of a's higher digits, each run fixed by a's lowest digit. Products go through the powers of a primitive element, so each
-    row of `mul` is one slice of those powers read at the other factor's
-    logarithm.
+
+    `add` is built with the field, as q rows of `array("I")`, so that
+    `rs_packing` reads it as one buffer. Sums add digit by digit: row a is a
+    run of p sums per element of the row of a's higher digits, each run
+    fixed by a's lowest digit. `mul_row` builds one row of products at a
+    time, as a list, since the packings read only the rows at their l
+    evaluation points. Products go through the powers of a primitive
+    element, so each row is one slice of those powers read at the other
+    factor's logarithm.
     """
 
     def __init__(self, q: int):
@@ -92,9 +99,8 @@ class GF:
             )
         modulus = self._find_irreducible()
         # runs[d][h]: the run of p sums whose higher digits sum to h, for a
-        # lowest digit d: the elements p·h..p·h+p-1 rotated by d, sliced
-        # from one list so that every row shares its int objects.
-        elements = list(range(q))
+        # lowest digit d: the elements p·h..p·h+p-1 rotated by d.
+        elements = array("I", range(q))
         runs = [
             [elements[p * h + d : p * h + p] + elements[p * h : p * h + d] for h in range(q // p)]
             for d in range(p)
@@ -102,16 +108,19 @@ class GF:
         self.add = add = [elements]
         for a in range(1, q):
             high = add[a // p][: q // p]
-            add.append(list(itertools.chain.from_iterable(map(runs[a % p].__getitem__, high))))
+            add.append(array("I", b"".join(map(runs[a % p].__getitem__, high))))
         powers = self._powers(modulus)
-        log = [0] * q
+        self._log = log = [0] * q
         for e, x in enumerate(powers):
             log[x] = e
-        nonzero = log[1:]
-        twice = powers + powers
-        self.mul = [[0] * q] + [
-            [0, *map(twice[log[a] : log[a] + q - 1].__getitem__, nonzero)] for a in range(1, q)
-        ]
+        self._twice = powers + powers
+
+    def mul_row(self, a: int) -> list[int]:
+        """a·b for b = 0..q-1."""
+        if a == 0:
+            return [0] * self.q
+        log = self._log
+        return [0, *map(self._twice[log[a] : log[a] + self.q - 1].__getitem__, log[1:])]
 
     def _find_irreducible(self) -> list[int]:
         for low in itertools.product(range(self.p), repeat=self.k):

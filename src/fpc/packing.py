@@ -132,7 +132,8 @@ def rs_packing(l: int, t: int, q: int) -> TransversalPacking:
     span = q**t
     words = np.empty((q * span, l), dtype=symbol)
     # Only the rows of the l evaluation points are read from `mul`.
-    mul, add = np.array(field.mul[:l], dtype=lookup), np.array(field.add, dtype=lookup)
+    mul = np.array([field.mul_row(x) for x in range(l)], dtype=lookup)
+    add = np.frombuffer(b"".join(field.add), dtype=np.uintc).astype(lookup).reshape(q, q)
     grid = np.indices((q,) * t, dtype=lookup).reshape(t, span)
     runs = max(1, _ROW_CHUNK // span)
     for x in range(l):

@@ -1,8 +1,8 @@
-"""The pipeline's plain-Python route: the packing, sparsifier and matching
-stages of `fpc.construct`'s numpy route over lists, tuples and sets, for
-the small points where importing numpy costs more than the whole build.
-Each stage gives what its numpy counterpart gives, so equal seeds give
-equal code files on either route.
+"""The pipeline's plain-Python route: the rs packing, sparsifier and
+matching stages of `fpc.construct`'s numpy route over lists, tuples and
+sets, for the small points where importing numpy costs more than the whole
+build. Each stage gives what its numpy counterpart gives, so equal seeds
+give equal code files on either route.
 
 A packing here is l columns, one per position, each listing every word's
 weighted symbol there: s·(q+1)^x for the 1-based symbol s at position x.
@@ -11,18 +11,15 @@ whose base-(q+1) digit x is its symbol at x, or 0 off its positions; the
 names of a word's labeled subsets on one set of positions are one
 elementwise sum of columns. `rs_columns` evaluates the polynomials of
 degree <= t through the `GF` tables, in `itertools.product` order of their
-coefficients as `rs_packing` lays them; `greedy_columns` is
-`greedy_packing` over all q^l words. `sparsify` hashes each labeled
+coefficients as `rs_packing` lays them. `sparsify` hashes each labeled
 t-subset once, byte for byte as `fpc.packing._kept` does, and gives each
-word its names and its kept pattern; `walk` is the greedy pass of both the
-greedy packing and the matching. Only `fpc.construct.plain_route` loads
-this module.
+word its names and its kept pattern; `walk` is the matching's greedy pass.
+Only `fpc.construct.plain_route` loads this module.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import struct
 import sys
 from array import array
@@ -58,7 +55,7 @@ def rs_columns(l: int, t: int, q: int) -> Columns:
     # tails[j] lists coefficient c_(j+1) of every tail, in product order.
     tails = list(zip(*itertools.product(range(q), repeat=t)))
     for x in range(l):
-        mul, weight = field.mul[x], (q + 1) ** x
+        mul, weight = field.mul_row(x), (q + 1) ** x
         value = [0] * q**t
         for coefficients in reversed(tails):
             value = [field.add[mul[v]][c] for v, c in zip(value, coefficients)]
@@ -68,22 +65,6 @@ def rs_columns(l: int, t: int, q: int) -> Columns:
             column.extend(at([(s + 1) * weight for s in row]))
         columns.append(column)
     return columns
-
-
-def greedy_columns(l: int, t: int, q: int, seed: int) -> Columns:
-    """`greedy_packing(l, t, q, seed)`'s words, in its row order, as
-    columns: the q^l words in `itertools.product` order, walked in the order
-    `random.Random(seed).shuffle` gives with every labeled (t+1)-subset
-    kept, and the rows taken, sorted."""
-    columns = []
-    for x in range(l):
-        weights = range((q + 1) ** x, (q + 1) ** (x + 1), (q + 1) ** x)
-        run = itertools.chain.from_iterable(itertools.repeat(w, q ** (l - 1 - x)) for w in weights)
-        columns.append(list(run) * q**x)
-    order = list(range(q**l))
-    random.Random(seed).shuffle(order)
-    taken = sorted(walk(list(zip(*_names(columns, t + 1))), order))
-    return [list(map(column.__getitem__, taken)) for column in columns]
 
 
 def sparsify(
@@ -127,7 +108,9 @@ def sparsify(
     return list(zip(*names)), patterns, kept
 
 
-def walk(rows: Sequence[tuple[int, ...]], order: Sequence[int], kept: Optional[set[int]] = None) -> list[int]:
+def walk(
+    rows: Sequence[tuple[int, ...]], order: Sequence[int], kept: Optional[set[int]]
+) -> list[int]:
     """The rows of `order`, in that order, that hold no kept name of a row
     taken before them: the greedy pass, maximal among the rows of `order`.
     rows[k] holds row k's names, and `kept` the kept names, or None when
@@ -145,6 +128,8 @@ def walk(rows: Sequence[tuple[int, ...]], order: Sequence[int], kept: Optional[s
 
 def symbols(columns: Columns, q: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
     """The 1-based symbols of the words at `rows`."""
-    return list(
-        zip(*[[v // (q + 1) ** x for v in map(column.__getitem__, rows)] for x, column in enumerate(columns)])
-    )
+    digits = [
+        [v // (q + 1) ** x for v in map(column.__getitem__, rows)]
+        for x, column in enumerate(columns)
+    ]
+    return list(zip(*digits))

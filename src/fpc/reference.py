@@ -3,12 +3,13 @@ time.
 
 `survived_set` finds a word's kept pattern by hashing each labeled t-subset
 with `r_membership`, which the `sparsify` of `fpc.packing` and of
-`fpc.plain` match byte for byte over whole columns; `accept_candidate` is `accept_pattern` on one
-candidate, with m read off the complement family it is given; and
-`greedy_matching` walks the candidates one at a time in the order
-`random.Random(seed).shuffle` gives, which `greedy_select` replays in numpy
-blocks and `fpc.plain.walk` walks as a set. The tests and the traced benchmark replica check the pipeline
-against these; no command loads this module.
+`fpc.plain` match byte for byte over whole columns; `accept_candidate` is
+`accept_pattern` on one candidate, with m read off the complement family
+it is given; and `greedy_matching` walks the candidates one at a time in
+the order `random.Random(seed).shuffle` gives, which `greedy_select`
+replays in numpy blocks and `fpc.plain.walk` walks as a set. The tests and
+the traced benchmark replica check the pipeline against these; no command
+loads this module.
 """
 
 from __future__ import annotations

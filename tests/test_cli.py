@@ -653,14 +653,15 @@ class TestDiagnoseCommand:
 def test_checking_commands_start_without_numpy(tmp_path):
     # One fresh interpreter per command. --help loads no other fpc module,
     # no handler module among them, verify only its handler, fileio, core
-    # and the frameproof checker, and only a build past the plain route's
-    # limit loads numpy: the (2,4,13) build runs without it. No record is a
+    # and the frameproof checker, and only a build that the plain route
+    # does not take loads numpy: the verified (2,4,13) and (3,6,16) builds
+    # run without it, and the (2,4,47) build loads it. No record is a
     # dataclass, so no command loads dataclasses or the inspect module it
     # imports (the numpy build is held to dataclasses only, as numpy loads
-    # inspect itself). Neither construct
-    # nor verify loads the audit, the diagnostics, the exhaustive or the
-    # per-word references, which only their own commands or the tests run,
-    # and construct loads the checkers and validate only to verify.
+    # inspect itself). Neither construct nor verify loads the audit, the
+    # diagnostics, the exhaustive or the per-word references, which only
+    # their own commands or the tests run, and construct loads the checkers
+    # and validate only to verify.
     path = tmp_path / "code.fpc"
     path.write_text("fpc 1\n3 2\n1 2\n2 1\n3 3\n")
     no_records = ("dataclasses", "inspect")
@@ -670,40 +671,53 @@ def test_checking_commands_start_without_numpy(tmp_path):
         for name in ("bounds", "oracle", "construct", "verify", "audit", "sweep", "diagnose")
     )
     checkers = ("fpc.frameproof", "fpc.cover_free")
+    # (argv, modules it must not load, modules it must load, expected output)
     cases = [
         (
             ["--help"],
             ("fpc.core", "fpc.extremal", "fpc.fileio", "numpy", "secrets", "fractions", "json")
             + no_records + ("fpc.commands",) + handlers,
+            (),
             "usage: fpc",
         ),
         (
             ["verify", "--in", str(path), "--c", "2"],
             ("fpc.extremal", "fractions", "numpy", "secrets", "fpc.cover_free")
             + no_records + not_run + handlers[:3] + handlers[4:],
+            (),
             "frameproof: ok (3 words, c=2)",
         ),
         (
             ["construct", "--c", "2", "--l", "4", "--q", "13", "--seed", "7",
              "--out", str(tmp_path / "q13.fpc")],
             ("numpy",) + no_records + not_run,
+            (),
+            "verified = True",
+        ),
+        (
+            ["construct", "--c", "3", "--l", "6", "--q", "16", "--seed", "7",
+             "--out", str(tmp_path / "q16.fpc")],
+            ("numpy",) + no_records + not_run,
+            (),
             "verified = True",
         ),
         (
             ["construct", "--c", "2", "--l", "4", "--q", "47", "--seed", "7", "--no-verify",
              "--out", str(tmp_path / "q47.fpc")],
             ("dataclasses", "fpc.validate") + not_run + checkers,
+            ("numpy",),
             "code_size = 1596",
         ),
-        (["bounds", "2", "4", "13"], ("numpy",) + no_records, "rate_limit = 2"),
+        (["bounds", "2", "4", "13"], ("numpy",) + no_records, (), "rate_limit = 2"),
         (
             ["audit", "--in", str(path), "--c", "2"],
             ("numpy",) + no_records,
+            (),
             "own-subsequence floor: ok",
         ),
     ]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    for argv, unloaded, expected in cases:
+    for argv, unloaded, needed, expected in cases:
         child = f"""
 import sys
 from fpc.cli import main
@@ -714,36 +728,14 @@ except SystemExit as exc:
 assert rc == 0, rc
 loaded = [name for name in {unloaded!r} if name in sys.modules]
 assert not loaded, f"{argv[0]} imported {{loaded}}"
+missing = [name for name in {needed!r} if name not in sys.modules]
+assert not missing, f"{argv[0]} did not import {{missing}}"
 """
         result = subprocess.run(
             [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
         assert expected in result.stdout
-
-
-@pytest.mark.parametrize(
-    "point,verify,numpy_loaded",
-    [(("3", "6", "16"), "--verify", False), (("2", "4", "47"), "--no-verify", True)],
-)
-def test_small_builds_skip_numpy(tmp_path, point, verify, numpy_loaded):
-    # construct decides its route from the point's size before it imports
-    # numpy: a verified (3,6,16) build runs the plain route without it, and
-    # (2,4,47) loads it for the numpy route.
-    c, l, q = point
-    argv = ["construct", "--c", c, "--l", l, "--q", q, "--seed", "7", verify,
-            "--out", str(tmp_path / "code.fpc")]
-    child = f"""
-import sys
-from fpc.cli import main
-assert main({argv!r}) == 0
-assert ("numpy" in sys.modules) is {numpy_loaded!r}, sorted(sys.modules)
-"""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
 
 
 def test_numpy_free_modules_import_without_numpy():

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-import fpc.construct
 from fpc.construct import (
     ConstructionConfig,
     ConstructionError,
@@ -187,14 +186,13 @@ class TestConstruct:
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
-@pytest.mark.parametrize("c,l,q", [(2, 4, 9), (3, 6, 16), (2, 4, 6), (2, 6, 7)])
+@pytest.mark.parametrize("c,l,q", [(2, 4, 9), (3, 6, 16), (2, 6, 7)])
 def test_plain_and_numpy_routes_agree(c, l, q, eta):
     # The two routes, called directly, build the same code and the same
-    # verified report, timings aside: over GF(9) and GF(16), with the
-    # greedy packing at the composite q of (2,4,6), and at t = 3 over 20
-    # position combinations at (2,6,7). The plain route walks the order the
-    # interpreter's own `random.Random(seed).shuffle` gives, so this also
-    # checks `fpc.shuffle`'s replay of it.
+    # verified report, timings aside: over GF(9) and GF(16), and at t = 3
+    # over 20 position combinations at (2,6,7). The plain route walks the
+    # order the interpreter's own `random.Random(seed).shuffle` gives, so
+    # this also checks `fpc.shuffle`'s replay of it.
     cfg = ConstructionConfig(c=c, l=l, q=q, eta=eta, seed=7)
     bounds = bounds_report(c, l, q)
     built = []
@@ -209,22 +207,14 @@ def test_plain_and_numpy_routes_agree(c, l, q, eta):
 
 
 def test_route_follows_the_size_estimate():
-    # The plain route takes a point iff its rows walked times keys per row
-    # are at most PLAIN_LIMIT: q^(t+1) C(l, t) for the rs packing, q^l
-    # C(l, t+1) for the greedy packing's walk.
-    def keys(c, l, q):
-        cfg = ConstructionConfig(c, l, q)
-        t, _lam = lambda_of(c, l)
-        if cfg.packing == "rs":
-            return q ** (t + 1) * math.comb(l, t)
-        return q**l * math.comb(l, t + 1)
-
-    points = [(3, 6, 16), (2, 4, 31), (3, 6, 25), (3, 6, 27), (2, 4, 47), (2, 4, 15), (2, 4, 18)]
-    for point in points:
-        cfg = ConstructionConfig(*point)
-        assert takes_plain_route(cfg) == (keys(*point) <= fpc.construct.PLAIN_LIMIT)
+    # The plain route takes an rs point of at most PLAIN_LIMIT = 240,000
+    # keys, q^(t+1) C(l, t): (3,6,16), 61,440 keys, (2,4,31), 178,746, and
+    # (3,6,25), 234,375, but not (3,6,27), 295,245, nor (2,4,47), 622,938.
+    # A greedy packing, as at (2,4,6) and (2,4,15), always takes the numpy
+    # route.
+    points = [(3, 6, 16), (2, 4, 31), (3, 6, 25), (3, 6, 27), (2, 4, 47), (2, 4, 6), (2, 4, 15)]
     assert [takes_plain_route(ConstructionConfig(*point)) for point in points] == [
-        True, True, True, False, False, True, False
+        True, True, True, False, False, False, False
     ]
 
 
@@ -315,16 +305,14 @@ def test_pipeline_peak_memory_is_a_small_multiple_of_the_words():
     assert peak < 3 * words_nbytes, f"traced peak {peak / words_nbytes:.2f} x the word matrix"
 
 
-@pytest.mark.parametrize("c,l,q", [(3, 6, 25), (2, 4, 15)])
-def test_plain_route_peak_memory_at_its_largest_points(c, l, q):
-    # (3,6,25), 234,375 keys, and the greedy (2,4,15), 202,500, are the
-    # largest rs and greedy points the plain route takes at l <= 6. Its
-    # ints, one per weighted symbol and per name, each name held in a list
-    # per position set and in its word's tuple, come to 58-78 bytes per key;
+def test_plain_route_peak_memory_at_its_largest_point():
+    # (3,6,25), 25^3 words times C(6,2) = 15 keys per word, 234,375 keys,
+    # is the largest point the plain route takes at l <= 6. Its ints, one
+    # per weighted symbol and per name, each name held in a list per
+    # position set and in its word's tuple, come to 58-78 bytes per key;
     # 100 bounds them, 24 MB at PLAIN_LIMIT.
-    cfg = ConstructionConfig(c, l, q, seed=7, verify=False)
-    t, _lam = lambda_of(c, l)
-    keys = q ** (t + 1) * math.comb(l, t) if cfg.packing == "rs" else q**l * math.comb(l, t + 1)
+    cfg = ConstructionConfig(3, 6, 25, seed=7, verify=False)
+    keys = 234_375
     assert takes_plain_route(cfg)
     peak = _traced_route_peak(plain_route, cfg)
     assert peak <= 100 * keys, f"traced peak {peak / keys:.1f} bytes per key"

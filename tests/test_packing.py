@@ -55,18 +55,19 @@ class TestGF:
     def test_field_axioms(self, q):
         f = GF(q)
         elems = range(q)
+        mul = [f.mul_row(a) for a in elems]
         for a in elems:
-            assert f.add[a][0] == a and f.mul[a][1] == a and f.mul[a][0] == 0
+            assert f.add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
         if q <= 9:
             for a in elems:
                 for b in elems:
                     assert f.add[a][b] == f.add[b][a]
-                    assert f.mul[a][b] == f.mul[b][a]
+                    assert mul[a][b] == mul[b][a]
                     for c in elems:
-                        assert f.mul[a][f.add[b][c]] == f.add[f.mul[a][b]][f.mul[a][c]]
-                        assert f.mul[a][f.mul[b][c]] == f.mul[f.mul[a][b]][c]
+                        assert mul[a][f.add[b][c]] == f.add[mul[a][b]][mul[a][c]]
+                        assert mul[a][mul[b][c]] == mul[mul[a][b]][c]
         for a in range(1, q):
-            assert any(f.mul[a][b] == 1 for b in elems)
+            assert any(mul[a][b] == 1 for b in elems)
         for a in elems:
             assert any(f.add[a][b] == 0 for b in elems)
 
@@ -128,6 +129,7 @@ class TestRsPacking:
         # Plain-Python reference: Horner's rule by 2-D lookups in the field's
         # tables, where a + c is no sum mod q.
         f = GF(q)
+        mul = [f.mul_row(x) for x in range(q)]
         for l, t in [(3, 0), (4, 1), (4, 2), (5, 3)]:
             if q >= l and q ** (t + 1) <= 30_000:
                 expected = []
@@ -136,7 +138,7 @@ class TestRsPacking:
                     for x in range(l):
                         acc = 0
                         for c in reversed(coeffs):
-                            acc = f.add[f.mul[x][acc]][c]
+                            acc = f.add[mul[x][acc]][c]
                         word.append(int(acc) + 1)
                     expected.append(tuple(word))
                 assert rs_packing(l, t, q).transversals == tuple(expected)
