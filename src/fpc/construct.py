@@ -9,11 +9,14 @@ the point's packing and size before it imports numpy, by
 `takes_plain_route`.
 
 - `plain_route`, for an rs packing of at most `PLAIN_LIMIT` keys, is plain
-  Python over the lists of `fpc.plain`: the packing through the `GF`
-  tables, one keyed blake2b per labeled subset, acceptance once per
-  distinct pattern, then `random.Random(seed).shuffle` and a set-based
-  greedy walk. It loads no numpy, whose import costs more than the whole
-  build there.
+  Python over the typed arrays of `fpc.plain`: symbol columns through the
+  `GF` tables, one keyed blake2b per labeled subset into a bytearray kept
+  table over the same global keys as the numpy route's, each word's keys
+  held once in one flat `array("I")`, acceptance once per distinct
+  pattern, then `random.Random(seed).shuffle` of the accepted rows, an
+  `array("I")`, and a greedy walk that reads each row as a slice of the
+  keys. It loads no numpy, whose import costs more than the whole build
+  there.
 - `numpy_route` shares the packing's (n, l) word matrix across its stages
   and names labeled subsets by their global keys: the sparsifier gives one
   kept table over those keys and each row's kept-pattern bits;
@@ -65,12 +68,16 @@ if TYPE_CHECKING:
 
 # The most keys, rows walked times keys per row, at which `construct` takes
 # the plain route. Set from cold `fpc construct` children of each route
-# (seed 7, verify on, medians of 11 alternating pairs, 2-core x86-64 host,
-# CPython 3.11; the numpy route's time includes its import): the plain route
-# was faster and smaller at (3,6,25), 234,375 keys (132.2 against 150.2 ms,
-# 10 of 11 pairs; 30.2 against 31.2 MB), and slower and larger at (2,5,13),
-# 285,610 keys (204.8 against 190.3 ms; 36.9 against 30.9 MB), and at
-# (3,6,27), 295,245 keys (158.7 against 151.9 ms).
+# (seed 7, verify on, 2-core x86-64 host, CPython 3.11; the numpy route's
+# time includes its import). Medians of 15 alternating pairs: the plain
+# route was faster and smaller at (3,6,25), 234,375 keys (115.4 against
+# 139.7 ms, 15 of 15 pairs; 18.1 against 31.2 MB), at (2,5,13), 285,610
+# keys (172.1 against 179.4 ms, 13 of 15; 20.0 against 31.2 MB), and at
+# (3,6,27), 295,245 keys (127.6 against 140.3 ms). But no one key count
+# parts the routes: 11 pairs put the plain route behind at (2,4,37),
+# 303,918 keys (196.1 against 175.9 ms), and 9 pairs at (2,2,337), 227,138
+# keys, two per word (170.2 against 138.1 ms), so the limit stays just
+# above (3,6,25).
 PLAIN_LIMIT = 240_000
 
 
@@ -241,6 +248,7 @@ def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
     `timings` under the same name, on the columns of `fpc.plain`. cfg's
     packing must be the rs packing."""
     import random
+    from array import array
     from itertools import compress
 
     from . import plain
@@ -251,7 +259,7 @@ def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
 
     with _timed(timings, "candidates"):
         sparsifier = SparsifierConfig(eta=cfg.eta, seed=cfg.seed)
-        rows, patterns, kept = plain.sparsify(columns, cfg.q, t, sparsifier)
+        names, patterns, kept = plain.sparsify(columns, cfg.q, t, sparsifier)
         masks = position_masks(cfg.l, t)
         sets = {
             bits: frozenset(mask for i, mask in enumerate(masks) if bits >> i & 1)
@@ -261,12 +269,12 @@ def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
     with _timed(timings, "accept"):
         m = bounds.m.value
         accepts = {bits: accept_pattern(p, cfg.l, t, lam, m) for bits, p in sets.items()}
-        accepted = list(compress(range(len(patterns)), map(accepts.__getitem__, patterns)))
+        accepted = array("I", compress(range(len(patterns)), map(accepts.__getitem__, patterns)))
 
     with _timed(timings, "matching"):
         random.Random(cfg.seed).shuffle(accepted)
-        chosen = plain.walk(rows, accepted, kept)
-        words = plain.symbols(columns, cfg.q, chosen)
+        chosen = plain.walk(names, len(masks), accepted, kept)
+        words = plain.symbols(columns, chosen)
         selected = None
         if cfg.verify:
             selected = [Candidate(word, sets[patterns[k]]) for word, k in zip(words, chosen)]

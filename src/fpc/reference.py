@@ -7,9 +7,10 @@ with `r_membership`, which the `sparsify` of `fpc.packing` and of
 `accept_pattern` on one candidate, with m read off the complement family
 it is given; and `greedy_matching` walks the candidates one at a time in
 the order `random.Random(seed).shuffle` gives, which `greedy_select`
-replays in numpy blocks and `fpc.plain.walk` walks as a set. The tests and
-the traced benchmark replica check the pipeline against these; no command
-loads this module.
+replays in numpy blocks and `fpc.plain.walk` a row at a time, each row a
+slice of one flat array of global keys. The tests and the traced
+benchmark replica check the pipeline against these; no command loads this
+module.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 import gc
 import hashlib
+import itertools
 import math
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpc.construct import (
@@ -20,6 +22,7 @@ from fpc.construct import (
     _report,
     _verify_pipeline,
 )
+from fpc import plain
 from fpc.audit import own_subsequence_audit
 from fpc.core import Code, Witness
 from fpc.cover_free import is_cover_free
@@ -35,7 +38,7 @@ from fpc.fileio import format_code_file
 from fpc.frameproof import is_frameproof
 from fpc.oracle import search_max, trivial_code
 from fpc.candidate import Candidate, SparsifierConfig, accept_pattern
-from fpc.packing import greedy_packing, rs_packing
+from fpc.packing import _subset_keys, greedy_packing, rs_packing, sparsify
 from fpc.reference import accept_candidate, greedy_matching, survived_set
 
 
@@ -185,6 +188,20 @@ class TestConstruct:
         assert len(build_packing(cfg)) == 529**2
 
 
+def _built_by_both_routes(cfg):
+    """What each route, called directly, builds at cfg: the code, the
+    sorted selection and the report without its timings."""
+    bounds = bounds_report(cfg.c, cfg.l, cfg.q)
+    built = []
+    for route in (plain_route, numpy_route):
+        timings = {}
+        code, selected, packing_size, accepted_count = route(cfg, bounds, timings)
+        report = _report(cfg, bounds, 10**10, timings, code, selected, packing_size, accepted_count)
+        assert list(timings)[:4] == ["packing", "candidates", "accept", "matching"]
+        built.append((code, sorted(selected), report._replace(timings_ms=None)))
+    return built
+
+
 @pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
 @pytest.mark.parametrize("c,l,q", [(2, 4, 9), (3, 6, 16), (2, 6, 7)])
 def test_plain_and_numpy_routes_agree(c, l, q, eta):
@@ -193,17 +210,48 @@ def test_plain_and_numpy_routes_agree(c, l, q, eta):
     # over 20 position combinations at (2,6,7). The plain route walks the
     # order the interpreter's own `random.Random(seed).shuffle` gives, so
     # this also checks `fpc.shuffle`'s replay of it.
-    cfg = ConstructionConfig(c=c, l=l, q=q, eta=eta, seed=7)
-    bounds = bounds_report(c, l, q)
-    built = []
-    for route in (plain_route, numpy_route):
-        timings = {}
-        code, selected, packing_size, accepted_count = route(cfg, bounds, timings)
-        report = _report(cfg, bounds, 10**10, timings, code, selected, packing_size, accepted_count)
-        assert list(timings)[:4] == ["packing", "candidates", "accept", "matching"]
-        built.append((code, sorted(selected), report._replace(timings_ms=None)))
+    built = _built_by_both_routes(ConstructionConfig(c=c, l=l, q=q, eta=eta, seed=7))
     assert built[0] == built[1]
     assert built[0][2].verified is True
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize(
+    "c,l,q,verified", [(16, 16, 17, None), (6, 12, 13, True), (2, 2, 257, True)]
+)
+def test_plain_and_numpy_routes_agree_at_wide_points(c, l, q, verified, eta):
+    # The plain route's own layouts at their edges: (16,16,17) is t = 1
+    # over 16 positions, where a name with one base-18 digit per position
+    # would pass 2^64 but every global key fits 32 bits, and the checkers'
+    # budget refuses its verification; (6,12,13) has C(12,2) = 66
+    # combinations, past the 64 bits of an array of patterns; and q = 257
+    # takes two-byte symbol columns. At eta 1 the code is empty, and
+    # verifies.
+    cfg = ConstructionConfig(c=c, l=l, q=q, eta=eta, seed=7)
+    assert takes_plain_route(cfg)
+    built = _built_by_both_routes(cfg)
+    assert built[0] == built[1]
+    assert built[0][2].verified is (True if eta == 1.0 else verified)
+
+
+@pytest.mark.parametrize("l,t,q", [(4, 2, 9), (6, 3, 7), (16, 1, 17)])
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+def test_plain_names_are_the_global_keys(l, t, q, eta):
+    # Both routes name a labeled subset by its global key, combination
+    # index · (q+1)^t plus its Horner key, and keep one table over those
+    # keys: the plain route's per-word names and kept table are the numpy
+    # route's, byte for byte.
+    cfg = SparsifierConfig(eta=eta, seed=7)
+    names, _patterns, table = plain.sparsify(plain.rs_columns(l, t, q), q, t, cfg)
+    words = rs_packing(l, t, q).words
+    kept, _patterns = sparsify(words, t, cfg)
+    span = (q + 1) ** t
+    keys = [
+        _subset_keys(words, combo, q + 1).astype(np.int64) + index * span
+        for index, combo in enumerate(itertools.combinations(range(l), t))
+    ]
+    assert names.tolist() == np.stack(keys, axis=1).ravel().tolist()
+    assert bytes(table) == kept.tobytes()
 
 
 def test_route_follows_the_size_estimate():
@@ -307,15 +355,38 @@ def test_pipeline_peak_memory_is_a_small_multiple_of_the_words():
 
 def test_plain_route_peak_memory_at_its_largest_point():
     # (3,6,25), 25^3 words times C(6,2) = 15 keys per word, 234,375 keys,
-    # is the largest point the plain route takes at l <= 6. Its ints, one
-    # per weighted symbol and per name, each name held in a list per
-    # position set and in its word's tuple, come to 58-78 bytes per key;
-    # 100 bounds them, 24 MB at PLAIN_LIMIT.
-    cfg = ConstructionConfig(3, 6, 25, seed=7, verify=False)
-    keys = 234_375
-    assert takes_plain_route(cfg)
-    peak = _traced_route_peak(plain_route, cfg)
-    assert peak <= 100 * keys, f"traced peak {peak / keys:.1f} bytes per key"
+    # is the largest point the plain route takes at l <= 6, and (40,40,41),
+    # 41^2 words times 40 keys, 67,240, its widest at t = 1. Each word's
+    # keys are held once, four bytes each, beside a one-byte symbol per
+    # position, eight-byte references into the weights of its (position,
+    # place) pairs and its pattern bits; (40,40,41) also holds a frozenset
+    # of up to 40 position masks per distinct pattern. They come to about
+    # 14 and 36 bytes per key.
+    for point, keys, bound in (((3, 6, 25), 234_375, 32), ((40, 40, 41), 67_240, 64)):
+        cfg = ConstructionConfig(*point, seed=7, verify=False)
+        assert takes_plain_route(cfg)
+        peak = _traced_route_peak(plain_route, cfg)
+        assert peak <= bound * keys, f"{point}: traced peak {peak / keys:.1f} bytes per key"
+
+
+def test_plain_route_runs_few_collections():
+    # The plain route holds no Python object per word, so a warm seed-7
+    # (2,4,31) build, 29,791 words, leaves the cyclic collector nearly idle.
+    cfg = ConstructionConfig(2, 4, 31, seed=7)
+    bounds = bounds_report(2, 4, 31)
+    plain_route(cfg, bounds, {})
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        plain_route(cfg, bounds, {})
+    finally:
+        gc.callbacks.remove(count)
+    assert len(passes) <= 5, f"{len(passes)} collections"
 
 
 class TestPipelineChecks:
