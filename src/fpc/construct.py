@@ -13,10 +13,9 @@ the point's packing and size before it imports numpy, by
   `GF` tables, one keyed blake2b per labeled subset into a bytearray kept
   table over the same global keys as the numpy route's, each word's keys
   held once in one flat `array("I")`, acceptance once per distinct
-  pattern, then `random.Random(seed).shuffle` of the accepted rows, an
-  `array("I")`, and a greedy walk that reads each row as a slice of the
-  keys. It loads no numpy, whose import costs more than the whole build
-  there.
+  pattern, then `random.Random(seed).shuffle` of the list of accepted
+  rows and a greedy walk that reads each row as a slice of the keys. It
+  loads no numpy, whose import costs more than the whole build there.
 - `numpy_route` shares the packing's (n, l) word matrix across its stages
   and names labeled subsets by their global keys: the sparsifier gives one
   kept table over those keys and each row's kept-pattern bits;
@@ -248,7 +247,6 @@ def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
     `timings` under the same name, on the columns of `fpc.plain`. cfg's
     packing must be the rs packing."""
     import random
-    from array import array
     from itertools import compress
 
     from . import plain
@@ -269,7 +267,7 @@ def plain_route(cfg: ConstructionConfig, bounds: BoundsReport, timings: dict[str
     with _timed(timings, "accept"):
         m = bounds.m.value
         accepts = {bits: accept_pattern(p, cfg.l, t, lam, m) for bits, p in sets.items()}
-        accepted = array("I", compress(range(len(patterns)), map(accepts.__getitem__, patterns)))
+        accepted = list(compress(range(len(patterns)), map(accepts.__getitem__, patterns)))
 
     with _timed(timings, "matching"):
         random.Random(cfg.seed).shuffle(accepted)

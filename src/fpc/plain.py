@@ -22,7 +22,7 @@ evaluates the polynomials of degree <= t through the `GF` tables, in
 `sparsify` hashes each labeled t-subset once, byte for byte as
 `fpc.packing._kept` does, into one bytearray kept table over the global
 keys, and reads each word's kept pattern from it; `walk` is the matching's
-greedy pass, over a bytearray of used keys. Only
+greedy pass, keeping a set of the kept keys of the rows it has taken. Only
 `fpc.construct.plain_route` loads this module.
 """
 
@@ -54,11 +54,8 @@ def rs_columns(l: int, t: int, q: int) -> list[array]:
     each c_0 then reads one row of the add table at those values. t must
     be at least 1."""
     field, code = GF(q), _typecode(q)
-    # Row c of the add table, as 1-based symbols; up to q = 255, as a
-    # `bytes.translate` table.
+    # Row c of the add table, as 1-based symbols.
     rows = [[s + 1 for s in row] for row in field.add]
-    if code == "B":
-        rows = [bytes(row) + bytes(256 - q) for row in rows]
     # tails[j] lists coefficient c_(j+1) of every tail, in product order.
     tails = list(zip(*itertools.product(range(q), repeat=t)))
     columns = []
@@ -68,11 +65,7 @@ def rs_columns(l: int, t: int, q: int) -> list[array]:
         for coefficients in reversed(tails):
             value = [field.add[mul[v]][c] for v, c in zip(value, coefficients)]
         value = [mul[v] for v in value]
-        if code == "B":
-            columns.append(array(code, b"".join(map(bytes(value).translate, rows))))
-        else:
-            at = itemgetter(*value)
-            columns.append(array(code, list(itertools.chain.from_iterable(map(at, rows)))))
+        columns.append(array(code, itertools.chain.from_iterable(map(itemgetter(*value), rows))))
     return columns
 
 

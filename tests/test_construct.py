@@ -370,7 +370,7 @@ def test_plain_route_peak_memory_at_its_largest_point():
 
 
 def test_plain_route_runs_few_collections():
-    # The plain route holds no Python object per word, so a warm seed-7
+    # The plain route holds no container object per word, so a warm seed-7
     # (2,4,31) build, 29,791 words, leaves the cyclic collector nearly idle.
     cfg = ConstructionConfig(2, 4, 31, seed=7)
     bounds = bounds_report(2, 4, 31)
